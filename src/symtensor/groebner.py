@@ -1,9 +1,13 @@
 """Buchberger's algorithm: reduced Groebner bases and initial ideals.
 
 Pair selection is the normal strategy (minimal lcm total degree, ties broken
-by pair index), with the coprime-lcm and chain criteria for elimination.
-Every returned basis is the unique reduced basis for its order, so repeated
-runs are bitwise reproducible.
+by pair index).  Pairs are managed by the Gebauer-Moller update when a basis
+element is inserted: its B-criterion deletes queued pairs, and the M, F and
+product (coprime) criteria filter the new ones.  Leading monomials carry
+divisibility masks (Bachmann and Schonemann 1998), and the append-only
+reducer set remembers each monomial's first divisor.  Every returned basis is
+the unique reduced basis for its order, so repeated runs are bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import LimitExceeded
 from .hilbert import MonomialIdeal
@@ -72,46 +77,108 @@ class GroebnerBasis:
 # basis entry is (leading monomial, tail) with the element kept monic.
 
 
+def _entry(lt, lc, terms):
+    """Monic entry (lt, tail) from (monomial, coefficient) pairs; tails are unsorted."""
+    if lc == 1:
+        return lt, tuple(t for t in terms if t[0] != lt)
+    return lt, tuple((m, c / lc) for m, c in terms if m != lt)
+
+
 def _entry_from_dict(d, order):
     lt = max(d, key=order.key)
-    lc = d[lt]
-    tail = tuple(sorted(((m, c / lc) for m, c in d.items() if m != lt),
-                        key=lambda t: order.key(t[0]), reverse=True))
-    return lt, tail
+    return _entry(lt, d[lt], d.items())
 
 
-def _reduce_dict(target, entries, order):
-    """Full normal form of a dict-polynomial against monic (lt, tail) entries."""
-    if not target:
-        return {}
-    neg_key = order.neg_key
-    coeffs = dict(target)
-    heap = [(neg_key(m), m) for m in coeffs]
-    heapq.heapify(heap)
-    out = {}
-    while heap:
-        _, m = heapq.heappop(heap)
-        c = coeffs.pop(m, 0)
-        if not c:
-            continue
-        hit = None
-        for lt, tail in entries:
-            if mono_divides(lt, m):
-                hit = (lt, tail)
-                break
-        if hit is None:
-            out[m] = c
-            continue
-        q = mono_div(m, hit[0])
-        for tm, tc in hit[1]:
-            nm = mono_mul(q, tm)
-            prev = coeffs.get(nm)
-            if prev is None:
-                coeffs[nm] = -c * tc
-                heapq.heappush(heap, (neg_key(nm), nm))
-            else:
-                coeffs[nm] = prev - c * tc
-    return out
+def _entry_from_poly(p, order):
+    lc, lt = p.leading_term(order)
+    return _entry(lt, lc, p.terms)
+
+
+def _mask(m):
+    """Divisibility mask: bits 2i and 2i+1 are set when e_i >= 1 and e_i >= 2.
+
+    If a divides b then _mask(a) has no bit outside _mask(b), and two monomials
+    have disjoint supports exactly when their masks share no bit.  The mask of
+    lcm(a, b) is _mask(a) | _mask(b).
+    """
+    mask = 0
+    bit = 1
+    for e in m:
+        if e:
+            mask |= bit if e == 1 else 3 * bit
+        bit <<= 2
+    return mask
+
+
+class _Reducers:
+    """Append-only monic reducers with leading-monomial masks and a divisor memo.
+
+    ``memo`` maps a monomial to the index of its first reducer, or to ~k when
+    none of the first k reducers divides it, so a later lookup scans only the
+    reducers added since.  The reducer found is always the first in insertion
+    order whose leading monomial divides.
+    """
+
+    __slots__ = ("lts", "tails", "masks", "memo")
+
+    def __init__(self):
+        self.lts = []
+        self.tails = []
+        self.masks = []
+        self.memo = {}
+
+    def add(self, lt, tail, mask=None):
+        self.lts.append(lt)
+        self.tails.append(tail)
+        self.masks.append(_mask(lt) if mask is None else mask)
+        return len(self.lts) - 1
+
+    def first_divisor(self, m):
+        """Index of the first reducer whose leading monomial divides m, or None."""
+        k = self.memo.get(m, -1)
+        if k >= 0:
+            return k
+        lts, masks = self.lts, self.masks
+        n = len(lts)
+        if ~k < n:
+            outside = ~_mask(m)
+            for k in range(~k, n):
+                if not masks[k] & outside and mono_divides(lts[k], m):
+                    self.memo[m] = k
+                    return k
+            self.memo[m] = ~n
+        return None
+
+    def reduce(self, target, order):
+        """Full normal form of a dict-polynomial."""
+        if not target:
+            return {}
+        neg_key = order.neg_key
+        first_divisor = self.first_divisor
+        coeffs = dict(target)
+        heap = [(neg_key(m), m) for m in coeffs]
+        heapq.heapify(heap)
+        out = {}
+        while heap:
+            _, m = heapq.heappop(heap)
+            c = coeffs.pop(m, 0)
+            if not c:
+                continue
+            k = first_divisor(m)
+            if k is None:
+                out[m] = c
+                continue
+            q = mono_div(m, self.lts[k])
+            neg_c = -c
+            for tm, tc in self.tails[k]:
+                nm = tuple(map(add, q, tm))
+                prev = coeffs.get(nm)
+                if prev is None:
+                    coeffs[nm] = neg_c * tc
+                    heapq.heappush(heap, (neg_key(nm), nm))
+                else:
+                    coeffs[nm] = prev + neg_c * tc
+        return out
 
 
 def _spoly_dict(entry_f, entry_g):
@@ -131,17 +198,71 @@ def _spoly_dict(entry_f, entry_g):
     return {m: c for m, c in d.items() if c}
 
 
+class _PairQueue:
+    """Critical pairs under the Gebauer-Moller update (Gebauer and Moller 1988).
+
+    ``active`` holds the entries whose leading monomial no later entry divides;
+    only they form new pairs.  Live pairs map (i, j), i < j, to their lcm and
+    its mask; heap items (degree, i, j) no longer in ``live`` are skipped.
+    Coprime pairs never enter the heap.
+    """
+
+    __slots__ = ("red", "active", "live", "heap")
+
+    def __init__(self, red):
+        self.red = red
+        self.active = []
+        self.live = {}
+        self.heap = []
+
+    def update(self, h):
+        """Add the pairs of the new entry h and drop the ones it makes redundant."""
+        lts, masks = self.red.lts, self.red.masks
+        lt_h, mask_h = lts[h], masks[h]
+        # B-criterion: h's leading monomial divides lcm(i, j) and both
+        # lcm(i, h) and lcm(j, h) differ from it.
+        doomed = [key for key, (lcm, lcm_mask) in self.live.items()
+                  if not mask_h & ~lcm_mask and mono_divides(lt_h, lcm)
+                  and mono_lcm(lts[key[0]], lt_h) != lcm
+                  and mono_lcm(lts[key[1]], lt_h) != lcm]
+        for key in doomed:
+            del self.live[key]
+        # M and F criteria: keep one pair per minimal lcm(g, h); the product
+        # criterion then drops the whole class if any of its pairs is coprime.
+        candidates = []
+        for g in self.active:
+            lcm = mono_lcm(lts[g], lt_h)
+            candidates.append((mono_degree(lcm), g, lcm, masks[g] | mask_h,
+                               not masks[g] & mask_h))
+        candidates.sort()
+        classes = []
+        for deg, g, lcm, lcm_mask, coprime in candidates:
+            for cls in classes:
+                if not cls[3] & ~lcm_mask and mono_divides(cls[2], lcm):
+                    if cls[2] == lcm and coprime:
+                        cls[4] = True
+                    break
+            else:
+                classes.append([deg, g, lcm, lcm_mask, coprime])
+        for deg, g, lcm, lcm_mask, coprime in classes:
+            if not coprime:
+                self.live[(g, h)] = (lcm, lcm_mask)
+                heapq.heappush(self.heap, (deg, g, h))
+        self.active = [g for g in self.active
+                       if mask_h & ~masks[g] or not mono_divides(lt_h, lts[g])]
+        self.active.append(h)
+
+
 # -- public operations ---------------------------------------------------------
 
 
 def normal_form(p: Polynomial, basis, order: MonomialOrder = DEGREVLEX) -> Polynomial:
     """Remainder of p modulo the basis: no term divisible by any basis leading term."""
-    entries = []
+    red = _Reducers()
     for b in basis:
         if isinstance(b, Polynomial) and not b.is_zero:
-            entries.append(_entry_from_dict(dict(b.terms), order))
-    result = _reduce_dict(dict(p.terms), entries, order)
-    return Polynomial(p.ctx, result)
+            red.add(*_entry_from_poly(b, order))
+    return Polynomial(p.ctx, red.reduce(dict(p.terms), order))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
@@ -150,8 +271,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX)
         raise ValueError("S-polynomial of a zero polynomial")
     if f.ctx != g.ctx:
         raise ValueError("context mismatch")
-    ef = _entry_from_dict(dict(f.terms), order)
-    eg = _entry_from_dict(dict(g.terms), order)
+    ef = _entry_from_poly(f, order)
+    eg = _entry_from_poly(g, order)
     return Polynomial(f.ctx, _spoly_dict(ef, eg))
 
 
@@ -159,87 +280,70 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
                limits: GroebnerLimits | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of a homogeneous ideal.
 
-    Raises LimitExceeded (with pairs processed and the degree reached) when the
-    configured degree cap or timeout is hit before completion.
+    Raises LimitExceeded (with the S-pairs reduced and the degree reached)
+    when the configured degree cap or timeout is hit before completion.  The
+    timeout is checked before every inserted basis element and popped pair;
+    the degree cap applies to the pairs that are reduced.
     """
     limits = limits or GroebnerLimits()
     start = time.monotonic()
-    entries = [_entry_from_dict(dict(g.terms), order) for g in ideal.generators]
-
-    heap = []
-    for j in range(len(entries)):
-        for i in range(j):
-            lcm = mono_lcm(entries[i][0], entries[j][0])
-            heapq.heappush(heap, (mono_degree(lcm), i, j))
-    done = set()
+    red = _Reducers()
+    queue = _PairQueue(red)
     pairs_processed = 0
     max_degree_seen = 0
 
     def _diag(msg):
         return LimitExceeded(msg, pairs_processed=pairs_processed,
                              max_degree_reached=max_degree_seen,
-                             basis_size=len(entries),
+                             basis_size=len(red.lts),
                              elapsed=time.monotonic() - start)
 
-    while heap:
+    def _check_timeout():
         if limits.timeout is not None and time.monotonic() - start > limits.timeout:
             raise _diag(f"groebner timeout after {limits.timeout}s")
-        deg, i, j = heapq.heappop(heap)
+
+    def _insert(entry):
+        _check_timeout()
+        queue.update(red.add(*entry))
+
+    for g in ideal.generators:
+        _insert(_entry_from_poly(g, order))
+    while queue.heap:
+        _check_timeout()
+        deg, i, j = heapq.heappop(queue.heap)
+        if queue.live.pop((i, j), None) is None:
+            continue  # deleted by the B-criterion
         if limits.max_degree is not None and deg > limits.max_degree:
             raise _diag(f"pair of degree {deg} above cap {limits.max_degree}")
-        done.add((i, j))
-        lti, ltj = entries[i][0], entries[j][0]
-        lcm = mono_lcm(lti, ltj)
-        if lcm == mono_mul(lti, ltj):
-            continue  # coprime leading monomials: S-pair reduces to zero
-        skip = False
-        for k in range(len(entries)):
-            if k == i or k == j:
-                continue
-            if mono_divides(entries[k][0], lcm) \
-                    and (min(i, k), max(i, k)) in done \
-                    and (min(j, k), max(j, k)) in done:
-                skip = True
-                break
-        if skip:
-            continue
         pairs_processed += 1
         if deg > max_degree_seen:
             max_degree_seen = deg
-        h = _reduce_dict(_spoly_dict(entries[i], entries[j]), entries, order)
-        if not h:
-            continue
-        new_entry = _entry_from_dict(h, order)
-        entries.append(new_entry)
-        idx = len(entries) - 1
-        for k in range(idx):
-            lcm = mono_lcm(entries[k][0], new_entry[0])
-            heapq.heappush(heap, (mono_degree(lcm), k, idx))
+        spoly = _spoly_dict((red.lts[i], red.tails[i]), (red.lts[j], red.tails[j]))
+        h = red.reduce(spoly, order)
+        if h:
+            _insert(_entry_from_dict(h, order))
 
-    return GroebnerBasis(ideal.ctx, order, _reduced_from_entries(ideal.ctx, entries, order))
+    return GroebnerBasis(ideal.ctx, order,
+                         _reduced_from_entries(ideal.ctx, red, queue.active, order))
 
 
-def _reduced_from_entries(ctx, entries, order):
-    """Extract the unique reduced basis from a complete (redundant) basis."""
-    chosen = []
-    for i in sorted(range(len(entries)), key=lambda i: (order.key(entries[i][0]), i)):
-        lt = entries[i][0]
-        if not any(mono_divides(entries[k][0], lt) for k in chosen):
-            chosen.append(i)
-    working = [entries[i] for i in chosen]
-    for pos in range(len(working)):
-        lt, tail = working[pos]
-        others = [working[k] for k in range(len(working)) if k != pos]
-        full = {lt: Fraction(1)}
-        for m, c in tail:
-            full[m] = full.get(m, Fraction(0)) + c
-        red = _reduce_dict(full, others, order)
-        working[pos] = _entry_from_dict(red, order)
+def _reduced_from_entries(ctx, red, active, order):
+    """The unique reduced basis from a complete basis and its active entries.
+
+    The minimal leading monomials are taken from the active entries, reusing
+    their masks; each tail is then reduced against the minimal set, and the
+    reduced tail replaces the old one for later elements.
+    """
+    minimal = _Reducers()
+    for i in sorted(active, key=lambda i: (order.key(red.lts[i]), i)):
+        if minimal.first_divisor(red.lts[i]) is None:
+            minimal.add(red.lts[i], red.tails[i], red.masks[i])
     out = []
-    for lt, tail in working:
-        d = {lt: Fraction(1)}
-        d.update({m: c for m, c in tail})
-        out.append(Polynomial(ctx, d))
+    for pos, lt in enumerate(minimal.lts):
+        tail = minimal.reduce(dict(minimal.tails[pos]), order)
+        minimal.tails[pos] = tuple(tail.items())
+        tail[lt] = Fraction(1)
+        out.append(Polynomial(ctx, tail))
     return tuple(out)
 
 

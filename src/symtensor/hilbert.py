@@ -11,19 +11,16 @@ from dataclasses import dataclass
 
 from . import univar
 from .errors import IntegrityError
+from .poly import mono_divides
 
 # -- monomial ideals ----------------------------------------------------------
-
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
 
 
 def minimalize_monomials(gens):
     """Minimal generating set: drop duplicates and multiples of other generators."""
     kept = []
     for m in sorted(set(gens), key=lambda m: (sum(m), m)):
-        if not any(_divides(k, m) for k in kept):
+        if not any(mono_divides(k, m) for k in kept):
             kept.append(m)
     return tuple(kept)
 
@@ -46,7 +43,7 @@ class MonomialIdeal:
         return cls(nvars, minimalize_monomials(gens))
 
     def contains_monomial(self, mono) -> bool:
-        return any(_divides(g, mono) for g in self.gens)
+        return any(mono_divides(g, mono) for g in self.gens)
 
 
 def _compositions(total, parts):

@@ -246,6 +246,8 @@ def _extend_dims(group: MatrixGroup, p: int) -> None:
 
     Unit determinant makes symmetric-power traces satisfy
     T_k = trace * T_{k-1} - T_{k-2}, which the sweep runs per distinct trace.
+    The recursion state is committed only with a validated dimension, so a
+    failed call leaves the shared group as it was.
     """
     if not group._dims:
         one = CyclotomicNumber.one(group.field_order)
@@ -262,8 +264,6 @@ def _extend_dims(group: MatrixGroup, p: int) -> None:
             new_prev.append(group._rec_cur[idx])
             new_cur.append(t_new)
             total = total + t_new * mult
-        group._rec_prev = new_prev
-        group._rec_cur = new_cur
         average = total * Fraction(1, group.order)
         value = average.to_rational()
         if value is None:
@@ -274,6 +274,8 @@ def _extend_dims(group: MatrixGroup, p: int) -> None:
             raise IntegrityError(
                 f"invariant average {value} at degree {len(group._dims)} is not a "
                 f"non-negative integer for {group.label}")
+        group._rec_prev = new_prev
+        group._rec_cur = new_cur
         group._dims.append(int(value))
 
 

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add, le, sub
 
 from .errors import SpecParseError
 
@@ -19,21 +20,21 @@ from .errors import SpecParseError
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
     """True when a divides b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(b, a):
     """Quotient b / a; caller guarantees divisibility."""
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(m):
@@ -63,7 +64,7 @@ class MonomialOrder:
     def key(self, m):
         """Sort key: bigger key means bigger monomial."""
         if self.kind == "degrevlex":
-            return (sum(m), tuple(-e for e in reversed(m)))
+            return (sum(m), tuple([-e for e in reversed(m)]))
         return tuple(m)
 
     def neg_key(self, m):

@@ -1,5 +1,10 @@
+import heapq
+import random
+from fractions import Fraction
+
 import pytest
 
+from symtensor import groebner
 from symtensor.errors import LimitExceeded
 from symtensor.groebner import (GroebnerBasis, GroebnerLimits, IdealPresentation,
                                 buchberger, leading_term_ideal, normal_form,
@@ -153,3 +158,104 @@ def test_degree_cap_limit():
     with pytest.raises(LimitExceeded) as info:
         buchberger(_ideal(ABCD, *U2_ENTRIES), limits=GroebnerLimits(max_degree=2))
     assert info.value.max_degree_reached <= 2
+
+
+def test_degree_cap_applies_to_reduced_pairs_only():
+    # the only pair is coprime, so it is dropped before any reduction and a cap
+    # below its lcm degree never fires
+    gb = buchberger(_ideal(XY, "x^2", "y^2"), limits=GroebnerLimits(max_degree=2))
+    assert set(gb.elements) == {XY.parse("x^2"), XY.parse("y^2")}
+
+
+def test_timeout_checked_per_inserted_element():
+    # no pair is ever queued here, so only the check at insertion can fire
+    with pytest.raises(LimitExceeded) as info:
+        buchberger(_ideal(XY, "x^2", "y^2"), limits=GroebnerLimits(timeout=1e-9))
+    assert info.value.pairs_processed == 0
+
+
+# -- differential check of the pair criteria ------------------------------------
+
+
+def _naive_reduce(d, entries, order):
+    """Division by the first entry whose leading monomial divides, largest term first."""
+    d, out = dict(d), {}
+    while d:
+        m = max(d, key=order.key)
+        c = d.pop(m)
+        for lt, tail in entries:
+            if all(x <= y for x, y in zip(lt, m)):
+                q = tuple(y - x for x, y in zip(lt, m))
+                for tm, tc in tail:
+                    nm = tuple(a + b for a, b in zip(q, tm))
+                    d[nm] = d.get(nm, 0) - c * tc
+                    if not d[nm]:
+                        del d[nm]
+                break
+        else:
+            out[m] = c
+    return out
+
+
+def _plain_buchberger(ideal, order):
+    """Every S-pair reduced, lowest lcm degree first, with no criteria; then the
+    engine's interreduction."""
+    entries = []
+    pairs = []
+
+    def add(entry):
+        for k, (lt, _) in enumerate(entries):
+            heapq.heappush(pairs, (sum(map(max, lt, entry[0])), k, len(entries)))
+        entries.append(entry)
+
+    for g in ideal.generators:
+        add(groebner._entry_from_poly(g, order))
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        h = _naive_reduce(groebner._spoly_dict(entries[i], entries[j]), entries, order)
+        if h:
+            add(groebner._entry_from_dict(h, order))
+    red = groebner._Reducers()
+    for lt, tail in entries:
+        red.add(lt, tail)
+    return groebner._reduced_from_entries(ideal.ctx, red, range(len(entries)), order)
+
+
+def _random_ideal(seed):
+    rng = random.Random(seed)
+    nvars = rng.randint(3, 5)
+    ctx = VariableContext(tuple("xyzuv"[:nvars]))
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        deg = rng.randint(2, 3) if nvars < 5 else 2
+        terms = {}
+        for _ in range(rng.randint(2, 3)):
+            mono = [0] * nvars
+            for _ in range(deg):
+                mono[rng.randrange(nvars)] += 1
+            terms[tuple(mono)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+        gens.append(ctx.poly(terms))
+    gens = [g for g in gens if not g.is_zero]
+    if rng.random() < 0.3:
+        gens.append(gens[0] * ctx.variable(ctx.names[-1]))  # a redundant generator
+    return IdealPresentation(ctx, tuple(gens))
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+@pytest.mark.parametrize("seed", range(40))
+def test_criteria_match_plain_buchberger(seed, order):
+    ideal = _random_ideal(seed)
+    assert buchberger(ideal, order).elements == _plain_buchberger(ideal, order)
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+@pytest.mark.parametrize("texts", [
+    ("x^2", "y^2", "z^2"),                      # coprime leading monomials only
+    ("x*y - z^2", "x*y - z^2", "x*z"),          # duplicate generators
+    ("x + y", "x^2 + y*z", "x*y"),              # leading monomial of a later input divisible
+    ("x^2 - y*z", "x*y - z^2", "y^2 - x*z"),    # twisted-cubic-like
+])
+def test_criteria_match_plain_buchberger_corner_cases(texts, order):
+    ctx = VariableContext(("x", "y", "z"))
+    ideal = _ideal(ctx, *texts)
+    assert buchberger(ideal, order).elements == _plain_buchberger(ideal, order)

@@ -171,3 +171,20 @@ def test_unclosed_element_set_raises_integrity_error():
     bogus = MatrixGroup("custom", None, 8, (), (Mat2(z8, zero, zero, zero),))
     with pytest.raises(IntegrityError):
         invariant_dimension(bogus, 1)
+
+
+def test_failed_sweep_leaves_cached_state_unchanged():
+    # trace sqrt(2): T_1 is irrational but T_2 = 1, so a sweep that advanced its
+    # recursion before raising would answer 1 for degree 1 on a second call
+    from symtensor.invariants import MatrixGroup
+    z8 = zeta(8)
+    zero = CyclotomicNumber.zero(8)
+    rot = Mat2(z8, zero, zero, -zeta(8, 3))
+    bogus = MatrixGroup("custom", None, 8, (), (rot,))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(IntegrityError, match="irrational invariant average") as info:
+            invariant_dimension(bogus, 1)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "at degree 1 " in messages[0]
