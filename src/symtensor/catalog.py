@@ -387,18 +387,27 @@ def _dedupe_generators(gens):
     return out
 
 
-def _poly_matrix_det(rows):
-    """Determinant of a square list-of-lists of polynomials by cofactors."""
-    size = len(rows)
-    if size == 1:
-        return rows[0][0]
-    ctx = rows[0][0].ctx
-    total = ctx.zero()
-    for j in range(size):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _poly_matrix_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+def _signed_permutations(size):
+    """Every permutation of range(size) with its sign."""
+    out = []
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        out.append((perm, -1 if inversions % 2 else 1))
+    return out
+
+
+def _add_variable_minor(terms, n, rows, cols, perms):
+    """Add the rows x cols minor of the n x n matrix of distinct variables to terms.
+
+    By Leibniz's formula the minor has one signed square-free monomial per
+    permutation, and the monomial fixes both the permutation and the rows, so
+    no two terms of one minor, or of minors on different row sets, coincide.
+    """
+    for perm, sign in perms:
+        exps = [0] * (n * n)
+        for i, p in zip(rows, perm):
+            exps[i * n + cols[p]] = 1
+        terms[tuple(exps)] = sign
 
 
 def grassmannian_ideal(r: int, n: int) -> IdealPresentation:
@@ -413,28 +422,33 @@ def grassmannian_ideal(r: int, n: int) -> IdealPresentation:
         raise ValueError(f"need 1 <= r <= n-1, got r={r}, n={n}")
     names = tuple(f"u{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
     ctx = VariableContext(names)
-    u = [[ctx.variable(f"u{i}{j}") for j in range(1, n + 1)] for i in range(1, n + 1)]
     gens: list[Polynomial] = []
     for i in range(n):
         for j in range(n):
-            entry = ctx.zero()
+            entry = {}  # sum over k of u_ik * u_kj; distinct k give distinct monomials
             for k in range(n):
-                entry = entry + u[i][k] * u[k][j]
-            gens.append(entry)
+                exps = [0] * (n * n)
+                exps[i * n + k] += 1
+                exps[k * n + j] += 1
+                entry[tuple(exps)] = 1
+            gens.append(Polynomial(ctx, entry))
     for k in range(1, n + 1):
-        coeff = ctx.zero()
+        perms = _signed_permutations(k)
+        coeff = {}
         for subset in itertools.combinations(range(n), k):
-            coeff = coeff + _poly_matrix_det([[u[i][j] for j in subset] for i in subset])
-        gens.append(coeff)
+            _add_variable_minor(coeff, n, subset, subset, perms)
+        gens.append(Polynomial(ctx, coeff))
     m = min(r, n - r)
+    perms = _signed_permutations(m + 1)
     for rows in itertools.combinations(range(n), m + 1):
         for cols in itertools.combinations(range(n), m + 1):
-            gens.append(_poly_matrix_det([[u[i][j] for j in cols] for i in rows]))
+            minor = {}
+            _add_variable_minor(minor, n, rows, cols, perms)
+            gens.append(Polynomial(ctx, minor))
     provenance = (f"square-zero endomorphisms of a {n}-dim space with rank <= "
                   f"{m}; characteristic coefficients and size-{m + 1} minors adjoined")
     if m >= 2:
-        provenance += ("; radicality assumed for rank bound >= 2, witnessed by the "
-                       "Krull dimension")
+        provenance += "; radicality assumed for rank bound >= 2"
     return IdealPresentation(
         ctx=ctx,
         generators=tuple(_dedupe_generators(gens)),

@@ -8,6 +8,13 @@ divisibility masks (Bachmann and Schonemann 1998), and the append-only
 reducer set remembers each monomial's first divisor.  Every returned basis is
 the unique reduced basis for its order, so repeated runs are bitwise
 reproducible.
+
+Inside the engine a coefficient is a Python ``int`` when it is integral and a
+``Fraction`` only when it is not; Python's numeric tower keeps every mixed sum
+and product exact.  Coefficients are normalised where data enters the engine,
+and monic division goes through ``Fraction``, never ``int / int`` (a float).
+Every ``Polynomial`` the engine returns stores ``Fraction``s, as everywhere
+else in the package.
 """
 
 from __future__ import annotations
@@ -73,15 +80,21 @@ class GroebnerBasis:
 
 # -- dict-polynomial core -----------------------------------------------------
 #
-# Inside the engine a polynomial is a dict {exponent tuple: Fraction} and a
-# basis entry is (leading monomial, tail) with the element kept monic.
+# Inside the engine a polynomial is a dict {exponent tuple: int or Fraction}
+# and a basis entry is (leading monomial, tail) with the element kept monic.
+
+
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _entry(lt, lc, terms):
     """Monic entry (lt, tail) from (monomial, coefficient) pairs; tails are unsorted."""
     if lc == 1:
-        return lt, tuple(t for t in terms if t[0] != lt)
-    return lt, tuple((m, c / lc) for m, c in terms if m != lt)
+        return lt, tuple((m, _exact(c)) for m, c in terms if m != lt)
+    inv = 1 / Fraction(lc)
+    return lt, tuple((m, _exact(c * inv)) for m, c in terms if m != lt)
 
 
 def _entry_from_dict(d, order):
@@ -191,10 +204,10 @@ def _spoly_dict(entry_f, entry_g):
     d = {}
     for m, c in tailf:
         nm = mono_mul(qf, m)
-        d[nm] = d.get(nm, Fraction(0)) + c
+        d[nm] = d.get(nm, 0) + c
     for m, c in tailg:
         nm = mono_mul(qg, m)
-        d[nm] = d.get(nm, Fraction(0)) - c
+        d[nm] = d.get(nm, 0) - c
     return {m: c for m, c in d.items() if c}
 
 
@@ -262,7 +275,7 @@ def normal_form(p: Polynomial, basis, order: MonomialOrder = DEGREVLEX) -> Polyn
     for b in basis:
         if isinstance(b, Polynomial) and not b.is_zero:
             red.add(*_entry_from_poly(b, order))
-    return Polynomial(p.ctx, red.reduce(dict(p.terms), order))
+    return Polynomial(p.ctx, red.reduce({m: _exact(c) for m, c in p.terms}, order))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
@@ -341,8 +354,8 @@ def _reduced_from_entries(ctx, red, active, order):
     out = []
     for pos, lt in enumerate(minimal.lts):
         tail = minimal.reduce(dict(minimal.tails[pos]), order)
-        minimal.tails[pos] = tuple(tail.items())
-        tail[lt] = Fraction(1)
+        minimal.tails[pos] = tuple((m, _exact(c)) for m, c in tail.items())
+        tail[lt] = 1
         out.append(Polynomial(ctx, tail))
     return tuple(out)
 

@@ -1,7 +1,10 @@
+import hashlib
+import itertools
 import random
 
 import pytest
 
+from symtensor import catalog
 from symtensor.catalog import (abelian_series, check_dimension_bounds,
                                evaluate, grassmannian_ideal, groebner_route,
                                hitchin_series, ideal_presentation_for, klein_row,
@@ -11,6 +14,7 @@ from symtensor.catalog import (abelian_series, check_dimension_bounds,
                                two_quadrics_series)
 from symtensor.errors import IntegrityError, SpecParseError
 from symtensor.hilbert import series_eq, series_product
+from symtensor.poly import LEX
 
 
 # -- projective space ---------------------------------------------------------
@@ -65,6 +69,54 @@ def test_grassmannian_2_4_flags_and_char_coefficients():
     report = evaluate(spec, max_degree=4)
     assert report.krull == 8
     assert "radicality-assumed" in report.flags
+    # an ideal and its radical have the same Krull dimension, so it witnesses nothing
+    assert "witness" not in report.provenance
+    assert report.provenance.endswith("radicality assumed for rank bound >= 2")
+
+
+def _cofactor_det(rows):
+    """Reference determinant of a square list-of-lists of polynomials by cofactors."""
+    size = len(rows)
+    if size == 1:
+        return rows[0][0]
+    total = rows[0][0].ctx.zero()
+    for j in range(size):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = rows[0][j] * _cofactor_det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def _reference_grassmannian_generators(r, n):
+    """grassmannian_ideal's generators built by Polynomial arithmetic and cofactors."""
+    ctx = grassmannian_ideal(r, n).ctx
+    u = [[ctx.variable(f"u{i}{j}") for j in range(1, n + 1)] for i in range(1, n + 1)]
+    gens = []
+    for i in range(n):
+        for j in range(n):
+            gens.append(sum((u[i][k] * u[k][j] for k in range(n)), ctx.zero()))
+    for k in range(1, n + 1):
+        gens.append(sum((_cofactor_det([[u[i][j] for j in subset] for i in subset])
+                         for subset in itertools.combinations(range(n), k)), ctx.zero()))
+    m = min(r, n - r)
+    for rows in itertools.combinations(range(n), m + 1):
+        for cols in itertools.combinations(range(n), m + 1):
+            gens.append(_cofactor_det([[u[i][j] for j in cols] for i in rows]))
+    return tuple(catalog._dedupe_generators(gens))
+
+
+@pytest.mark.parametrize("r,n", [(r, n) for n in range(2, 6) for r in range(1, n)])
+def test_grassmannian_generators_match_cofactor_reference(r, n):
+    assert grassmannian_ideal(r, n).generators == _reference_grassmannian_generators(r, n)
+
+
+def test_grassmannian_3_6_generators_digest():
+    # SHA-256 of the ideal-dump lines of Gr(3,6), as built by cofactor expansion
+    gens = grassmannian_ideal(3, 6).generators
+    text = "\n".join(g.render(LEX) for g in gens)
+    assert len(gens) == 267
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "418474c7c9a11c8c901384c6da82d2da5b958b944a206bfe0a6affe8859bfdad"
 
 
 # -- quadrics --------------------------------------------------------------------

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from symtensor import groebner
 from symtensor.errors import LimitExceeded
 from symtensor.groebner import (GroebnerBasis, GroebnerLimits, IdealPresentation,
                                 buchberger, leading_term_ideal, normal_form,
@@ -132,6 +131,22 @@ def test_lex_order_route():
             assert normal_form(spair, gb.elements, LEX).is_zero
 
 
+@pytest.mark.parametrize("order,expected,expected_nf", [
+    (DEGREVLEX, ("x*y - 7/2*z^2", "x^2 - 2/3*y^2", "y^3 - 21/4*x*z^2"),
+     "21/4*x*z^2 + 7/3*y*z^2 + z^3"),
+    (LEX, ("y^4 - 147/8*z^4", "x*z^2 - 4/21*y^3", "x*y - 7/2*z^2", "x^2 - 2/3*y^2"),
+     "y^3 + 7/3*y*z^2 + z^3"),
+], ids=["degrevlex", "lex"])
+def test_non_unit_leading_coefficients_stay_exact(order, expected, expected_nf):
+    ctx = VariableContext(("x", "y", "z"))
+    gb = buchberger(_ideal(ctx, "3*x^2 - 2*y^2", "2*x*y - 7*z^2"), order)
+    assert gb.elements == tuple(ctx.parse(t) for t in expected)
+    nf = normal_form(ctx.parse("x^3 + y^3 + z^3"), gb.elements, order)
+    assert nf == ctx.parse(expected_nf)
+    for p in gb.elements + (nf,):
+        assert all(type(c) is Fraction for _, c in p.terms)
+
+
 def test_inhomogeneous_generator_rejected():
     with pytest.raises(ValueError):
         _ideal(XY, "x^2 - y")
@@ -177,6 +192,25 @@ def test_timeout_checked_per_inserted_element():
 # -- differential check of the pair criteria ------------------------------------
 
 
+def _plain_entry(lt, lc, terms):
+    """Monic (lt, tail) with every coefficient a Fraction; the division is Fraction / Fraction."""
+    lc = Fraction(lc)
+    return lt, tuple((m, Fraction(c) / lc) for m, c in terms if m != lt)
+
+
+def _plain_spoly(entry_f, entry_g):
+    """S-polynomial of two monic entries; the shared leading term cancels."""
+    (ltf, tailf), (ltg, tailg) = entry_f, entry_g
+    lcm = tuple(map(max, ltf, ltg))
+    d = {}
+    for lt, tail, sign in ((ltf, tailf, 1), (ltg, tailg, -1)):
+        q = tuple(a - b for a, b in zip(lcm, lt))
+        for m, c in tail:
+            nm = tuple(a + b for a, b in zip(q, m))
+            d[nm] = d.get(nm, Fraction(0)) + sign * c
+    return {m: c for m, c in d.items() if c}
+
+
 def _naive_reduce(d, entries, order):
     """Division by the first entry whose leading monomial divides, largest term first."""
     d, out = dict(d), {}
@@ -188,7 +222,7 @@ def _naive_reduce(d, entries, order):
                 q = tuple(y - x for x, y in zip(lt, m))
                 for tm, tc in tail:
                     nm = tuple(a + b for a, b in zip(q, tm))
-                    d[nm] = d.get(nm, 0) - c * tc
+                    d[nm] = d.get(nm, Fraction(0)) - c * tc
                     if not d[nm]:
                         del d[nm]
                 break
@@ -197,9 +231,23 @@ def _naive_reduce(d, entries, order):
     return out
 
 
+def _plain_reduced(ctx, entries, order):
+    """The reduced basis: minimal leading monomials, each tail reduced by the others."""
+    minimal = []
+    for lt, tail in sorted(entries, key=lambda e: order.key(e[0])):
+        if not any(all(x <= y for x, y in zip(m, lt)) for m, _ in minimal):
+            minimal.append((lt, tail))
+    out = []
+    for k, (lt, tail) in enumerate(minimal):
+        reduced = _naive_reduce(dict(tail), minimal[:k] + minimal[k + 1:], order)
+        reduced[lt] = Fraction(1)
+        out.append(ctx.poly(reduced))
+    return tuple(out)
+
+
 def _plain_buchberger(ideal, order):
-    """Every S-pair reduced, lowest lcm degree first, with no criteria; then the
-    engine's interreduction."""
+    """Every S-pair reduced, lowest lcm degree first, with no criteria, over Fractions
+    only; shares no helper with the engine."""
     entries = []
     pairs = []
 
@@ -209,16 +257,15 @@ def _plain_buchberger(ideal, order):
         entries.append(entry)
 
     for g in ideal.generators:
-        add(groebner._entry_from_poly(g, order))
+        lc, lt = g.leading_term(order)
+        add(_plain_entry(lt, lc, g.terms))
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        h = _naive_reduce(groebner._spoly_dict(entries[i], entries[j]), entries, order)
+        h = _naive_reduce(_plain_spoly(entries[i], entries[j]), entries, order)
         if h:
-            add(groebner._entry_from_dict(h, order))
-    red = groebner._Reducers()
-    for lt, tail in entries:
-        red.add(lt, tail)
-    return groebner._reduced_from_entries(ideal.ctx, red, range(len(entries)), order)
+            lt = max(h, key=order.key)
+            add(_plain_entry(lt, h[lt], h.items()))
+    return _plain_reduced(ideal.ctx, entries, order)
 
 
 def _random_ideal(seed):
@@ -254,6 +301,7 @@ def test_criteria_match_plain_buchberger(seed, order):
     ("x*y - z^2", "x*y - z^2", "x*z"),          # duplicate generators
     ("x + y", "x^2 + y*z", "x*y"),              # leading monomial of a later input divisible
     ("x^2 - y*z", "x*y - z^2", "y^2 - x*z"),    # twisted-cubic-like
+    ("3*x^2 - 2*y^2", "2*x*y - 7*z^2"),         # non-unit leading coefficients
 ])
 def test_criteria_match_plain_buchberger_corner_cases(texts, order):
     ctx = VariableContext(("x", "y", "z"))
