@@ -2,8 +2,10 @@
 
 Rationals are ``fractions.Fraction`` (always reduced, positive denominator).
 A :class:`CyclotomicNumber` of order m is a residue modulo the m-th cyclotomic
-polynomial, stored as Fraction coefficients on the power basis
-1, z, ..., z**(phi(m)-1) where z is a primitive m-th root of unity.  All
+polynomial on the power basis 1, z, ..., z**(phi(m)-1), where z is a primitive
+m-th root of unity.  It is stored as integer numerators over one positive
+common denominator, so sums, products and rational scalings run on Python
+ints; :attr:`CyclotomicNumber.coeffs` gives the same value as rationals.  All
 arithmetic is exact; there are no floating-point code paths.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from . import univar
 
@@ -57,69 +60,85 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    """Rows giving x**k mod Phi_m for k = phi(m) .. 2*phi(m)-2."""
+def _power_rows(m: int) -> tuple[tuple[int, ...], ...]:
+    """Rows giving x**j mod Phi_m for j = 0 .. max(m, 2*phi(m) - 1) - 1.
+
+    That covers every power a product of two reduced elements reaches and
+    every exponent i*k mod m of a Galois conjugate.
+    """
     phi_coeffs = cyclotomic_polynomial(m)
     k = len(phi_coeffs) - 1
+    cur = [1] + [0] * (k - 1)
     rows = []
-    cur = [-c for c in phi_coeffs[:k]]
-    rows.append(tuple(cur))
-    for _ in range(max(0, k - 2)):
-        top = cur[k - 1]
-        nxt = [0] + cur[: k - 1]
-        if top:
-            for i, rc in enumerate(rows[0]):
-                nxt[i] += top * rc
-        cur = nxt
+    for _ in range(max(m, 2 * k - 1)):
         rows.append(tuple(cur))
+        top = cur[k - 1]
+        cur = [0] + cur[: k - 1]
+        if top:
+            for i in range(k):
+                cur[i] -= top * phi_coeffs[i]
     return tuple(rows)
 
 
 class CyclotomicNumber:
     """Immutable element of the m-th cyclotomic field.
 
-    Two values compare equal iff they share the order and the reduced
-    coefficient vectors agree; cross-order comparison requires an explicit
-    :meth:`embed` by the caller.
+    The element (nums[0] + nums[1]*z + ... ) / den is stored as a tuple
+    ``nums`` of integer numerators on the power basis over one common
+    denominator ``den >= 1``, normalised so that gcd(den, *nums) == 1 and
+    zero has den == 1.  Two values compare equal iff they share the order and
+    this canonical data; cross-order comparison requires an explicit
+    :meth:`embed` by the caller.  :attr:`coeffs` is the read-only view of the
+    same value as one rational per basis element.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs):
         phi = euler_phi(order)
         cs = tuple(Fraction(c) for c in coeffs)
         if len(cs) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}, got {len(cs)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", cs)
+        den = lcm(*(c.denominator for c in cs))
+        _set_order(self, order)
+        _set_nums(self, tuple(c.numerator * (den // c.denominator) for c in cs))
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicNumber is immutable")
 
     @classmethod
     def from_rational(cls, order: int, value) -> "CyclotomicNumber":
-        phi = euler_phi(order)
-        return cls(order, (Fraction(value),) + (Fraction(0),) * (phi - 1))
+        q = Fraction(value)
+        return _make(order, (q.numerator,) + (0,) * (euler_phi(order) - 1), q.denominator)
 
     @classmethod
     def zero(cls, order: int) -> "CyclotomicNumber":
-        return cls.from_rational(order, 0)
+        return _make(order, (0,) * euler_phi(order), 1)
 
     @classmethod
     def one(cls, order: int) -> "CyclotomicNumber":
-        return cls.from_rational(order, 1)
+        return _make(order, (1,) + (0,) * (euler_phi(order) - 1), 1)
 
     # -- basic queries ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """Power-basis coefficients: ``nums`` itself when den == 1, else Fractions."""
+        den = self.den
+        if den == 1:
+            return self.nums
+        return tuple(Fraction(n, den) for n in self.nums)
+
+    @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def to_rational(self):
         """The Fraction value when the element is rational, else None."""
-        if any(c != 0 for c in self.coeffs[1:]):
+        if any(self.nums[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- coercion ----------------------------------------------------------
 
@@ -140,18 +159,26 @@ class CyclotomicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CyclotomicNumber(self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return _make(self.order, tuple([a + b for a, b in zip(self.nums, o.nums)]), da)
+        return _make(self.order,
+                     tuple([a * db + b * da for a, b in zip(self.nums, o.nums)]), da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, tuple(-a for a in self.coeffs))
+        return _make(self.order, tuple([-a for a in self.nums]), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CyclotomicNumber(self.order, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return _make(self.order, tuple([a - b for a, b in zip(self.nums, o.nums)]), da)
+        return _make(self.order,
+                     tuple([a * db - b * da for a, b in zip(self.nums, o.nums)]), da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -160,28 +187,32 @@ class CyclotomicNumber:
         return o - self
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return _make(self.order, tuple([a * other for a in self.nums]), self.den)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return _make(self.order, tuple([a * p for a in self.nums]),
+                         self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        a, b = self.nums, o.nums
         phi = len(a)
-        conv = [Fraction(0)] * (2 * phi - 1)
+        conv = [0] * (2 * phi - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     if y:
                         conv[i + j] += x * y
-        if phi == 1:
-            return CyclotomicNumber(self.order, conv[:1])
-        rows = _reduction_rows(self.order)
-        out = conv[:phi]
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
-            if c:
-                for idx, rc in enumerate(rows[k - phi]):
-                    if rc:
-                        out[idx] += c * rc
-        return CyclotomicNumber(self.order, out)
+        if phi > 1:
+            rows = _power_rows(self.order)
+            for k in range(phi, 2 * phi - 1):
+                c = conv[k]
+                if c:
+                    for idx, rc in enumerate(rows[k]):
+                        if rc:
+                            conv[idx] += c * rc
+        return _make(self.order, tuple(conv[:phi]), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -198,19 +229,25 @@ class CyclotomicNumber:
         return result
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via extended gcd with Phi_m."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        of the integral numerator, divided by its norm and scaled by ``den``."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi_m = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        g, u, _ = univar.xgcd(list(self.coeffs), phi_m)
-        if univar.degree(g) != 0:
-            raise AssertionError("cyclotomic polynomial must be irreducible over Q")
-        phi = euler_phi(self.order)
-        inv = [Fraction(0)] * phi
-        for i, c in enumerate(u):
-            inv[i] = c
-        result = CyclotomicNumber(self.order, inv)
-        return result
+        m, phi = self.order, len(self.nums)
+        powers = _power_rows(m)
+        others = CyclotomicNumber.one(m)
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                conj = [0] * phi
+                for i, c in enumerate(self.nums):
+                    if c:
+                        for idx, pc in enumerate(powers[i * k % m]):
+                            conj[idx] += c * pc
+                others = others * _make(m, tuple(conj), 1)
+        norm = (_make(m, self.nums, 1) * others).to_rational()
+        if norm is None:
+            raise AssertionError("the norm of a cyclotomic integer must be rational")
+        return others * Fraction(self.den, norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -235,11 +272,11 @@ class CyclotomicNumber:
         step = zeta(target_order, ratio)
         acc = CyclotomicNumber.zero(target_order)
         power = CyclotomicNumber.one(target_order)
-        for c in self.coeffs:
+        for c in self.nums:
             if c:
                 acc = acc + power * c
             power = power * step
-        return acc
+        return acc * Fraction(1, self.den)
 
     # -- comparison / display ----------------------------------------------
 
@@ -248,10 +285,11 @@ class CyclotomicNumber:
             other = CyclotomicNumber.from_rational(self.order, other)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order == other.order and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.nums, self.den))
 
     def __repr__(self):
         var = f"z{self.order}"
@@ -266,6 +304,25 @@ class CyclotomicNumber:
             else:
                 parts.append(f"{c}*{var}^{e}" if c != 1 else f"{var}^{e}")
         return " + ".join(parts) if parts else "0"
+
+
+_set_order = CyclotomicNumber.order.__set__
+_set_nums = CyclotomicNumber.nums.__set__
+_set_den = CyclotomicNumber.den.__set__
+
+
+def _make(order: int, nums: tuple, den: int) -> CyclotomicNumber:
+    """Unchecked constructor for results: divides out gcd(den, *nums), den > 0."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple([n // g for n in nums])
+            den //= g
+    value = object.__new__(CyclotomicNumber)
+    _set_order(value, order)
+    _set_nums(value, nums)
+    _set_den(value, den)
+    return value
 
 
 def zeta(m: int, k: int = 1) -> CyclotomicNumber:

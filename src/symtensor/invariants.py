@@ -51,7 +51,8 @@ class Mat2:
                     self.c.embed(order), self.d.embed(order))
 
     def key(self):
-        return (self.a.coeffs, self.b.coeffs, self.c.coeffs, self.d.coeffs)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return (a.nums, a.den, b.nums, b.den, c.nums, c.den, d.nums, d.den)
 
     @classmethod
     def identity(cls, order: int) -> "Mat2":
@@ -70,10 +71,9 @@ class MatrixGroup:
         self.generators = tuple(generators)
         self.elements = tuple(elements)
         # distinct traces with multiplicities drive the dimension sweep
-        counts = Counter(g.trace().coeffs for g in self.elements)
-        self._traces = tuple(
-            (CyclotomicNumber(field_order, coeffs), mult)
-            for coeffs, mult in sorted(counts.items()))
+        counts = Counter(g.trace() for g in self.elements)
+        self._traces = tuple(sorted(counts.items(),
+                                    key=lambda item: (item[0].nums, item[0].den)))
         self._dims: list[int] = []
         self._rec_prev: list[CyclotomicNumber] = []
         self._rec_cur: list[CyclotomicNumber] = []
@@ -181,28 +181,37 @@ def build_group(label: str, n_param: int | None = None) -> MatrixGroup:
         field_order, generators, expected = 20, _binary_icosahedral_generators(), 120
     else:
         raise ValueError(f"unknown group label {label!r}")
-    elements = _close_under_multiplication(generators, field_order, expected)
-    if len(elements) != expected:
-        raise IntegrityError(
-            f"group {label} closed to order {len(elements)}, expected {expected}")
-    one = CyclotomicNumber.one(field_order)
-    for m in elements:
-        if m.det() != one:
-            raise IntegrityError(f"non-unimodular element in group {label}")
-    minus_one = Mat2.identity(field_order).neg()
-    if not any(m.key() == minus_one.key() for m in elements):
+    elements = _closed_unimodular(generators, field_order, expected, label)
+    minus_one = Mat2.identity(field_order).neg().key()
+    if not any(m.key() == minus_one for m in elements):
         raise IntegrityError(f"group {label} does not contain -identity")
     return MatrixGroup(label, n_param, field_order, generators, elements)
 
 
 def build_group_from_generators(generators, field_order: int, expected_order: int,
                                 label: str = "custom") -> MatrixGroup:
-    """Close arbitrary cyclotomic generators; same hard checks as build_group."""
+    """Close arbitrary cyclotomic generators, hard-checking the expected order
+    and determinant one everywhere.
+
+    Unlike build_group it does not require -identity: odd-order cyclic
+    subgroups of SU(2) do not contain it.
+    """
+    elements = _closed_unimodular(generators, field_order, expected_order, label)
+    return MatrixGroup(label, None, field_order, generators, elements)
+
+
+def _closed_unimodular(generators, field_order, expected_order, label):
+    """Closure of the generators, checked for the expected order and for
+    determinant one, on which the dimension sweep's trace recursion relies."""
     elements = _close_under_multiplication(generators, field_order, expected_order)
     if len(elements) != expected_order:
         raise IntegrityError(
-            f"custom group closed to order {len(elements)}, expected {expected_order}")
-    return MatrixGroup(label, None, field_order, generators, elements)
+            f"group {label} closed to order {len(elements)}, expected {expected_order}")
+    one = CyclotomicNumber.one(field_order)
+    for m in elements:
+        if m.det() != one:
+            raise IntegrityError(f"non-unimodular element in group {label}")
+    return elements
 
 
 # -- symmetric-power traces ------------------------------------------------------
@@ -299,41 +308,36 @@ class MolienResult:
     matched: tuple[int, int, int, int] | None  # (d1, d2, d3, e)
 
 
-def _free_expansion(degrees, max_degree):
-    coeffs = [0] * (max_degree + 1)
-    coeffs[0] = 1
-    for w in degrees:
-        for i in range(w, max_degree + 1):
-            coeffs[i] += coeffs[i - w]
-    return coeffs
-
-
 def _recover_hypersurface(dims, max_degree):
-    """Exhaustive search for (d1<=d2<=d3, e) with dims = [(1-t^e)/prod(1-t^di)].
+    """Search for (d1<=d2<=d3, e) with dims = [(1-t^e)/prod(1-t^di)].
 
     Candidates run over even degrees up to max_degree/2 in ascending order;
-    the first full match through the window wins.
+    the first full match through the window wins.  Each (d1, d2) is expanded
+    once; for each d3 the expansion u of 1/prod(1-t^di) is extended degree by
+    degree, e is the first degree where u differs from dims, and the
+    candidate is dropped at the first degree where u - t^e u does.
     """
-    evens = range(2, max_degree // 2 + 1, 2)
-    for d1 in evens:
-        for d2 in range(d1, max_degree // 2 + 1, 2):
-            for d3 in range(d2, max_degree // 2 + 1, 2):
-                u = _free_expansion((d1, d2, d3), max_degree)
+    top = max_degree // 2
+    for d1 in range(2, top + 1, 2):
+        for d2 in range(d1, top + 1, 2):
+            pair = HilbertSeries((1,), (d1, d2)).expand(max_degree)
+            for d3 in range(d2, top + 1, 2):
+                u = list(pair)
                 e = None
                 for pdeg in range(max_degree + 1):
-                    if u[pdeg] != dims[pdeg]:
+                    if pdeg >= d3:
+                        u[pdeg] += u[pdeg - d3]
+                    if e is None:
+                        if u[pdeg] == dims[pdeg]:
+                            continue
+                        if pdeg == 0:
+                            break
                         e = pdeg
+                    if u[pdeg] - u[pdeg - e] != dims[pdeg]:
                         break
-                if e is None or e == 0:
-                    continue
-                ok = True
-                for pdeg in range(e, max_degree + 1):
-                    expect = u[pdeg] - (u[pdeg - e] if pdeg >= e else 0)
-                    if expect != dims[pdeg]:
-                        ok = False
-                        break
-                if ok:
-                    return (d1, d2, d3, e)
+                else:
+                    if e is not None:
+                        return (d1, d2, d3, e)
     return None
 
 

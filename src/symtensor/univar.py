@@ -96,25 +96,6 @@ def divides(den, num):
     return not r
 
 
-def xgcd(a, b):
-    """Extended gcd over Q[t]: (g, u, v) with u*a + v*b = g and g monic or zero."""
-    r0 = [Fraction(c) for c in trim(a)]
-    r1 = [Fraction(c) for c in trim(b)]
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-    while r1:
-        q, r = divmod_exact(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, sub(u0, mul(q, u1))
-        v0, v1 = v1, sub(v0, mul(q, v1))
-    if r0:
-        lc = r0[-1]
-        r0 = [c / lc for c in r0]
-        u0 = [c / lc for c in u0]
-        v0 = [c / lc for c in v0]
-    return r0, u0, v0
-
-
 def render(p, var="t"):
     """Readable form like '1 - 3*t^2 + 2*t^3'; zero renders as '0'."""
     p = trim(p)

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from symtensor import univar
 from symtensor.exactnum import (CyclotomicNumber, Rational, cyclotomic_polynomial,
                                 euler_phi, zeta)
 
@@ -97,7 +99,7 @@ def _random_cyclotomic(rng, m):
         m, tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(phi)))
 
 
-@pytest.mark.parametrize("m", [1, 4, 8, 12, 20])
+@pytest.mark.parametrize("m", [1, 3, 4, 5, 8, 12, 15, 20])
 def test_field_axioms_on_random_samples(m):
     rng = random.Random(1000 + m)
     values = [_random_cyclotomic(rng, m) for _ in range(1000)]
@@ -127,3 +129,99 @@ def test_pow_and_division():
     assert z ** -1 == z ** 11
     assert (z / z) == 1
     assert (1 / z) == z.inverse()
+
+
+# -- the (nums, den) representation against a Fraction-only reference ----------
+
+
+def _reference_reduce(m, poly):
+    """Fraction coefficients of poly mod Phi_m, padded to phi(m) entries."""
+    _, rem = univar.divmod_exact([Fraction(c) for c in poly],
+                                 list(cyclotomic_polynomial(m)))
+    return tuple(rem) + (Fraction(0),) * (euler_phi(m) - len(rem))
+
+
+def _reference_product(m, a, b):
+    conv = [Fraction(0)] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return _reference_reduce(m, conv)
+
+
+def _assert_canonical(x):
+    assert all(type(n) is int for n in x.nums) and type(x.den) is int
+    assert x.den >= 1
+    assert gcd(x.den, *x.nums) == 1
+    if x.is_zero:
+        assert x.den == 1
+
+
+def _mixed_denominator_sample(rng, m):
+    phi = euler_phi(m)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return CyclotomicNumber.zero(m)
+    if kind == 1:
+        return CyclotomicNumber(m, [rng.randint(-5, 5) for _ in range(phi)])
+    return CyclotomicNumber(m, [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 5, 6, 12)))
+                                for _ in range(phi)])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 12, 15, 20, 24])
+def test_arithmetic_matches_fraction_reference(m):
+    rng = random.Random(4242 + m)
+    for _ in range(150):
+        a = _mixed_denominator_sample(rng, m)
+        b = _mixed_denominator_sample(rng, m)
+        q = Fraction(rng.randint(-7, 7), rng.randint(1, 9))
+        ra, rb = tuple(Fraction(c) for c in a.coeffs), tuple(Fraction(c) for c in b.coeffs)
+        cases = [
+            (a * b, _reference_product(m, ra, rb)),
+            (a + b, tuple(x + y for x, y in zip(ra, rb))),
+            (a - b, tuple(x - y for x, y in zip(ra, rb))),
+            (a * q, tuple(x * q for x in ra)),
+            (q * a, tuple(x * q for x in ra)),
+            (a * q.numerator, tuple(x * q.numerator for x in ra)),
+        ]
+        for got, want in cases:
+            assert got.coeffs == want
+            _assert_canonical(got)
+        if not a.is_zero:
+            inv = a.inverse()
+            _assert_canonical(inv)
+            assert _reference_product(m, ra, inv.coeffs) == (1,) + (0,) * (euler_phi(m) - 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 12, 15, 20, 24])
+def test_equal_values_share_canonical_data(m):
+    rng = random.Random(99 + m)
+    for _ in range(60):
+        a = _mixed_denominator_sample(rng, m)
+        b = _mixed_denominator_sample(rng, m)
+        routes = [
+            CyclotomicNumber(m, a.coeffs),
+            CyclotomicNumber(m, [7 * n for n in a.nums]) * Fraction(1, 7 * a.den),
+            (a + a) * Fraction(1, 2),
+            a * 3 - a * 2,
+            (a + b) - b,
+            (a * 4 + b * 4) * Fraction(1, 4) - b,
+        ]
+        if not b.is_zero:
+            routes.append((a * b) * b.inverse())
+        for other in routes:
+            assert (other.nums, other.den, hash(other)) == (a.nums, a.den, hash(a))
+            assert other == a
+        zero = a - a
+        assert zero.nums == CyclotomicNumber.zero(m).nums and zero.den == 1
+
+
+def test_reducible_input_fractions_are_normalised():
+    half_one_plus_i = CyclotomicNumber(4, [Fraction(2, 4), Fraction(3, 6)])
+    for other in ((1 + zeta(4)) * Fraction(1, 2), (1 + zeta(4)) / 2,
+                  CyclotomicNumber(4, ["1/2", Fraction(5, 10)])):
+        assert (other.nums, other.den, hash(other)) == ((1, 1), 2, hash(half_one_plus_i))
+    assert half_one_plus_i.coeffs == (Fraction(1, 2), Fraction(1, 2))
+    doubled = half_one_plus_i * 2
+    assert doubled.nums == (1, 1) and doubled.den == 1
+    assert doubled.coeffs is doubled.nums

@@ -5,7 +5,8 @@ import pytest
 
 from symtensor.errors import IntegrityError
 from symtensor.exactnum import CyclotomicNumber, zeta
-from symtensor.invariants import (Mat2, build_group, build_group_from_generators,
+from symtensor.invariants import (DEFAULT_WINDOW, Mat2, _recover_hypersurface,
+                                  build_group, build_group_from_generators,
                                   invariant_dimension, molien_series,
                                   sym_power_trace)
 
@@ -74,6 +75,24 @@ def test_wrong_generators_detected():
     one = CyclotomicNumber.one(4)
     with pytest.raises(IntegrityError):
         build_group_from_generators((Mat2(two, zero, zero, one),), 4, 8)
+
+
+def test_custom_group_must_be_unimodular():
+    # diag(i, 1) closes to order 4, but its determinant is i, so the trace
+    # recursion would give dims 1, 1, 0 where the true counts are 1, 1, 1
+    zero = CyclotomicNumber.zero(4)
+    one = CyclotomicNumber.one(4)
+    with pytest.raises(IntegrityError, match="non-unimodular"):
+        build_group_from_generators((Mat2(zeta(4), zero, zero, one),), 4, 4)
+
+
+def test_custom_group_without_minus_identity_is_accepted():
+    # the cyclic group of order 3 in SU(2) does not contain -identity
+    zero = CyclotomicNumber.zero(3)
+    rot = Mat2(zeta(3), zero, zero, zeta(3, 2))
+    group = build_group_from_generators((rot,), 3, 3)
+    # invariants of diag(w, w^2): x^a y^b with a = b mod 3
+    assert [invariant_dimension(group, p) for p in range(7)] == [1, 0, 1, 2, 1, 2, 3]
 
 
 @pytest.mark.parametrize("label,n,_", GROUPS)
@@ -188,3 +207,72 @@ def test_failed_sweep_leaves_cached_state_unchanged():
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert "at degree 1 " in messages[0]
+
+
+# -- the hypersurface search against the exhaustive reference -------------------
+
+
+def _exhaustive_hypersurface(dims, max_degree):
+    """Reference search: full expansion and two full scans per candidate."""
+    evens = range(2, max_degree // 2 + 1, 2)
+    for d1 in evens:
+        for d2 in range(d1, max_degree // 2 + 1, 2):
+            for d3 in range(d2, max_degree // 2 + 1, 2):
+                u = [0] * (max_degree + 1)
+                u[0] = 1
+                for w in (d1, d2, d3):
+                    for i in range(w, max_degree + 1):
+                        u[i] += u[i - w]
+                e = None
+                for pdeg in range(max_degree + 1):
+                    if u[pdeg] != dims[pdeg]:
+                        e = pdeg
+                        break
+                if e is None or e == 0:
+                    continue
+                ok = True
+                for pdeg in range(e, max_degree + 1):
+                    expect = u[pdeg] - (u[pdeg - e] if pdeg >= e else 0)
+                    if expect != dims[pdeg]:
+                        ok = False
+                        break
+                if ok:
+                    return (d1, d2, d3, e)
+    return None
+
+
+def _search_cases():
+    rng = random.Random(2024)
+    groups = [("BD", n) for n in range(2, 14)] + [("2T", None), ("2O", None), ("2I", None)]
+    for label, n in groups:
+        group = build_group(label, n)
+        for window in sorted({12, 20, 40, DEFAULT_WINDOW[label]}):
+            dims = [invariant_dimension(group, p) for p in range(window + 1)]
+            yield dims, window
+            # perturb every entry of the small windows and a sample of the larger
+            # ones, whose exhaustive reference search is slow
+            if window <= 20:
+                spots = range(window + 1)
+            else:
+                spots = rng.sample(range(window + 1), 6 if window <= 40 else 2)
+            for spot in spots:
+                for delta in (1, -1):
+                    bent = list(dims)
+                    bent[spot] += delta
+                    yield bent, window
+    for _ in range(800):
+        window = rng.randint(0, 12)
+        yield [rng.randint(0, 2) for _ in range(window + 1)], window
+    for window in (4, 8, 12):
+        # a zero in degree 0 rules out every candidate, even when u - t^0 u fits
+        yield [0] * (window + 1), window
+
+
+def test_early_exit_search_agrees_with_exhaustive_reference():
+    checked = matched = 0
+    for dims, window in _search_cases():
+        want = _exhaustive_hypersurface(dims, window)
+        assert _recover_hypersurface(dims, window) == want, (dims, window)
+        checked += 1
+        matched += want is not None
+    assert checked >= 2000 and matched >= 30
