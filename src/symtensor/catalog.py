@@ -18,8 +18,8 @@ from math import comb, gcd
 from .errors import IntegrityError, SpecParseError
 from .groebner import (GroebnerBasis, GroebnerLimits, IdealPresentation,
                        buchberger, leading_term_ideal)
-from .hilbert import (HilbertSeries, series_eq, series_from_generator_degrees,
-                      series_from_monomial_ideal, series_product)
+from .hilbert import (HilbertSeries, series_from_generator_degrees,
+                      series_from_monomial_ideal)
 from .invariants import MolienResult, build_group, invariant_dimension, molien_series
 from .poly import Polynomial, VariableContext
 
@@ -606,12 +606,12 @@ def ruled_klein(group_label: str, n: int | None = None,
     row_consistent = table is not None
     match = None
     if row_consistent and result.series is not None:
-        match = series_eq(result.series, table)
+        match = result.series == table
     matching = []
     if result.series is not None:
         for cand in _candidate_rows():
             cand_series = cand.table_series()
-            if cand_series is not None and series_eq(result.series, cand_series):
+            if cand_series is not None and result.series == cand_series:
                 matching.append(cand.name)
     return RuledKleinReport(group_label=group_label, n=n, group=group, molien=result,
                             row=row, row_consistent=row_consistent, table_series=table,
@@ -693,7 +693,7 @@ def groebner_route(presentation: IdealPresentation,
     """Run Buchberger and convert the initial ideal into a Hilbert series."""
     basis = buchberger(presentation, limits=limits)
     lt_ideal = leading_term_ideal(basis)
-    series = series_from_monomial_ideal(lt_ideal).canonical()
+    series = series_from_monomial_ideal(lt_ideal, presentation.grading).canonical()
     return basis, lt_ideal, series
 
 
@@ -786,7 +786,7 @@ def evaluate(spec: VarietySpec, *, max_degree: int = 8,
                          gb_max_degree=gb_max_degree, force=force)
         if left.series is None or right.series is None:
             raise IntegrityError("product components must both carry a rational form")
-        series = series_product(left.series, right.series)
+        series = left.series * right.series
         return SeriesReport(spec, spec.text(), series.expand(max_degree), series,
                             series.krull_dim(),
                             f"product of [{left.provenance}] and [{right.provenance}]",

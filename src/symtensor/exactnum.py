@@ -96,7 +96,7 @@ class CyclotomicNumber:
 
     def __init__(self, order: int, coeffs):
         phi = euler_phi(order)
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(map(_exact, coeffs))
         if len(cs) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}, got {len(cs)}")
         den = lcm(*(c.denominator for c in cs))
@@ -109,7 +109,7 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, order: int, value) -> "CyclotomicNumber":
-        q = Fraction(value)
+        q = _exact(value)
         return _make(order, (q.numerator,) + (0,) * (euler_phi(order) - 1), q.denominator)
 
     @classmethod
@@ -309,6 +309,17 @@ class CyclotomicNumber:
 _set_order = CyclotomicNumber.order.__set__
 _set_nums = CyclotomicNumber.nums.__set__
 _set_den = CyclotomicNumber.den.__set__
+
+
+def _exact(value) -> Fraction:
+    """An int, a Fraction or a string such as "1/2", as a Fraction.
+
+    Anything else, floats above all, raises TypeError: Fraction(0.1) would be
+    the float's binary value, not one tenth.
+    """
+    if isinstance(value, (int, Fraction, str)):
+        return Fraction(value)
+    raise TypeError(f"exact value needed (int, Fraction or str), got {type(value).__name__}")
 
 
 def _make(order: int, nums: tuple, den: int) -> CyclotomicNumber:

@@ -33,7 +33,12 @@ from .poly import (DEGREVLEX, MonomialOrder, Polynomial, VariableContext,
 
 @dataclass(frozen=True)
 class GroebnerLimits:
-    """Optional budgets for a single buchberger run."""
+    """Optional budgets for a single buchberger run.
+
+    ``max_degree`` caps the total degree of a reduced pair's lcm, also under a
+    weighted grading: pair degrees only order the work, so they do not change
+    the reduced basis, but the cap then counts unweighted degrees.
+    """
 
     max_degree: int | None = None
     timeout: float | None = None

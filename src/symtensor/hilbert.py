@@ -2,12 +2,28 @@
 
 The numerator is an integer polynomial, the denominator a multiset of positive
 weights.  Series from monomial ideals use the pivot recursion
-N(I) = N(I + <p>) + t^deg(p) * N(I : p) on a most-frequent-variable pivot.
+
+    N(I) = N(I + <p>) + t^deg(p) * N(I : p)
+
+with p = x^e for the variable x in most generators (first on ties) and e its
+smallest positive exponent there.  Degrees are weighted, and the numerator is
+taken over prod(1 - t^w_x).  Three facts keep every step free of a full
+re-minimalisation:
+
+* I + <p> is the generators without x plus p, and p shares no variable with
+  them, so N(I + <p>) = (1 - t^deg(p)) N(generators without x).
+* In I : p, lowering x by e leaves divisibility among the generators with x
+  unchanged, and between them and the others; only a generator that loses x
+  can newly divide one without x, so only those pairs are tested.
+* When the generators fall into groups with pairwise disjoint supports, N is
+  the product of the groups' numerators, each memoised on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul, not_
 
 from . import univar
 from .errors import IntegrityError
@@ -71,55 +87,96 @@ def count_standard_monomials(ideal: MonomialIdeal, degree: int) -> int:
 # -- numerator recursion -------------------------------------------------------
 
 
-def _supports_disjoint(gens):
-    seen = set()
+def _colon_by_power(gens, var, exp, same):
+    """Minimal generators of <gens> : x_var^exp, where exp is var's least positive exponent.
+
+    ``same`` holds the generators without x_var.  The others all have x_var to
+    at least exp, so the only divisibility that lowering them creates is a
+    lowered generator without x_var dividing one of ``same``.
+    """
+    moved, drops = [], []
     for g in gens:
-        for v, e in enumerate(g):
-            if e:
-                if v in seen:
-                    return False
-                seen.add(v)
-    return True
+        e = g[var]
+        if e:
+            m = g[:var] + (e - exp,) + g[var + 1:]
+            moved.append(m)
+            if e == exp:
+                drops.append(m)
+    kept = [s for s in same if not any(mono_divides(d, s) for d in drops)]
+    return tuple(sorted(kept + moved))
 
 
-def _colon_by_power(gens, var, exp):
-    out = []
-    for g in gens:
-        if g[var]:
-            g = g[:var] + (max(g[var] - exp, 0),) + g[var + 1:]
-        out.append(g)
-    return minimalize_monomials(out)
+class _Numerators:
+    """Memoised numerators over prod(1 - t^w) of quotients by monomial ideals.
 
+    A state is a plain-sorted tuple of minimal generators, so equal ideals
+    share one memo entry, and the unit monomial can only come first.
+    """
 
-def _numerator(gens, memo):
-    """Numerator of the quotient's series over the all-ones denominator."""
-    cached = memo.get(gens)
-    if cached is not None:
-        return cached
-    if not gens:
-        result = [1]
-    elif any(sum(g) == 0 for g in gens):
-        result = [0]
-    elif _supports_disjoint(gens):
-        result = [1]
-        for g in gens:
-            result = univar.mul(result, univar.one_minus_power(sum(g)))
-    else:
-        nv = len(gens[0])
-        counts = [0] * nv
-        for g in gens:
-            for v, e in enumerate(g):
-                if e:
-                    counts[v] += 1
-        var = max(range(nv), key=lambda v: counts[v])
-        exp = min(g[var] for g in gens if g[var])
-        pivot = tuple(exp if v == var else 0 for v in range(nv))
-        left = minimalize_monomials(gens + (pivot,))
-        right = _colon_by_power(gens, var, exp)
-        result = univar.add(_numerator(left, memo),
-                            univar.shift(_numerator(right, memo), exp))
-    memo[gens] = result
-    return result
+    def __init__(self, weights):
+        self.weights = weights
+        self.memo = {}
+        self.supports = {}  # generator -> its variables as the bits of one int
+
+    def _support(self, g):
+        s = self.supports.get(g)
+        if s is None:
+            s = self.supports[g] = int.from_bytes(bytes(map(bool, g)), "little")
+        return s
+
+    def _components(self, gens):
+        """Groups of generators linked through shared variables, each kept sorted."""
+        supports = list(map(self._support, gens))
+        groups = []
+        while True:
+            reach = supports[0]
+            grown = True
+            while grown:
+                grown = False
+                for s in supports:
+                    if s & reach and s | reach != reach:
+                        reach |= s
+                        grown = True
+            flags = [s & reach for s in supports]
+            if all(flags):
+                groups.append(gens)
+                return groups
+            groups.append(tuple(compress(gens, flags)))
+            gens = tuple(compress(gens, map(not_, flags)))
+            supports = [s for s in supports if not s & reach]
+
+    def numerator(self, gens):
+        cached = self.memo.get(gens)
+        if cached is not None:
+            return cached
+        weights = self.weights
+        if not gens:
+            result = [1]
+        elif not any(gens[0]):
+            result = []  # the unit ideal, whose quotient is zero
+        elif len(gens) == 1:
+            result = univar.one_minus_power(sum(map(mul, gens[0], weights)))
+        else:
+            groups = self._components(gens)
+            if len(groups) > 1:
+                result = self.numerator(groups[0])
+                for group in groups[1:]:
+                    result = univar.mul(result, self.numerator(group))
+            else:
+                columns = list(zip(*gens))
+                counts = [len(col) - col.count(0) for col in columns]
+                var = counts.index(max(counts))
+                column = columns[var]
+                exp = min(filter(None, column))
+                # I + <x^e> is the generators without x plus x^e, which shares
+                # no variable with them: N(I + <x^e>) = (1 - t^(e w)) N(same)
+                same = tuple(compress(gens, map(not_, column)))
+                base = self.numerator(same)
+                colon = self.numerator(_colon_by_power(gens, var, exp, same))
+                result = univar.add(base, univar.shift(univar.sub(colon, base),
+                                                       exp * weights[var]))
+        self.memo[gens] = result
+        return result
 
 
 # -- the series type ------------------------------------------------------------
@@ -240,13 +297,19 @@ class HilbertSeries:
         return f"<series {self.render()}>"
 
 
-# -- constructors and functional aliases ----------------------------------------
+# -- constructors ----------------------------------------------------------------
 
 
-def series_from_monomial_ideal(ideal: MonomialIdeal) -> HilbertSeries:
-    """Series of the quotient by a monomial ideal, over (1-t)^nvars."""
-    num = _numerator(ideal.gens, {})
-    return HilbertSeries(tuple(num), (1,) * ideal.nvars)
+def series_from_monomial_ideal(ideal: MonomialIdeal, weights=None) -> HilbertSeries:
+    """Series of the quotient by a monomial ideal, over prod(1 - t^w).
+
+    ``weights`` gives each variable its positive degree; None means all ones.
+    """
+    weights = (1,) * ideal.nvars if weights is None else tuple(weights)
+    if len(weights) != ideal.nvars:
+        raise ValueError("need one weight per variable")
+    num = _Numerators(weights).numerator(tuple(sorted(ideal.gens)))
+    return HilbertSeries(tuple(num), weights)
 
 
 def series_from_generator_degrees(degrees, relation_degree=None) -> HilbertSeries:
@@ -262,19 +325,3 @@ def series_from_generator_degrees(degrees, relation_degree=None) -> HilbertSerie
             raise ValueError("relation degree must be positive")
         num = tuple(univar.one_minus_power(e))
     return HilbertSeries(num, degrees)
-
-
-def series_product(a: HilbertSeries, b: HilbertSeries) -> HilbertSeries:
-    return a * b
-
-
-def series_eq(a: HilbertSeries, b: HilbertSeries) -> bool:
-    return a == b
-
-
-def krull_dim(s: HilbertSeries) -> int:
-    return s.krull_dim()
-
-
-def expand(s: HilbertSeries, max_degree: int):
-    return s.expand(max_degree)

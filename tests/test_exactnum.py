@@ -216,6 +216,15 @@ def test_equal_values_share_canonical_data(m):
         assert zero.nums == CyclotomicNumber.zero(m).nums and zero.den == 1
 
 
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        CyclotomicNumber.from_rational(4, 0.1)
+    with pytest.raises(TypeError):
+        CyclotomicNumber(4, [0.1, 0])
+    with pytest.raises(TypeError):
+        CyclotomicNumber(4, [1, 2.0])
+
+
 def test_reducible_input_fractions_are_normalised():
     half_one_plus_i = CyclotomicNumber(4, [Fraction(2, 4), Fraction(3, 6)])
     for other in ((1 + zeta(4)) * Fraction(1, 2), (1 + zeta(4)) / 2,

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from symtensor.catalog import groebner_route
 from symtensor.errors import LimitExceeded
 from symtensor.groebner import (GroebnerBasis, GroebnerLimits, IdealPresentation,
                                 buchberger, leading_term_ideal, normal_form,
@@ -159,6 +160,10 @@ def test_weighted_grading_accepted():
     ideal = IdealPresentation(ctx, (ctx.parse("x^2 - y"),), weights=(1, 2))
     gb = buchberger(ideal)
     assert len(gb.elements) == 1
+    # with deg y = 2 the quotient is k[x]: one standard monomial in every degree
+    _, _, series = groebner_route(ideal)
+    assert series.numerator == (1,) and series.den_weights == (1,)
+    assert series.expand(6) == (1,) * 7
 
 
 def test_timeout_limit():

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
+from symtensor import univar
 from symtensor.errors import IntegrityError
-from symtensor.hilbert import (HilbertSeries, MonomialIdeal,
-                               count_standard_monomials, krull_dim,
-                               minimalize_monomials, series_eq,
+from symtensor.hilbert import (HilbertSeries, MonomialIdeal, _Numerators,
+                               count_standard_monomials, minimalize_monomials,
                                series_from_generator_degrees,
-                               series_from_monomial_ideal, series_product)
+                               series_from_monomial_ideal)
 
 
 def test_minimalization():
@@ -55,27 +55,26 @@ def test_expand_examples():
 
 def test_series_product_examples():
     line = HilbertSeries((1, 1), (1, 1))   # (1+t)/(1-t)^2, dims 1,3,5,...
-    prod = series_product(line, line)
+    prod = line * line
     assert prod.expand(1)[1] == 6
-    assert series_eq(series_product(line, HilbertSeries.one()), line)
+    assert line * HilbertSeries.one() == line
     geom = HilbertSeries((1,), (1,))
-    assert series_product(geom, geom).expand(3) == (1, 2, 3, 4)
+    assert (geom * geom).expand(3) == (1, 2, 3, 4)
 
 
 def test_krull_dim_examples():
-    assert krull_dim(HilbertSeries((1,), (2, 2, 2))) == 3
-    assert krull_dim(HilbertSeries.one()) == 0
-    assert krull_dim(HilbertSeries((1, 0, -1), (1, 1))) == 1
+    assert HilbertSeries((1,), (2, 2, 2)).krull_dim() == 3
+    assert HilbertSeries.one().krull_dim() == 0
+    assert HilbertSeries((1, 0, -1), (1, 1)).krull_dim() == 1
 
 
 def test_series_eq_examples():
     a = HilbertSeries((1, 1), (1,))
     b = HilbertSeries((1, 0, -1), (1, 1))
-    assert series_eq(a, b)
-    assert not series_eq(HilbertSeries((1,), (1,)), HilbertSeries((1,), (2,)))
+    assert a == b
+    assert HilbertSeries((1,), (1,)) != HilbertSeries((1,), (2,))
     e12 = [1] + [0] * 11 + [-1]
-    assert series_eq(HilbertSeries(tuple(e12), (6, 4, 4)),
-                     HilbertSeries(tuple(e12), (4, 6, 4)))
+    assert HilbertSeries(tuple(e12), (6, 4, 4)) == HilbertSeries(tuple(e12), (4, 6, 4))
 
 
 def _random_ideal(rng):
@@ -146,7 +145,7 @@ def test_canonical_form():
     s = HilbertSeries((1, 0, -1), (1, 1))         # (1-t^2)/(1-t)^2
     c = s.canonical()
     assert c.numerator == (1, 1) and c.den_weights == (1,)
-    assert series_eq(s, c)
+    assert s == c
 
 
 def test_render_and_json():
@@ -155,3 +154,192 @@ def test_render_and_json():
     assert s.to_json_dict() == {"numerator": [1] + [0] * 11 + [-1],
                                 "denominator_weights": [4, 4, 6]}
     assert HilbertSeries.one().render() == "1"
+
+
+# -- differential test against the original recursion -----------------------------
+
+
+def _reference_supports_disjoint(gens):
+    seen = set()
+    for g in gens:
+        for v, e in enumerate(g):
+            if e:
+                if v in seen:
+                    return False
+                seen.add(v)
+    return True
+
+
+def _reference_colon_by_power(gens, var, exp):
+    out = []
+    for g in gens:
+        if g[var]:
+            g = g[:var] + (max(g[var] - exp, 0),) + g[var + 1:]
+        out.append(g)
+    return minimalize_monomials(out)
+
+
+def _reference_numerator(gens, memo):
+    """The original pivot recursion: both children re-minimalised at every step."""
+    cached = memo.get(gens)
+    if cached is not None:
+        return cached
+    if not gens:
+        result = [1]
+    elif any(sum(g) == 0 for g in gens):
+        result = [0]
+    elif _reference_supports_disjoint(gens):
+        result = [1]
+        for g in gens:
+            result = univar.mul(result, univar.one_minus_power(sum(g)))
+    else:
+        nv = len(gens[0])
+        counts = [0] * nv
+        for g in gens:
+            for v, e in enumerate(g):
+                if e:
+                    counts[v] += 1
+        var = max(range(nv), key=lambda v: counts[v])
+        exp = min(g[var] for g in gens if g[var])
+        pivot = tuple(exp if v == var else 0 for v in range(nv))
+        left = minimalize_monomials(gens + (pivot,))
+        right = _reference_colon_by_power(gens, var, exp)
+        result = univar.add(_reference_numerator(left, memo),
+                            univar.shift(_reference_numerator(right, memo), exp))
+    memo[gens] = result
+    return result
+
+
+def _reference_series_numerator(nvars, gens):
+    return tuple(univar.trim(_reference_numerator(MonomialIdeal.from_generators(nvars, gens).gens, {})))
+
+
+def _random_gens(rng, nvars, count, max_degree):
+    gens = []
+    for _ in range(count):
+        exps = [0] * nvars
+        for _ in range(rng.randint(1, max_degree)):
+            exps[rng.randrange(nvars)] += 1
+        gens.append(tuple(exps))
+    return gens
+
+
+def _differential_cases():
+    rng = random.Random(20240611)
+    cases = []
+    for _ in range(300):
+        nvars = rng.randint(1, 8)
+        cases.append((nvars, _random_gens(rng, nvars, rng.randint(0, 12), rng.randint(1, 5))))
+    for _ in range(40):
+        # disconnected supports: ideals in disjoint blocks of variables, interleaved
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+        nvars = sum(sizes)
+        order = list(range(nvars))
+        rng.shuffle(order)
+        gens, start = [], 0
+        for size in sizes:
+            block = order[start:start + size]
+            start += size
+            for small in _random_gens(rng, size, rng.randint(1, 4), 4):
+                g = [0] * nvars
+                for v, e in zip(block, small):
+                    g[v] = e
+                gens.append(tuple(g))
+        cases.append((nvars, gens))
+    for _ in range(20):
+        # pure powers, alone and mixed with other generators
+        nvars = rng.randint(1, 6)
+        powers = [tuple(rng.randint(1, 4) if v == u else 0 for v in range(nvars))
+                  for u in rng.sample(range(nvars), rng.randint(1, nvars))]
+        cases.append((nvars, powers))
+        cases.append((nvars, powers + _random_gens(rng, nvars, rng.randint(1, 6), 4)))
+    for nvars in range(5):
+        cases.append((nvars, []))                                  # zero ideal
+        cases.append((nvars, [(0,) * nvars]))                      # unit ideal
+    for nvars in range(1, 5):
+        cases.append((nvars, [(0,) * nvars] + _random_gens(rng, nvars, 3, 3)))
+    for _ in range(20):
+        # duplicate generators
+        nvars = rng.randint(1, 6)
+        gens = _random_gens(rng, nvars, rng.randint(1, 6), 4)
+        cases.append((nvars, gens + [rng.choice(gens) for _ in range(3)]))
+    return cases
+
+
+def _permuted(gens, perm):
+    out = []
+    for g in gens:
+        h = [0] * len(perm)
+        for v, e in enumerate(g):
+            h[perm[v]] = e
+        out.append(tuple(h))
+    return out
+
+
+def test_numerator_matches_reference_recursion():
+    cases = _differential_cases()
+    assert len(cases) >= 300
+    rng = random.Random(7)
+    for nvars, gens in cases:
+        want = _reference_series_numerator(nvars, gens)
+        got = series_from_monomial_ideal(MonomialIdeal.from_generators(nvars, gens))
+        assert got.numerator == want, f"{gens} in {nvars} vars"
+        assert got.den_weights == (1,) * nvars
+        # every recursion state is a canonical memo key: sorted minimal generators
+        numerators = _Numerators((1,) * nvars)
+        numerators.numerator(tuple(sorted(MonomialIdeal.from_generators(nvars, gens).gens)))
+        for state in numerators.memo:
+            assert state == tuple(sorted(minimalize_monomials(state))), f"state {state}"
+        # variable-permuted copies change pivot ties and component order only
+        perm = list(range(nvars))
+        rng.shuffle(perm)
+        copy = MonomialIdeal.from_generators(nvars, _permuted(gens, perm))
+        assert series_from_monomial_ideal(copy).numerator == want, f"{gens} under {perm}"
+
+
+# -- weighted grading -----------------------------------------------------------------
+
+
+def _weighted_standard_count(ideal, weights, degree):
+    """Brute force: monomials of weighted degree ``degree`` outside the ideal."""
+    def monomials(v, left):
+        if v == len(weights):
+            if left == 0:
+                yield ()
+            return
+        for e in range(left // weights[v] + 1):
+            for rest in monomials(v + 1, left - e * weights[v]):
+                yield (e,) + rest
+    return sum(1 for m in monomials(0, degree) if not ideal.contains_monomial(m))
+
+
+def test_weighted_series_matches_brute_force():
+    rng = random.Random(4242)
+    for _ in range(40):
+        nvars = rng.randint(1, 4)
+        weights = tuple(rng.randint(1, 3) for _ in range(nvars))
+        ideal = MonomialIdeal.from_generators(
+            nvars, _random_gens(rng, nvars, rng.randint(0, 5), 4))
+        series = series_from_monomial_ideal(ideal, weights)
+        assert series.den_weights == tuple(sorted(weights))
+        want = tuple(_weighted_standard_count(ideal, weights, d) for d in range(13))
+        assert series.expand(12) == want, f"{ideal.gens} with weights {weights}"
+
+
+def test_weighted_examples():
+    # k[x, y] / (x^2) with deg y = 2: one monomial in each degree
+    ideal = MonomialIdeal.from_generators(2, [(2, 0)])
+    assert series_from_monomial_ideal(ideal, (1, 2)) == HilbertSeries((1,), (1,))
+    assert series_from_monomial_ideal(ideal, None) == series_from_monomial_ideal(ideal)
+    with pytest.raises(ValueError):
+        series_from_monomial_ideal(ideal, (1,))
+    with pytest.raises(ValueError):
+        series_from_monomial_ideal(ideal, (1, 0))
+
+
+def test_deep_staircase_recursion():
+    # all degree-n monomials in x, y: one pivot level per degree
+    n = 700
+    ideal = MonomialIdeal.from_generators(2, [(k, n - k) for k in range(n + 1)])
+    expansion = series_from_monomial_ideal(ideal).expand(n + 2)
+    assert expansion == tuple(range(1, n + 1)) + (0, 0, 0)
