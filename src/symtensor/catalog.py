@@ -5,28 +5,38 @@ space, two-quadric intersections, Hitchin-type moduli) or an explicit
 homogeneous ideal routed through the Groebner engine (Grassmannian nilpotent
 cones, quadrics via decomposable bivectors).  Ruled-surface entries delegate
 to the Molien engine and compare against the classical three-generator table.
+``FAMILIES`` holds one record per family: its grammar, checks, invariants and
+route.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb, gcd
+from typing import Callable, NamedTuple
 
 from .errors import IntegrityError, SpecParseError
 from .groebner import (GroebnerBasis, GroebnerLimits, IdealPresentation,
                        buchberger, leading_term_ideal)
 from .hilbert import (HilbertSeries, series_from_generator_degrees,
                       series_from_monomial_ideal)
-from .invariants import MolienResult, build_group, invariant_dimension, molien_series
+from .invariants import (GROUP_LABELS, MolienResult, build_group, invariant_dimension,
+                         molien_series)
 from .poly import Polynomial, VariableContext
 
 NEG_INFINITY = float("-inf")
 
+DEFAULT_MAX_DEGREE = 8        # expansion depth D
+DEFAULT_TIMEOUT = 300.0       # seconds per Groebner run
+DEFAULT_GB_MAX_DEGREE = 12    # Groebner pair-degree cap
+
 GRASSMANNIAN_CAP = 4  # largest n accepted without force
 QUADRIC_CAP = 3
+
+PARABOLIC_MODES = ("literal", "sympow")
 
 TRIVIAL_REASONS = {
     "c1_zero_finite_pi1":
@@ -47,7 +57,8 @@ TRIVIAL_REASONS = {
 
 @dataclass(frozen=True)
 class VarietySpec:
-    """Tagged description of one catalog entry."""
+    """Tagged description of one catalog entry; ``FAMILIES[kind]`` says which
+    fields it takes and what they must satisfy."""
 
     kind: str
     n: int | None = None
@@ -62,122 +73,162 @@ class VarietySpec:
     components: tuple["VarietySpec", ...] = ()
 
     def __post_init__(self):
-        kind = self.kind
-        if kind == "Pn":
-            _require(self.n is not None and self.n >= 1, "Pn needs n >= 1")
-        elif kind == "Gr":
-            _require(self.r is not None and self.n is not None, "Gr needs (r, n)")
-            _require(1 <= self.r <= self.n - 1, "Gr needs 1 <= r <= n-1")
-        elif kind == "Q":
-            _require(self.n is not None and self.n >= 1, "Q needs n >= 1")
-        elif kind == "2Q":
-            _require(self.n is not None and self.n >= 1, "2Q needs n >= 1")
-        elif kind == "Ab":
-            _require(self.n is not None and self.n >= 1, "Ab needs n >= 1")
-        elif kind == "Hitchin":
-            _require(self.g is not None and self.g >= 2, "Hitchin needs genus g >= 2")
-            _require(self.r is not None and self.r >= 1, "Hitchin needs rank r >= 1")
-            _require(self.d is not None, "Hitchin needs a degree d")
-            _require(gcd(self.r, self.d) == 1, "Hitchin needs coprime rank and degree")
-        elif kind == "ParHitchin":
-            _require(self.g is not None and self.g >= 2, "ParHitchin needs g >= 2")
-            _require(self.r is not None and self.r >= 1, "ParHitchin needs r >= 1")
-            _require(self.s is not None and self.s >= 1, "ParHitchin needs s >= 1")
-            _require(self.mode in ("literal", "sympow"),
-                     "ParHitchin mode must be literal or sympow")
-        elif kind == "Klein":
-            _require(self.group in ("BD", "2T", "2O", "2I"),
-                     "Klein group must be BD, 2T, 2O or 2I")
-            if self.group == "BD":
-                _require(self.n is not None and self.n >= 2, "Klein(BD, n) needs n >= 2")
-        elif kind == "Prod":
-            _require(len(self.components) == 2, "Prod needs two components")
-        elif kind == "Trivial":
-            _require(self.reason in TRIVIAL_REASONS, f"unknown reason {self.reason!r}")
-            if self.reason == "hypersurface":
-                _require(self.d is not None and self.d >= 3,
-                         "hypersurface triviality needs degree >= 3")
-                _require(self.n is not None and self.n >= 2,
-                         "hypersurface triviality needs dimension >= 2")
-        else:
-            raise SpecParseError(f"unknown spec kind {kind!r}")
+        family = FAMILIES.get(self.kind)
+        if family is None:
+            raise SpecParseError(f"unknown spec kind {self.kind!r}")
+        taken = ("kind",) + family.fields
+        for f in fields(self):
+            if f.name not in taken and getattr(self, f.name) != f.default:
+                raise SpecParseError(f"{self.kind} takes no {f.name}")
+        for holds, need in family.rules:
+            if not holds(self):
+                raise SpecParseError(f"{self.kind} needs {need}")
 
     def dim_x(self):
         """Dimension of the underlying variety, or None when not modeled."""
-        if self.kind == "Pn":
-            return self.n
-        if self.kind == "Gr":
-            return self.r * (self.n - self.r)
-        if self.kind in ("Q", "2Q"):
-            return self.n
-        if self.kind == "Ab":
-            return self.n
-        if self.kind == "Hitchin":
-            if self.fixed_det:
-                return (self.r ** 2 - 1) * (self.g - 1)
-            return self.r ** 2 * (self.g - 1) + 1
-        if self.kind == "ParHitchin":
-            return self.r ** 2 * (self.g - 1) + 1 + self.s * self.r * (self.r - 1) // 2
-        if self.kind == "Klein":
-            return 2
-        if self.kind == "Prod":
-            dims = [c.dim_x() for c in self.components]
-            if any(d is None for d in dims):
-                return None
-            return sum(dims)
-        return None
+        return FAMILIES[self.kind].dim_x(self)
 
     def kappa(self):
         """Kodaira dimension when known: 0, -infinity, or None for unknown."""
-        if self.kind == "Ab":
-            return 0
-        if self.kind in ("Pn", "Gr", "Q"):
-            return NEG_INFINITY
-        if self.kind == "Klein":
-            return NEG_INFINITY
-        return None
+        return FAMILIES[self.kind].kappa
 
     def text(self) -> str:
-        k = self.kind
-        if k == "Pn":
-            return f"Pn({self.n})"
-        if k == "Gr":
-            return f"Gr({self.r},{self.n})"
-        if k == "Q":
-            return f"Q({self.n})"
-        if k == "2Q":
-            return f"2Q({self.n})"
-        if k == "Ab":
-            return f"Ab({self.n})"
-        if k == "Hitchin":
-            fixed = ",fixed" if self.fixed_det else ""
-            return f"Hitchin(g={self.g},r={self.r},d={self.d}{fixed})"
-        if k == "ParHitchin":
-            return f"ParHitchin(g={self.g},r={self.r},s={self.s},mode={self.mode})"
-        if k == "Klein":
-            return f"Klein({self.group},{self.n})" if self.group == "BD" else f"Klein({self.group})"
-        if k == "Prod":
-            inner = ",".join(c.text() for c in self.components)
-            return f"Prod({inner})"
-        if k == "Trivial":
-            return f"Trivial({self.reason})"
-        raise AssertionError(k)
+        """The spec in the grammar ``parse_spec`` reads back to an equal spec."""
+        family = FAMILIES[self.kind]
+        args = [_arg_text(getattr(self, name)) for name in family.positional
+                if getattr(self, name) is not None]
+        args += [f"{name}={getattr(self, name)}" for name in family.keywords
+                 if getattr(self, name) is not None]
+        if self.fixed_det:
+            args.append("fixed")
+        return f"{self.kind}({','.join(args)})"
 
 
-def _require(cond, message):
-    if not cond:
-        raise SpecParseError(message)
+def _arg_text(value) -> str:
+    return ",".join(c.text() for c in value) if isinstance(value, tuple) else str(value)
+
+
+# -- catalog families ------------------------------------------------------------
+
+
+class Family(NamedTuple):
+    """Everything the catalog knows about one family of varieties.
+
+    A family is routed either through ``closed_form`` (with ``provenance``) or
+    through the Groebner engine on ``ideal``, refused above ``cap`` in n unless
+    forced.  ``Prod`` and ``Klein`` have neither and are evaluated by their own
+    branches.  Route callables look module names up when called, so wrappers
+    installed on this module's attributes see every call.
+    """
+
+    positional: tuple[str, ...] = ()     # spec fields given by position
+    keywords: tuple[str, ...] = ()       # spec fields given as name=value
+    fixed: bool = False                  # the bare word "fixed" sets fixed_det
+    rules: tuple = ()                    # (predicate on the spec, what it needs)
+    dim_x: Callable[[VarietySpec], int | None] = lambda spec: None
+    kappa: float | None = None
+    homogeneous: bool = False            # krull dimension 2*dim expected
+    closed_form: Callable[[VarietySpec], HilbertSeries] | None = None
+    provenance: Callable[[VarietySpec], str] | None = None
+    ideal: Callable[[VarietySpec], IdealPresentation] | None = None
+    cap: int | None = None
+    flags: Callable[[VarietySpec], tuple[str, ...]] = lambda spec: ()
+
+    @property
+    def fields(self) -> tuple[str, ...]:
+        return self.positional + self.keywords + (("fixed_det",) if self.fixed else ())
+
+
+def _at_least(name, low):
+    def holds(spec):
+        value = getattr(spec, name)
+        return value is not None and value >= low
+    return holds, f"{name} >= {low}"
+
+
+def _total(values):
+    return None if None in values else sum(values)
+
+
+FAMILIES: dict[str, Family] = {
+    "Pn": Family(
+        positional=("n",), rules=(_at_least("n", 1),),
+        dim_x=lambda s: s.n, kappa=NEG_INFINITY, homogeneous=True,
+        closed_form=lambda s: projective_space_series(s.n),
+        provenance=lambda s: "closed form: squared-binomial differences (incidence divisor)"),
+    "Gr": Family(
+        positional=("r", "n"),
+        rules=(_at_least("r", 1), _at_least("n", 2), (lambda s: s.r < s.n, "r <= n-1")),
+        dim_x=lambda s: s.r * (s.n - s.r), kappa=NEG_INFINITY, homogeneous=True,
+        ideal=lambda s: grassmannian_ideal(s.r, s.n), cap=GRASSMANNIAN_CAP,
+        flags=lambda s: ("radicality-assumed",) if min(s.r, s.n - s.r) >= 2 else ()),
+    "Q": Family(
+        positional=("n",), rules=(_at_least("n", 1),),
+        dim_x=lambda s: s.n, kappa=NEG_INFINITY, homogeneous=True,
+        ideal=lambda s: quadric_ideal(s.n), cap=QUADRIC_CAP),
+    "2Q": Family(
+        positional=("n",), rules=(_at_least("n", 1),), dim_x=lambda s: s.n,
+        closed_form=lambda s: two_quadrics_series(s.n),
+        provenance=lambda s: f"closed form: free algebra on {s.n} degree-2 generators"),
+    "Ab": Family(
+        positional=("n",), rules=(_at_least("n", 1),), dim_x=lambda s: s.n, kappa=0,
+        closed_form=lambda s: abelian_series(s.n),
+        provenance=lambda s: (f"closed form: free algebra on {s.n} degree-1 generators "
+                              "(trivial tangent bundle)")),
+    "Hitchin": Family(
+        keywords=("g", "r", "d"), fixed=True,
+        rules=(_at_least("g", 2), _at_least("r", 1), (lambda s: s.d is not None, "a degree d"),
+               (lambda s: gcd(s.r, s.d) == 1, "coprime rank and degree")),
+        dim_x=lambda s: ((s.r ** 2 - 1) * (s.g - 1) if s.fixed_det
+                         else s.r ** 2 * (s.g - 1) + 1),
+        closed_form=lambda s: hitchin_series(s.g, s.r, s.d, s.fixed_det),
+        provenance=lambda s: ("closed form: free algebra on characteristic coefficients "
+                              f"of rank-{s.r} Higgs fields"),
+        flags=lambda s: ("fixed-determinant",) if s.fixed_det else ()),
+    "ParHitchin": Family(
+        keywords=("g", "r", "s", "mode"),
+        rules=(_at_least("g", 2), _at_least("r", 1), _at_least("s", 1),
+               (lambda s: s.mode in PARABOLIC_MODES, "mode literal or sympow")),
+        dim_x=lambda s: s.r ** 2 * (s.g - 1) + 1 + s.s * s.r * (s.r - 1) // 2,
+        closed_form=lambda s: parabolic_hitchin_series(s.g, s.r, s.s, s.mode)[0],
+        provenance=lambda s: "closed form: free algebra on parabolic characteristic coefficients",
+        flags=lambda s: (f"mode:{s.mode}", "codim-condition-ok" if _parabolic_codim_ok(s.g, s.r)
+                         else "codim-condition-unverified")),
+    "Klein": Family(
+        positional=("group", "n"),
+        rules=((lambda s: s.group in GROUP_LABELS, "a group BD, 2T, 2O or 2I"),
+               (lambda s: s.group != "BD" or (s.n is not None and s.n >= 2), "n >= 2 for BD"),
+               (lambda s: s.group == "BD" or s.n is None, "no n for 2T, 2O or 2I")),
+        dim_x=lambda s: 2, kappa=NEG_INFINITY),
+    "Prod": Family(
+        positional=("components",),
+        rules=((lambda s: len(s.components) == 2, "two components"),),
+        dim_x=lambda s: _total([c.dim_x() for c in s.components])),
+    "Trivial": Family(
+        positional=("reason",), keywords=("d", "n"),
+        rules=((lambda s: s.reason in TRIVIAL_REASONS, f"a reason in {sorted(TRIVIAL_REASONS)}"),
+               (lambda s: s.reason != "hypersurface" or (
+                   s.d is not None and s.d >= 3 and s.n is not None and s.n >= 2),
+                "degree d >= 3 and dimension n >= 2 for a hypersurface"),
+               (lambda s: s.reason == "hypersurface" or (s.d is None and s.n is None),
+                "no d or n except for a hypersurface")),
+        closed_form=lambda s: triviality_registry(s.reason, s.d, s.n).series,
+        provenance=lambda s: TRIVIAL_REASONS[s.reason],
+        flags=lambda s: triviality_registry(s.reason, s.d, s.n).flags),
+}
 
 
 # -- spec grammar -----------------------------------------------------------------
 
 _NAME_RE = re.compile(r"[A-Za-z0-9]+")
+_INT_FIELDS = ("n", "r", "g", "d", "s")
 
 
 def parse_spec(text: str) -> VarietySpec:
     """Parse the spec grammar: Pn(2), Gr(2,4), Q(3), 2Q(3), Ab(2),
     Hitchin(g=2,r=2,d=1,fixed), ParHitchin(g=4,r=2,s=1,mode=literal),
-    Klein(BD,2), Klein(2I), Prod(Pn(1),Pn(1))."""
+    Klein(BD,2), Klein(2I), Prod(Pn(1),Pn(1)), Trivial(general_type),
+    Trivial(hypersurface,d=3,n=2)."""
     spec, pos = _parse_spec_at(text, 0)
     if text[pos:].strip():
         raise SpecParseError(f"trailing input after spec: {text[pos:]!r}")
@@ -226,67 +277,29 @@ def _parse_spec_at(text: str, pos: int):
 
 
 def _spec_from_name_args(name: str, args: list) -> VarietySpec:
-    def as_int(token, what):
-        try:
-            return int(token)
-        except ValueError:
-            raise SpecParseError(f"{what} must be an integer, got {token!r}") from None
-
-    if name in ("Pn", "Q", "2Q", "Ab"):
-        if len(args) != 1:
-            raise SpecParseError(f"{name} takes exactly one parameter")
-        return VarietySpec(kind=name, n=as_int(args[0], name))
-    if name == "Gr":
-        if len(args) != 2:
-            raise SpecParseError("Gr takes (r, n)")
-        return VarietySpec(kind="Gr", r=as_int(args[0], "r"), n=as_int(args[1], "n"))
-    if name == "Hitchin":
-        kv = {}
-        fixed = False
-        for a in args:
-            if a == "fixed":
-                fixed = True
-            elif "=" in a:
-                k, v = a.split("=", 1)
-                kv[k.strip()] = as_int(v.strip(), k.strip())
-            else:
-                raise SpecParseError(f"bad Hitchin argument {a!r}")
-        missing = {"g", "r", "d"} - kv.keys()
-        if missing:
-            raise SpecParseError(f"Hitchin missing {sorted(missing)}")
-        return VarietySpec(kind="Hitchin", g=kv["g"], r=kv["r"], d=kv["d"], fixed_det=fixed)
-    if name == "ParHitchin":
-        kv = {}
-        mode = "literal"
-        for a in args:
-            if "=" not in a:
-                raise SpecParseError(f"bad ParHitchin argument {a!r}")
-            k, v = a.split("=", 1)
-            k, v = k.strip(), v.strip()
-            if k == "mode":
-                mode = v
-            else:
-                kv[k] = as_int(v, k)
-        missing = {"g", "r", "s"} - kv.keys()
-        if missing:
-            raise SpecParseError(f"ParHitchin missing {sorted(missing)}")
-        return VarietySpec(kind="ParHitchin", g=kv["g"], r=kv["r"], s=kv["s"], mode=mode)
-    if name == "Klein":
-        if not args:
-            raise SpecParseError("Klein needs a group label")
-        group = args[0]
-        if group == "BD":
-            if len(args) != 2:
-                raise SpecParseError("Klein(BD, n) needs n")
-            return VarietySpec(kind="Klein", group="BD", n=as_int(args[1], "n"))
-        if len(args) != 1:
-            raise SpecParseError(f"Klein({group}) takes no extra parameters")
-        return VarietySpec(kind="Klein", group=group)
-    if name == "Trivial":
-        if len(args) != 1:
-            raise SpecParseError("Trivial takes a reason id")
-        return VarietySpec(kind="Trivial", reason=args[0])
-    raise SpecParseError(f"unknown spec name {name!r}")
+    """Fill the family's positional fields in order, then its name=value fields."""
+    family = FAMILIES.get(name)
+    if family is None:
+        raise SpecParseError(f"unknown spec name {name!r}")
+    slots = iter(family.positional)
+    values: dict = {}
+    for arg in args:
+        key, eq, value = (part.strip() for part in arg.partition("="))
+        if not eq and family.fixed and arg == "fixed":
+            key, value = "fixed_det", True
+        elif not eq:
+            key, value = next(slots, None), arg
+        elif key not in family.keywords:
+            key = None
+        if key is None or key in values:
+            raise SpecParseError(f"{name} argument {arg!r} is unknown or repeated")
+        if key in _INT_FIELDS:
+            try:
+                value = int(value)
+            except ValueError:
+                raise SpecParseError(f"{key} must be an integer, got {value!r}") from None
+        values[key] = value
+    return VarietySpec(kind=name, **values)
 
 
 # -- closed forms -----------------------------------------------------------------
@@ -351,7 +364,7 @@ def parabolic_hitchin_series(g: int, r: int, s: int, mode: str = "literal"):
     """
     if g < 2 or r < 1 or s < 1:
         raise ValueError("need g >= 2, r >= 1, s >= 1")
-    if mode not in ("literal", "sympow"):
+    if mode not in PARABOLIC_MODES:
         raise ValueError("mode must be 'literal' or 'sympow'")
     degrees: list[int] = []
     for i in range(1, r + 1):
@@ -366,8 +379,11 @@ def parabolic_hitchin_series(g: int, r: int, s: int, mode: str = "literal"):
                 raise AssertionError("twisted degree must exceed 2g-2 for i >= 2")
             block = bundle_degree - g + 1
         degrees.extend([i] * block)
-    valid = (g >= 4) or (g == 3 and r >= 3) or (g == 2 and r >= 5)
-    return series_from_generator_degrees(degrees), valid
+    return series_from_generator_degrees(degrees), _parabolic_codim_ok(g, r)
+
+
+def _parabolic_codim_ok(g: int, r: int) -> bool:
+    return (g >= 4) or (g == 3 and r >= 3) or (g == 2 and r >= 5)
 
 
 # -- ideal-backed families ----------------------------------------------------------
@@ -488,11 +504,8 @@ def quadric_ideal(n: int) -> IdealPresentation:
 
 def ideal_presentation_for(spec: VarietySpec) -> IdealPresentation | None:
     """The ideal behind a Groebner-routed spec, or None for closed forms."""
-    if spec.kind == "Gr":
-        return grassmannian_ideal(spec.r, spec.n)
-    if spec.kind == "Q":
-        return quadric_ideal(spec.n)
-    return None
+    family = FAMILIES[spec.kind]
+    return None if family.ideal is None else family.ideal(spec)
 
 
 # -- triviality registry --------------------------------------------------------------
@@ -508,16 +521,16 @@ class TrivialityEntry:
 
 def triviality_registry(reason: str, degree: int | None = None,
                         dimension: int | None = None) -> TrivialityEntry:
-    """Constant-algebra entry for a family with no higher symmetric tensors."""
-    if reason not in TRIVIAL_REASONS:
-        raise SpecParseError(f"unknown triviality reason {reason!r}")
-    flags = ["constant-algebra"]
+    """Constant-algebra entry for a family with no higher symmetric tensors.
+
+    The Trivial family's rules check the reason and the hypersurface bounds.
+    """
+    VarietySpec(kind="Trivial", reason=reason, d=degree, n=dimension)
+    flags = ("constant-algebra",)
     if reason == "hypersurface":
-        if degree is None or degree < 3 or dimension is None or dimension < 2:
-            raise SpecParseError("hypersurface triviality needs degree >= 3, dim >= 2")
-        flags.append("claimed-vanishing-includes-degree-zero")
+        flags += ("claimed-vanishing-includes-degree-zero",)
     return TrivialityEntry(series=HilbertSeries.one(), reason=reason,
-                           note=TRIVIAL_REASONS[reason], flags=tuple(flags))
+                           note=TRIVIAL_REASONS[reason], flags=flags)
 
 
 # -- Klein table -----------------------------------------------------------------------
@@ -643,7 +656,7 @@ def check_dimension_bounds(spec: VarietySpec, series: HilbertSeries) -> BoundsRe
         raise IntegrityError(
             f"{spec.text()}: krull dimension {krull} outside [0, {upper}]")
     homogeneous_equality = None
-    if spec.kind in ("Pn", "Gr", "Q"):
+    if FAMILIES[spec.kind].homogeneous:
         homogeneous_equality = (krull == upper)
     kappa = spec.kappa()
     liu_bound = None
@@ -697,71 +710,23 @@ def groebner_route(presentation: IdealPresentation,
     return basis, lt_ideal, series
 
 
-def evaluate(spec: VarietySpec, *, max_degree: int = 8,
-             gb_timeout: float | None = 300.0, gb_max_degree: int | None = 12,
+def evaluate(spec: VarietySpec, *, max_degree: int = DEFAULT_MAX_DEGREE,
+             gb_timeout: float | None = DEFAULT_TIMEOUT,
+             gb_max_degree: int | None = DEFAULT_GB_MAX_DEGREE,
              force: bool = False) -> SeriesReport:
-    """Dispatch a spec to its route and package the result."""
-    kind = spec.kind
-    if kind == "Pn":
-        dims = projective_space_dims(spec.n, max_degree)
-        series = projective_space_series(spec.n)
-        if series.expand(max_degree) != dims:
-            raise IntegrityError("projective-space series disagrees with closed form")
-        return SeriesReport(spec, spec.text(), dims, series, series.krull_dim(),
-                            "closed form: squared-binomial differences (incidence divisor)",
-                            ())
-    if kind == "Gr":
-        if spec.n > GRASSMANNIAN_CAP and not force:
-            raise SpecParseError(
-                f"Gr with n={spec.n} is above the default cap {GRASSMANNIAN_CAP}; "
-                "rerun with force enabled")
-        presentation = grassmannian_ideal(spec.r, spec.n)
-        limits = GroebnerLimits(max_degree=gb_max_degree, timeout=gb_timeout)
-        basis, _, series = groebner_route(presentation, limits)
-        flags = []
-        if min(spec.r, spec.n - spec.r) >= 2:
-            flags.append("radicality-assumed")
-        return SeriesReport(spec, spec.text(), series.expand(max_degree), series,
-                            series.krull_dim(), presentation.provenance, tuple(flags),
-                            presentation=presentation, basis=basis)
-    if kind == "Q":
-        if spec.n > QUADRIC_CAP and not force:
-            raise SpecParseError(
-                f"Q with n={spec.n} is above the default cap {QUADRIC_CAP}; "
-                "rerun with force enabled")
-        presentation = quadric_ideal(spec.n)
-        limits = GroebnerLimits(max_degree=gb_max_degree, timeout=gb_timeout)
-        basis, _, series = groebner_route(presentation, limits)
-        return SeriesReport(spec, spec.text(), series.expand(max_degree), series,
-                            series.krull_dim(), presentation.provenance, (),
-                            presentation=presentation, basis=basis)
-    if kind == "2Q":
-        series = two_quadrics_series(spec.n)
+    """Run a spec's route and package the result."""
+    if spec.kind == "Prod":
+        left, right = (evaluate(c, max_degree=max_degree, gb_timeout=gb_timeout,
+                                gb_max_degree=gb_max_degree, force=force)
+                       for c in spec.components)
+        if left.series is None or right.series is None:
+            raise IntegrityError("product components must both carry a rational form")
+        series = left.series * right.series
         return SeriesReport(spec, spec.text(), series.expand(max_degree), series,
                             series.krull_dim(),
-                            f"closed form: free algebra on {spec.n} degree-2 generators", ())
-    if kind == "Ab":
-        series = abelian_series(spec.n)
-        return SeriesReport(spec, spec.text(), series.expand(max_degree), series,
-                            series.krull_dim(),
-                            f"closed form: free algebra on {spec.n} degree-1 generators "
-                            "(trivial tangent bundle)", ())
-    if kind == "Hitchin":
-        series = hitchin_series(spec.g, spec.r, spec.d, spec.fixed_det)
-        flags = ("fixed-determinant",) if spec.fixed_det else ()
-        return SeriesReport(spec, spec.text(), series.expand(max_degree), series,
-                            series.krull_dim(),
-                            "closed form: free algebra on characteristic coefficients "
-                            "of rank-%d Higgs fields" % spec.r, flags)
-    if kind == "ParHitchin":
-        series, valid = parabolic_hitchin_series(spec.g, spec.r, spec.s, spec.mode)
-        flags = [f"mode:{spec.mode}",
-                 "codim-condition-ok" if valid else "codim-condition-unverified"]
-        return SeriesReport(spec, spec.text(), series.expand(max_degree), series,
-                            series.krull_dim(),
-                            "closed form: free algebra on parabolic characteristic "
-                            "coefficients", tuple(flags))
-    if kind == "Klein":
+                            f"product of [{left.provenance}] and [{right.provenance}]",
+                            left.flags + right.flags)
+    if spec.kind == "Klein":
         report = ruled_klein(spec.group, spec.n)
         dims = report.molien.dims
         if max_degree >= len(dims):
@@ -774,26 +739,30 @@ def evaluate(spec: VarietySpec, *, max_degree: int = 8,
             flags.append("matches-stated-row" if report.match else "differs-from-stated-row")
         if report.matching_rows:
             flags.append("matches:" + "+".join(report.matching_rows))
+        search = ("hypersurface form recovered by search" if report.molien.matched is not None
+                  else "no hypersurface form found through degree "
+                  f"{len(report.molien.dims) - 1}")
         return SeriesReport(spec, spec.text(), coefficients, series,
                             series.krull_dim() if series else None,
-                            f"invariant averages over the {spec.group} group; "
-                            "hypersurface form recovered by search",
+                            f"invariant averages over the {spec.group} group; {search}",
                             tuple(flags), klein=report)
-    if kind == "Prod":
-        left = evaluate(spec.components[0], max_degree=max_degree, gb_timeout=gb_timeout,
-                        gb_max_degree=gb_max_degree, force=force)
-        right = evaluate(spec.components[1], max_degree=max_degree, gb_timeout=gb_timeout,
-                         gb_max_degree=gb_max_degree, force=force)
-        if left.series is None or right.series is None:
-            raise IntegrityError("product components must both carry a rational form")
-        series = left.series * right.series
-        return SeriesReport(spec, spec.text(), series.expand(max_degree), series,
-                            series.krull_dim(),
-                            f"product of [{left.provenance}] and [{right.provenance}]",
-                            left.flags + right.flags)
-    if kind == "Trivial":
-        entry = triviality_registry(spec.reason, degree=spec.d, dimension=spec.n)
-        series = entry.series
-        return SeriesReport(spec, spec.text(), series.expand(max_degree), series,
-                            series.krull_dim(), entry.note, entry.flags)
-    raise AssertionError(f"unhandled kind {kind}")
+    family = FAMILIES[spec.kind]
+    presentation = basis = None
+    if family.ideal is None:
+        series = family.closed_form(spec)
+        provenance = family.provenance(spec)
+    else:
+        if spec.n > family.cap and not force:
+            raise SpecParseError(
+                f"{spec.kind} with n={spec.n} is above the default cap {family.cap}; "
+                "rerun with force enabled")
+        presentation = family.ideal(spec)
+        limits = GroebnerLimits(max_degree=gb_max_degree, timeout=gb_timeout)
+        basis, _, series = groebner_route(presentation, limits)
+        provenance = presentation.provenance
+    coefficients = series.expand(max_degree)
+    if spec.kind == "Pn" and coefficients != projective_space_dims(spec.n, max_degree):
+        raise IntegrityError("projective-space series disagrees with closed form")
+    return SeriesReport(spec, spec.text(), coefficients, series, series.krull_dim(),
+                        provenance, family.flags(spec),
+                        presentation=presentation, basis=basis)

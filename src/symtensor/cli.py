@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import catalog, verify
 from .errors import (EXIT_INTEGRITY, EXIT_LIMIT, EXIT_OK, EXIT_USAGE,
@@ -17,38 +16,29 @@ from .errors import (EXIT_INTEGRITY, EXIT_LIMIT, EXIT_OK, EXIT_USAGE,
 from .poly import LEX
 
 
-@dataclass
-class RunConfig:
-    max_degree: int = 8
-    timeout: float = 300.0
-    gb_max_degree: int = 12
-    fmt: str = "text"
-    force: bool = False
-    stretch: bool = False
-
-    def __post_init__(self):
-        if self.max_degree < 0:
-            raise SpecParseError("max degree must be >= 0")
-        if self.timeout <= 0:
-            raise SpecParseError("timeout must be positive")
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise SpecParseError(message)
 
 
-def _add_common(parser):
-    parser.add_argument("--max-degree", type=int, default=8,
-                        help="expansion depth D (default 8)")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="groebner timeout in seconds (default 300)")
-    parser.add_argument("--gb-max-degree", type=int, default=12,
-                        help="groebner pair-degree cap (default 12)")
-    parser.add_argument("--format", dest="fmt", default="text",
-                        choices=("text", "json", "csv", "markdown"))
-    parser.add_argument("--force", action="store_true",
-                        help="override catalog parameter caps")
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value > 0:  # also refuses nan, which would switch the timeout off
+        raise argparse.ArgumentTypeError(f"expected a positive number of seconds, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,38 +48,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", help="graded dimensions for one spec")
     p_series.add_argument("spec")
-    _add_common(p_series)
 
     p_dump = sub.add_parser("ideal-dump", help="print the generators of a groebner-backed spec")
     p_dump.add_argument("spec")
 
     p_table = sub.add_parser("table", help="one row per spec")
     p_table.add_argument("specs", nargs="+")
-    _add_common(p_table)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--max-degree", type=int, default=8)
-    p_verify.add_argument("--timeout", type=float, default=300.0)
-    p_verify.add_argument("--gb-max-degree", type=int, default=12)
     p_verify.add_argument("--stretch", action="store_true",
                           help="also run the heavy Gr(2,4) item")
+
+    for p in (p_series, p_table, p_verify):
+        p.add_argument("--max-degree", type=_non_negative_int,
+                       default=catalog.DEFAULT_MAX_DEGREE,
+                       help="expansion depth D (default %(default)s)")
+        p.add_argument("--timeout", type=_positive_seconds, default=catalog.DEFAULT_TIMEOUT,
+                       help="groebner timeout in seconds (default %(default)s)")
+        p.add_argument("--gb-max-degree", type=_non_negative_int,
+                       default=catalog.DEFAULT_GB_MAX_DEGREE,
+                       help="groebner pair-degree cap (default %(default)s)")
+    for p in (p_series, p_table):
+        p.add_argument("--format", dest="fmt", default="text",
+                       choices=("text", "json", "csv", "markdown"))
+        p.add_argument("--force", action="store_true",
+                       help="override catalog parameter caps")
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(max_degree=args.max_degree, timeout=args.timeout,
-                     gb_max_degree=args.gb_max_degree,
-                     fmt=getattr(args, "fmt", "text"),
-                     force=getattr(args, "force", False),
-                     stretch=getattr(args, "stretch", False))
-
-
-def _evaluate(spec_text: str, config: RunConfig) -> catalog.SeriesReport:
-    spec = catalog.parse_spec(spec_text)
-    return catalog.evaluate(spec, max_degree=config.max_degree,
-                            gb_timeout=config.timeout,
-                            gb_max_degree=config.gb_max_degree,
-                            force=config.force)
+def _reports(args, spec_texts) -> list[catalog.SeriesReport]:
+    return [catalog.evaluate(catalog.parse_spec(text), max_degree=args.max_degree,
+                             gb_timeout=args.timeout, gb_max_degree=args.gb_max_degree,
+                             force=args.force)
+            for text in spec_texts]
 
 
 def _render_text(report: catalog.SeriesReport) -> str:
@@ -143,13 +134,12 @@ def _csv_cell(value: str) -> str:
 
 
 def cmd_series(args) -> int:
-    config = _config_from_args(args)
-    report = _evaluate(args.spec, config)
-    if config.fmt == "json":
+    report, = _reports(args, [args.spec])
+    if args.fmt == "json":
         print(json.dumps(report.to_json_dict()))
-    elif config.fmt in ("csv", "markdown"):
-        rows = _table_rows([report], config.max_degree)
-        print(_render_csv(rows) if config.fmt == "csv" else _render_markdown(rows))
+    elif args.fmt in ("csv", "markdown"):
+        rows = _table_rows([report], args.max_degree)
+        print(_render_csv(rows) if args.fmt == "csv" else _render_markdown(rows))
     else:
         print(_render_text(report))
     return EXIT_OK
@@ -167,14 +157,13 @@ def cmd_ideal_dump(args) -> int:
 
 
 def cmd_table(args) -> int:
-    config = _config_from_args(args)
-    reports = [_evaluate(s, config) for s in args.specs]
-    if config.fmt == "json":
+    reports = _reports(args, args.specs)
+    if args.fmt == "json":
         print(json.dumps([r.to_json_dict() for r in reports]))
-    elif config.fmt == "csv":
-        print(_render_csv(_table_rows(reports, config.max_degree)))
+    elif args.fmt == "csv":
+        print(_render_csv(_table_rows(reports, args.max_degree)))
     else:
-        print(_render_markdown(_table_rows(reports, config.max_degree)))
+        print(_render_markdown(_table_rows(reports, args.max_degree)))
     return EXIT_OK
 
 

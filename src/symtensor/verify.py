@@ -23,6 +23,7 @@ SKIP = "skip"          # intentionally not run (stretch item); counts as pass
 LIMIT = "limit"        # work cut short by a budget
 
 STRETCH_NAME = "grassmannian-2-4-bigness"
+STRETCH_TIMEOUT = 1800.0   # seconds for the stretch item under --stretch
 
 
 @dataclass
@@ -35,11 +36,10 @@ class CheckResult:
 
 @dataclass
 class VerifyConfig:
-    max_degree: int = 8
-    gb_timeout: float | None = 300.0
-    gb_max_degree: int | None = 12
+    max_degree: int = catalog.DEFAULT_MAX_DEGREE
+    gb_timeout: float | None = catalog.DEFAULT_TIMEOUT
+    gb_max_degree: int | None = catalog.DEFAULT_GB_MAX_DEGREE
     stretch: bool = False
-    stretch_timeout: float | None = 1800.0
 
 
 class VerifyContext:
@@ -144,7 +144,7 @@ def _check_homogeneous_bigness(ctx):
 def _check_grassmannian_stretch(ctx):
     # Stretch item: a limit here is tolerated by exit_code; --stretch widens
     # the budget to the full allowance.
-    timeout = ctx.config.stretch_timeout if ctx.config.stretch else ctx.config.gb_timeout
+    timeout = STRETCH_TIMEOUT if ctx.config.stretch else ctx.config.gb_timeout
     _, _, series = ctx.route("Gr(2,4)", timeout=timeout)
     krull = series.krull_dim()
     assert krull == 8, f"Gr(2,4) krull {krull} != 8"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -308,7 +309,8 @@ def test_check_dimension_bounds():
                                   "ParHitchin(g=4,r=2,s=1,mode=literal)",
                                   "Klein(BD,2)", "Klein(2I)", "Prod(Pn(1),Pn(1))",
                                   "Prod(Prod(Ab(1),Ab(1)),Pn(1))",
-                                  "Trivial(general_type)"])
+                                  "Trivial(general_type)",
+                                  "Trivial(hypersurface,d=3,n=2)"])
 def test_parse_round_trip(text):
     spec = parse_spec(text)
     assert parse_spec(spec.text()) == spec
@@ -318,10 +320,47 @@ def test_parse_round_trip(text):
                                  "Hitchin(g=2,r=2,d=2)", "Hitchin(g=2,r=2)",
                                  "Klein(BD)", "Klein(2I,3)", "Klein(XX)",
                                  "Prod(Pn(1))", "Pn(1) extra", "Pn(x)",
-                                 "ParHitchin(g=4,r=2,s=1,mode=weird)", ""])
+                                 "ParHitchin(g=4,r=2,s=1,mode=weird)", "",
+                                 "Hitchin(g=2,r=2,d=1,x=3)", "Hitchin(g=2,g=3,r=2,d=1)",
+                                 "Hitchin(g=2,r=2,d=1,fixed,fixed)", "Pn(n=2)", "Pn(2,3)",
+                                 "Q(3,fixed)", "Trivial(hypersurface)",
+                                 "Trivial(hypersurface,d=2,n=2)", "Trivial(general_type,d=3)"])
 def test_parse_rejects(bad):
     with pytest.raises(SpecParseError):
         parse_spec(bad)
+
+
+# one spec per family, and for every spec field a value unlike its default
+FAMILY_EXAMPLES = {
+    "Pn": "Pn(2)", "Gr": "Gr(2,4)", "Q": "Q(3)", "2Q": "2Q(3)", "Ab": "Ab(2)",
+    "Hitchin": "Hitchin(g=2,r=2,d=1,fixed)", "ParHitchin": "ParHitchin(g=4,r=2,s=1,mode=sympow)",
+    "Klein": "Klein(BD,2)", "Prod": "Prod(Pn(1),Ab(1))",
+    "Trivial": "Trivial(hypersurface,d=3,n=2)",
+}
+OTHER_VALUES = {"n": 3, "r": 1, "g": 3, "d": 1, "s": 2, "fixed_det": True, "mode": "sympow",
+                "group": "2T", "reason": "general_type",
+                "components": (parse_spec("Pn(1)"), parse_spec("Pn(1)"))}
+
+
+@pytest.mark.parametrize("kind", sorted(catalog.FAMILIES))
+def test_family_round_trips_and_rejects_fields_it_does_not_take(kind):
+    spec = parse_spec(FAMILY_EXAMPLES[kind])
+    assert spec.kind == kind
+    assert parse_spec(spec.text()) == spec
+    taken = catalog.FAMILIES[kind].fields
+    for name, value in OTHER_VALUES.items():
+        if name not in taken:
+            with pytest.raises(SpecParseError):
+                dataclasses.replace(spec, **{name: value})
+
+
+@pytest.mark.parametrize("fields", [{"kind": "Pn", "n": 2, "r": 3},
+                                    {"kind": "Klein", "group": "2T", "n": 5},
+                                    {"kind": "Trivial", "reason": "hypersurface", "d": 2, "n": 2},
+                                    {"kind": "Nope"}])
+def test_spec_constructor_rejects(fields):
+    with pytest.raises(SpecParseError):
+        catalog.VarietySpec(**fields)
 
 
 def test_parameter_caps_and_force():
@@ -346,6 +385,35 @@ def test_evaluate_trivial():
     report = evaluate(parse_spec("Trivial(general_type)"), max_degree=4)
     assert report.coefficients == (1, 0, 0, 0, 0)
     assert report.krull == 0
+
+
+def test_klein_provenance_names_the_search_outcome():
+    found = evaluate(parse_spec("Klein(BD,2)"), max_degree=2)
+    assert found.provenance.endswith("hypersurface form recovered by search")
+    missed = evaluate(parse_spec("Klein(BD,16)"), max_degree=2)
+    assert missed.klein.molien.matched is None and missed.krull is None
+    assert missed.provenance.endswith("no hypersurface form found through degree 64")
+
+
+# every module attribute a tracer may replace, with a spec whose route calls it
+ROUTE_ATTRIBUTES = [("grassmannian_ideal", "Gr(1,2)"), ("quadric_ideal", "Q(1)"),
+                    ("buchberger", "Q(1)"), ("leading_term_ideal", "Q(1)"),
+                    ("series_from_monomial_ideal", "Q(1)"), ("ruled_klein", "Klein(BD,2)"),
+                    ("build_group", "Klein(BD,2)"), ("molien_series", "Klein(BD,2)")]
+
+
+@pytest.mark.parametrize("name,text", ROUTE_ATTRIBUTES)
+def test_evaluate_calls_module_attributes_as_they_are_when_it_runs(monkeypatch, name, text):
+    original = getattr(catalog, name)
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, name, wrapped)
+    evaluate(parse_spec(text), max_degree=2)
+    assert calls, f"evaluate({text}) bypassed catalog.{name}"
 
 
 def test_evaluate_klein_coefficients_truncate_and_extend():

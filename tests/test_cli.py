@@ -1,7 +1,19 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from symtensor import catalog, cli, verify
 from symtensor.errors import IntegrityError
+
+# one spec of every family; the expected output is tests/data/catalog_table.json
+TABLE_SPECS = ("Pn(2)", "Gr(2,4)", "Gr(1,4)", "Q(3)", "2Q(3)", "Ab(2)",
+               "Hitchin(g=2,r=2,d=1,fixed)", "Hitchin(g=3,r=3,d=1)",
+               "ParHitchin(g=4,r=2,s=1,mode=literal)", "ParHitchin(g=2,r=5,s=2,mode=sympow)",
+               "Klein(BD,2)", "Klein(BD,16)", "Klein(2T)", "Klein(2O)", "Klein(2I)",
+               "Prod(Pn(1),Ab(1))", "Prod(Prod(Ab(1),Q(1)),Klein(2T))",
+               "Trivial(general_type)", "Trivial(c1_zero_finite_pi1)",
+               "Trivial(ruled_general_bundle)")
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +124,24 @@ def test_table_json_format(capsys):
 def test_empty_table_exits_2(capsys):
     code, _, err = run_cli(capsys, "table")
     assert code == 2
+
+
+def test_catalog_table_json_is_byte_identical_to_golden(capsys):
+    code, out, _ = run_cli(capsys, "table", *TABLE_SPECS, "--format", "json")
+    assert code == 0
+    golden = Path(__file__).parent / "data" / "catalog_table.json"
+    assert out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [("series", "Pn(1)", "--timeout", "nan"),
+                                  ("table", "Pn(1)", "--max-degree", "-1"),
+                                  ("verify", "--max-degree", "-1"),
+                                  ("verify", "--timeout", "0"),
+                                  ("verify", "--gb-max-degree", "-1")])
+def test_bad_limit_flags_exit_2(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: argument --")
 
 
 def test_parse_error_exits_2(capsys):
