@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from math import comb, gcd
 from typing import Callable, NamedTuple
 
@@ -395,8 +394,7 @@ def _dedupe_generators(gens):
     for g in gens:
         if g.is_zero:
             continue
-        lc, _ = g.leading_term()
-        key = g.scale(Fraction(1) / lc).terms
+        key = g.monic().terms
         if key not in seen:
             seen.add(key)
             out.append(g)
@@ -586,10 +584,11 @@ def klein_row(group_label: str, n: int | None = None) -> KleinTableRow:
     raise ValueError(f"unknown group label {group_label!r}")
 
 
-def _candidate_rows(max_dihedral_n: int = 10):
-    rows = [klein_row("BD", n) for n in range(2, max_dihedral_n + 1)]
+def _candidate_rows(stated: KleinTableRow):
+    """The dihedral rows through D_10, the three exceptional rows, and the stated row."""
+    rows = [klein_row("BD", n) for n in range(2, 11)]
     rows.extend(klein_row(label) for label in ("2T", "2O", "2I"))
-    return rows
+    return rows if stated in rows else rows + [stated]
 
 
 @dataclass(frozen=True)
@@ -622,7 +621,7 @@ def ruled_klein(group_label: str, n: int | None = None,
         match = result.series == table
     matching = []
     if result.series is not None:
-        for cand in _candidate_rows():
+        for cand in _candidate_rows(row):
             cand_series = cand.table_series()
             if cand_series is not None and result.series == cand_series:
                 matching.append(cand.name)
@@ -719,11 +718,15 @@ def evaluate(spec: VarietySpec, *, max_degree: int = DEFAULT_MAX_DEGREE,
         left, right = (evaluate(c, max_degree=max_degree, gb_timeout=gb_timeout,
                                 gb_max_degree=gb_max_degree, force=force)
                        for c in spec.components)
-        if left.series is None or right.series is None:
-            raise IntegrityError("product components must both carry a rational form")
-        series = left.series * right.series
-        return SeriesReport(spec, spec.text(), series.expand(max_degree), series,
-                            series.krull_dim(),
+        # Kunneth: the graded dimensions of a product convolve
+        a, b = left.coefficients, right.coefficients
+        coefficients = tuple(sum(a[i] * b[p - i] for i in range(p + 1))
+                             for p in range(max_degree + 1))
+        series = None
+        if left.series is not None and right.series is not None:
+            series = left.series * right.series
+        return SeriesReport(spec, spec.text(), coefficients, series,
+                            series.krull_dim() if series else None,
                             f"product of [{left.provenance}] and [{right.provenance}]",
                             left.flags + right.flags)
     if spec.kind == "Klein":

@@ -1,11 +1,13 @@
 """Exact scalars: arbitrary-precision rationals and cyclotomic field elements.
 
-Rationals are ``fractions.Fraction`` (always reduced, positive denominator).
+A rational scalar is an ``int`` when it is integral and a reduced
+``fractions.Fraction`` otherwise; :func:`exact` is the package's one
+normaliser for scalars, from the polynomial parser to the Groebner engine.
 A :class:`CyclotomicNumber` of order m is a residue modulo the m-th cyclotomic
 polynomial on the power basis 1, z, ..., z**(phi(m)-1), where z is a primitive
 m-th root of unity.  It is stored as integer numerators over one positive
 common denominator, so sums, products and rational scalings run on Python
-ints; :attr:`CyclotomicNumber.coeffs` gives the same value as rationals.  All
+ints; :attr:`CyclotomicNumber.coeffs` gives the same value as exact scalars.  All
 arithmetic is exact; there are no floating-point code paths.
 """
 
@@ -17,7 +19,21 @@ from math import gcd, lcm
 
 from . import univar
 
-Rational = Fraction
+
+def exact(value):
+    """An int, a Fraction or a string such as "1/2" as an exact scalar.
+
+    The result is an int when the value is integral and a Fraction otherwise.
+    Anything else, floats above all, raises TypeError: Fraction(0.1) would be
+    the float's binary value, not one tenth.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        value = Fraction(value)
+    elif not isinstance(value, (int, Fraction)):
+        raise TypeError(f"exact value needed (int, Fraction or str), got {type(value).__name__}")
+    return value.numerator if value.denominator == 1 else value
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +112,7 @@ class CyclotomicNumber:
 
     def __init__(self, order: int, coeffs):
         phi = euler_phi(order)
-        cs = tuple(map(_exact, coeffs))
+        cs = tuple(map(exact, coeffs))
         if len(cs) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}, got {len(cs)}")
         den = lcm(*(c.denominator for c in cs))
@@ -109,7 +125,7 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, order: int, value) -> "CyclotomicNumber":
-        q = _exact(value)
+        q = exact(value)
         return _make(order, (q.numerator,) + (0,) * (euler_phi(order) - 1), q.denominator)
 
     @classmethod
@@ -124,21 +140,21 @@ class CyclotomicNumber:
 
     @property
     def coeffs(self) -> tuple:
-        """Power-basis coefficients: ``nums`` itself when den == 1, else Fractions."""
+        """Power-basis coefficients as exact scalars: ``nums`` itself when den == 1."""
         den = self.den
         if den == 1:
             return self.nums
-        return tuple(Fraction(n, den) for n in self.nums)
+        return tuple([exact(Fraction(n, den)) for n in self.nums])
 
     @property
     def is_zero(self) -> bool:
         return not any(self.nums)
 
     def to_rational(self):
-        """The Fraction value when the element is rational, else None."""
+        """The value as an exact scalar when the element is rational, else None."""
         if any(self.nums[1:]):
             return None
-        return Fraction(self.nums[0], self.den)
+        return exact(Fraction(self.nums[0], self.den))
 
     # -- coercion ----------------------------------------------------------
 
@@ -311,17 +327,6 @@ _set_nums = CyclotomicNumber.nums.__set__
 _set_den = CyclotomicNumber.den.__set__
 
 
-def _exact(value) -> Fraction:
-    """An int, a Fraction or a string such as "1/2", as a Fraction.
-
-    Anything else, floats above all, raises TypeError: Fraction(0.1) would be
-    the float's binary value, not one tenth.
-    """
-    if isinstance(value, (int, Fraction, str)):
-        return Fraction(value)
-    raise TypeError(f"exact value needed (int, Fraction or str), got {type(value).__name__}")
-
-
 def _make(order: int, nums: tuple, den: int) -> CyclotomicNumber:
     """Unchecked constructor for results: divides out gcd(den, *nums), den > 0."""
     if den != 1:
@@ -342,7 +347,6 @@ def zeta(m: int, k: int = 1) -> CyclotomicNumber:
     phi = euler_phi(m)
     if phi == 1:
         # Q(zeta_1) = Q(zeta_2) = Q: the root itself is 1 or -1.
-        root = Fraction(1) if m == 1 else Fraction(-1)
-        return CyclotomicNumber(m, (root ** k,))
+        return CyclotomicNumber(m, ((1 if m == 1 else -1) ** k,))
     base = CyclotomicNumber(m, (0, 1) + (0,) * (phi - 2))
     return base ** k

@@ -9,12 +9,8 @@ reducer set remembers each monomial's first divisor.  Every returned basis is
 the unique reduced basis for its order, so repeated runs are bitwise
 reproducible.
 
-Inside the engine a coefficient is a Python ``int`` when it is integral and a
-``Fraction`` only when it is not; Python's numeric tower keeps every mixed sum
-and product exact.  Coefficients are normalised where data enters the engine,
-and monic division goes through ``Fraction``, never ``int / int`` (a float).
-Every ``Polynomial`` the engine returns stores ``Fraction``s, as everywhere
-else in the package.
+Basis entries, like every ``Polynomial``, hold exact scalars as
+``exactnum.exact`` makes them: an ``int`` when integral, else a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -26,6 +22,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import LimitExceeded
+from .exactnum import exact
 from .hilbert import MonomialIdeal
 from .poly import (DEGREVLEX, MonomialOrder, Polynomial, VariableContext,
                    mono_degree, mono_div, mono_divides, mono_lcm, mono_mul)
@@ -89,22 +86,18 @@ class GroebnerBasis:
 # and a basis entry is (leading monomial, tail) with the element kept monic.
 
 
-def _exact(c):
-    """c as an int when it is integral, else as a Fraction."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _entry(lt, lc, terms):
-    """Monic entry (lt, tail) from (monomial, coefficient) pairs; tails are unsorted."""
+    """Monic entry (lt, tail) from exact (monomial, coefficient) pairs; tails are unsorted."""
     if lc == 1:
-        return lt, tuple((m, _exact(c)) for m, c in terms if m != lt)
+        return lt, tuple([t for t in terms if t[0] != lt])
     inv = 1 / Fraction(lc)
-    return lt, tuple((m, _exact(c * inv)) for m, c in terms if m != lt)
+    return lt, tuple([(m, exact(c * inv)) for m, c in terms if m != lt])
 
 
 def _entry_from_dict(d, order):
+    """Entry of a reduction result, whose sums can leave integral Fractions."""
     lt = max(d, key=order.key)
-    return _entry(lt, d[lt], d.items())
+    return _entry(lt, d[lt], [(m, exact(c)) for m, c in d.items()])
 
 
 def _entry_from_poly(p, order):
@@ -280,7 +273,7 @@ def normal_form(p: Polynomial, basis, order: MonomialOrder = DEGREVLEX) -> Polyn
     for b in basis:
         if isinstance(b, Polynomial) and not b.is_zero:
             red.add(*_entry_from_poly(b, order))
-    return Polynomial(p.ctx, red.reduce({m: _exact(c) for m, c in p.terms}, order))
+    return Polynomial(p.ctx, red.reduce(dict(p.terms), order))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
@@ -359,7 +352,7 @@ def _reduced_from_entries(ctx, red, active, order):
     out = []
     for pos, lt in enumerate(minimal.lts):
         tail = minimal.reduce(dict(minimal.tails[pos]), order)
-        minimal.tails[pos] = tuple((m, _exact(c)) for m, c in tail.items())
+        minimal.tails[pos] = tuple([(m, exact(c)) for m, c in tail.items()])
         tail[lt] = 1
         out.append(Polynomial(ctx, tail))
     return tuple(out)

@@ -26,7 +26,7 @@ from itertools import compress
 from operator import mul, not_
 
 from . import univar
-from .errors import IntegrityError
+from .errors import IntegrityError, LimitExceeded
 from .poly import mono_divides
 
 # -- monomial ideals ----------------------------------------------------------
@@ -304,11 +304,18 @@ def series_from_monomial_ideal(ideal: MonomialIdeal, weights=None) -> HilbertSer
     """Series of the quotient by a monomial ideal, over prod(1 - t^w).
 
     ``weights`` gives each variable its positive degree; None means all ones.
+    The recursion takes one stack frame per pivot level, so a pivot chain
+    deeper than Python's recursion limit raises LimitExceeded.
     """
     weights = (1,) * ideal.nvars if weights is None else tuple(weights)
     if len(weights) != ideal.nvars:
         raise ValueError("need one weight per variable")
-    num = _Numerators(weights).numerator(tuple(sorted(ideal.gens)))
+    try:
+        num = _Numerators(weights).numerator(tuple(sorted(ideal.gens)))
+    except RecursionError:
+        raise LimitExceeded(
+            f"numerator recursion deeper than the recursion limit for "
+            f"{len(ideal.gens)} generators in {ideal.nvars} variables") from None
     return HilbertSeries(tuple(num), weights)
 
 

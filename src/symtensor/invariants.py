@@ -17,7 +17,6 @@ from .errors import IntegrityError
 from .exactnum import CyclotomicNumber, zeta
 from .hilbert import HilbertSeries
 
-EXPECTED_ORDER = {"2T": 24, "2O": 48, "2I": 120}
 DEFAULT_WINDOW = {"BD": 64, "2T": 64, "2O": 64, "2I": 124}
 GROUP_LABELS = ("BD", "2T", "2O", "2I")
 
@@ -285,7 +284,7 @@ def _extend_dims(group: MatrixGroup, p: int) -> None:
                 f"non-negative integer for {group.label}")
         group._rec_prev = new_prev
         group._rec_cur = new_cur
-        group._dims.append(int(value))
+        group._dims.append(value)
 
 
 def invariant_dimension(group: MatrixGroup, p: int) -> int:

@@ -15,6 +15,7 @@ from functools import cached_property
 from operator import add, le, sub
 
 from .errors import SpecParseError
+from .exactnum import exact
 
 # -- monomial helpers (exponent tuples) -------------------------------------
 
@@ -129,12 +130,12 @@ class VariableContext:
         return self.constant(1)
 
     def constant(self, c) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.nvars: Fraction(c)})
+        return Polynomial(self, {(0,) * self.nvars: c})
 
     def variable(self, name: str, power: int = 1) -> "Polynomial":
         exps = [0] * self.nvars
         exps[self.index(name)] = power
-        return Polynomial(self, {tuple(exps): Fraction(1)})
+        return Polynomial(self, {tuple(exps): 1})
 
     def poly(self, mapping) -> "Polynomial":
         return Polynomial(self, mapping)
@@ -144,15 +145,15 @@ class VariableContext:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial; each coefficient is an exact scalar (see ``exact``)."""
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: VariableContext, mapping):
         cleaned = {}
         for mono, coeff in dict(mapping).items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
+            coeff = exact(coeff)
+            if not coeff:
                 continue
             if len(mono) != ctx.nvars:
                 raise ValueError("monomial length does not match context")
@@ -204,11 +205,11 @@ class Polynomial:
     def is_homogeneous(self, weights=None) -> bool:
         return self.homogeneous_degree(weights) is not None
 
-    def coefficient(self, mono) -> Fraction:
+    def coefficient(self, mono):
         for m, c in self.terms:
             if m == mono:
                 return c
-        return Fraction(0)
+        return 0
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -227,7 +228,7 @@ class Polynomial:
             return NotImplemented
         acc = dict(self.terms)
         for m, c in o.terms:
-            acc[m] = acc.get(m, Fraction(0)) + c
+            acc[m] = acc.get(m, 0) + c
         return Polynomial(self.ctx, acc)
 
     __radd__ = __add__
@@ -255,7 +256,7 @@ class Polynomial:
         for m1, c1 in self.terms:
             for m2, c2 in o.terms:
                 m = mono_mul(m1, m2)
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
+                acc[m] = acc.get(m, 0) + c1 * c2
         return Polynomial(self.ctx, acc)
 
     __rmul__ = __mul__
@@ -273,7 +274,7 @@ class Polynomial:
         return result
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = exact(c)
         return Polynomial(self.ctx, {m: cc * c for m, cc in self.terms})
 
     def monic(self, order: MonomialOrder = DEGREVLEX) -> "Polynomial":
@@ -360,10 +361,10 @@ def _parse_polynomial(ctx: VariableContext, text: str) -> Polynomial:
 
     def term_done(coeff, exps):
         mono = tuple(exps)
-        acc[mono] = acc.get(mono, Fraction(0)) + coeff
+        acc[mono] = acc.get(mono, 0) + coeff
 
     while i < n:
-        sign = Fraction(1)
+        sign = 1
         while i < n and tokens[i] == ("op", "+") or i < n and tokens[i] == ("op", "-"):
             if tokens[i][1] == "-":
                 sign = -sign

@@ -1,8 +1,8 @@
 """Dense univariate polynomial helpers on little-endian coefficient lists.
 
 The zero polynomial is the empty list. Coefficients are ints or Fractions and
-every routine is exact; integer division paths require a unit leading
-coefficient on the divisor.
+every routine is exact; division by a divisor with leading coefficient +-1
+stays over the integers.
 """
 
 from __future__ import annotations
@@ -16,11 +16,6 @@ def trim(p):
     while n and p[n - 1] == 0:
         n -= 1
     return list(p[:n])
-
-
-def degree(p):
-    """Degree of p, with the zero polynomial at -1."""
-    return len(trim(p)) - 1
 
 
 def add(p, q):
@@ -66,34 +61,27 @@ def one_minus_power(w):
 def divmod_exact(num, den):
     """Long division: returns (quotient, remainder).
 
-    Stays over the integers when the divisor is monic up to sign; otherwise
-    computes with Fractions.
+    Each step multiplies by the inverse of the divisor's leading coefficient,
+    which is that coefficient itself when it is +-1.
     """
     num, den = trim(num), trim(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     lead = den[-1]
-    field = lead not in (1, -1) or any(isinstance(c, Fraction) for c in num + den)
-    r = [Fraction(c) for c in num] if field else list(num)
+    inv = lead if lead in (1, -1) else 1 / Fraction(lead)
+    r = num
     dd = len(den) - 1
     if len(r) <= dd:
-        return [], trim(r)
-    q = [Fraction(0) if field else 0] * (len(r) - dd)
+        return [], r
+    q = [0] * (len(r) - dd)
     for k in range(len(r) - dd - 1, -1, -1):
         top = r[k + dd]
         if top == 0:
             continue
-        c = top / lead if field else top // lead
-        q[k] = c
+        c = q[k] = top * inv
         for i, dc in enumerate(den):
             r[k + i] -= c * dc
     return trim(q), trim(r)
-
-
-def divides(den, num):
-    """True when den divides num exactly."""
-    _, r = divmod_exact(num, den)
-    return not r
 
 
 def render(p, var="t"):

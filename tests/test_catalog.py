@@ -263,6 +263,13 @@ def test_ruled_klein_dihedral():
     assert report.matching_rows == ("D_2",)
 
 
+def test_ruled_klein_dihedral_beyond_the_candidate_rows_matches_its_own_row():
+    report = ruled_klein("BD", 11)
+    assert report.match is True and report.matching_rows == ("D_11",)
+    flags = evaluate(parse_spec("Klein(BD,11)"), max_degree=2).flags
+    assert "matches-stated-row" in flags and "matches:D_11" in flags
+
+
 def test_ruled_klein_tetrahedral_reports_discrepancy():
     report = ruled_klein("2T")
     assert not report.row_consistent

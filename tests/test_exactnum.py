@@ -5,16 +5,16 @@ from math import gcd
 import pytest
 
 from symtensor import univar
-from symtensor.exactnum import (CyclotomicNumber, Rational, cyclotomic_polynomial,
-                                euler_phi, zeta)
+from symtensor.exactnum import (CyclotomicNumber, cyclotomic_polynomial, euler_phi,
+                                exact, zeta)
 
 
 def test_rational_is_reduced_with_positive_denominator():
-    q = Rational(6, -4)
+    q = exact(Fraction(6, -4))
     assert q.numerator == -3 and q.denominator == 2
-    assert Rational(0, 7) == Rational(0, 1)
-    big = Rational(10**40, 3) * Rational(3, 10**40)
-    assert big == 1
+    assert exact(Fraction(0, 7)) == 0 and type(exact(Fraction(0, 7))) is int
+    big = exact(Fraction(10**40, 3) * Fraction(3, 10**40))
+    assert big == 1 and type(big) is int
 
 
 def test_cyclotomic_polynomial_small_orders():
@@ -71,7 +71,7 @@ def test_embed_examples():
 def test_to_rational():
     assert CyclotomicNumber.zero(8).to_rational() == 0
     s = zeta(8) + zeta(8, 7)
-    assert (s * s).to_rational() == 2
+    assert (s * s).to_rational() == 2 and type((s * s).to_rational()) is int
     assert zeta(8).to_rational() is None
     # embedding preserves rationality in both directions
     assert CyclotomicNumber.from_rational(4, Fraction(3, 7)).embed(12).to_rational() == Fraction(3, 7)
@@ -231,6 +231,7 @@ def test_reducible_input_fractions_are_normalised():
                   CyclotomicNumber(4, ["1/2", Fraction(5, 10)])):
         assert (other.nums, other.den, hash(other)) == ((1, 1), 2, hash(half_one_plus_i))
     assert half_one_plus_i.coeffs == (Fraction(1, 2), Fraction(1, 2))
+    assert [type(c) for c in CyclotomicNumber(4, [1, "1/2"]).coeffs] == [int, Fraction]
     doubled = half_one_plus_i * 2
     assert doubled.nums == (1, 1) and doubled.den == 1
     assert doubled.coeffs is doubled.nums

@@ -144,8 +144,9 @@ def test_non_unit_leading_coefficients_stay_exact(order, expected, expected_nf):
     assert gb.elements == tuple(ctx.parse(t) for t in expected)
     nf = normal_form(ctx.parse("x^3 + y^3 + z^3"), gb.elements, order)
     assert nf == ctx.parse(expected_nf)
-    for p in gb.elements + (nf,):
-        assert all(type(c) is Fraction for _, c in p.terms)
+    spoly = s_polynomial(ctx.parse("2*x^2 - 3*y^2"), ctx.parse("x*y - 3*z^2"), order)
+    for p in gb.elements + (nf, spoly):
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for _, c in p.terms)
 
 
 def test_inhomogeneous_generator_rejected():

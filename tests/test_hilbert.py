@@ -4,7 +4,7 @@ import random
 import pytest
 
 from symtensor import univar
-from symtensor.errors import IntegrityError
+from symtensor.errors import IntegrityError, LimitExceeded
 from symtensor.hilbert import (HilbertSeries, MonomialIdeal, _Numerators,
                                count_standard_monomials, minimalize_monomials,
                                series_from_generator_degrees,
@@ -343,3 +343,11 @@ def test_deep_staircase_recursion():
     ideal = MonomialIdeal.from_generators(2, [(k, n - k) for k in range(n + 1)])
     expansion = series_from_monomial_ideal(ideal).expand(n + 2)
     assert expansion == tuple(range(1, n + 1)) + (0, 0, 0)
+
+
+def test_too_deep_staircase_raises_limit_exceeded():
+    # one pivot level per degree outgrows the recursion limit
+    n = 1000
+    ideal = MonomialIdeal.from_generators(2, [(k, n - k) for k in range(n + 1)])
+    with pytest.raises(LimitExceeded, match="1001 generators in 2 variables"):
+        series_from_monomial_ideal(ideal)

@@ -137,6 +137,31 @@ def test_render_specific():
     assert XY.parse("x - 1").render() == "x - 1"
 
 
+def _int_exactly_when_integral(p):
+    return all(type(c) is (int if c.denominator == 1 else Fraction) for _, c in p.terms)
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        Polynomial(XY, {(1, 0): 0.5})
+    with pytest.raises(TypeError):
+        XY.constant(0.1)
+    with pytest.raises(TypeError):
+        XY.parse("x").scale(0.1)
+
+
+def test_coefficients_are_int_exactly_when_integral():
+    p = XY.parse("1/2*x + 2/4*y + 6/3")
+    q = XY.parse("2*x - 1/3*y")
+    assert p.coefficient((0, 0)) == 2 and type(p.coefficient((0, 0))) is int
+    assert type(p.coefficient((5, 5))) is int
+    for r in (p, q, p + q, p - q, p * q, p * p, p * 2, 2 - p, p + Fraction(1, 2),
+              p.scale(Fraction(4, 2)), p.scale("2/3"), p.monic(), q.monic(), p ** 3,
+              Polynomial(XY, {(1, 0): Fraction(4, 2), (0, 1): "3/6"}),
+              XY.constant(Fraction(3, 1)), XY.constant("1/2")):
+        assert _int_exactly_when_integral(r), r
+
+
 def test_unknown_order_rejected():
     with pytest.raises(ValueError):
         MonomialOrder("weird")

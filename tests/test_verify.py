@@ -5,8 +5,6 @@ from symtensor.verify import CheckResult, VerifyConfig
 def test_exit_code_semantics():
     ok = [CheckResult("a", verify.PASS, "", 0.0)]
     assert verify.exit_code(ok) == 0
-    skipped_stretch = ok + [CheckResult(verify.STRETCH_NAME, verify.SKIP, "", 0.0)]
-    assert verify.exit_code(skipped_stretch) == 0
     limited_stretch = ok + [CheckResult(verify.STRETCH_NAME, verify.LIMIT, "", 0.0)]
     assert verify.exit_code(limited_stretch) == 0
     limited_mandatory = ok + [CheckResult("quadric-coincidences", verify.LIMIT, "", 0.0)]
@@ -37,7 +35,7 @@ def test_default_run_is_green():
     assert verify.exit_code(results) == 0
     by_name = {r.name: r for r in results}
     assert len(results) == 10
-    assert all(r.status in (verify.PASS, verify.SKIP, verify.LIMIT) for r in results)
+    assert all(r.status in (verify.PASS, verify.LIMIT) for r in results)
     assert by_name["klein-molien"].status == verify.PASS
     # integrity sweep must have seen real artifacts
     assert len(ctx.recorded_series) > 20
