@@ -9,6 +9,10 @@ reducer set remembers each monomial's first divisor.  Every returned basis is
 the unique reduced basis for its order, so repeated runs are bitwise
 reproducible.
 
+``normal_form`` keeps the monic entries and masks of the last basis it was
+given and reuses them while an equal basis comes back under the same order;
+its first-divisor memo lives for one call only.
+
 Basis entries, like every ``Polynomial``, hold exact scalars as
 ``exactnum.exact`` makes them: an ``int`` when integral, else a ``Fraction``.
 """
@@ -132,10 +136,10 @@ class _Reducers:
 
     __slots__ = ("lts", "tails", "masks", "memo")
 
-    def __init__(self):
-        self.lts = []
-        self.tails = []
-        self.masks = []
+    def __init__(self, lts=(), tails=(), masks=()):
+        self.lts = list(lts)
+        self.tails = list(tails)
+        self.masks = list(masks)
         self.memo = {}
 
     def add(self, lt, tail, mask=None):
@@ -267,12 +271,54 @@ class _PairQueue:
 # -- public operations ---------------------------------------------------------
 
 
-def normal_form(p: Polynomial, basis, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    """Remainder of p modulo the basis: no term divisible by any basis leading term."""
+# The reducer entries of the last basis given to normal_form: one tuple
+# (order, basis, ctx, lts, tails, masks) of immutable fields, with basis None
+# when it may not be matched.  It is rebound in a single assignment once the
+# entries are complete, so a call that fails leaves the previous one intact.
+# Polynomials and orders are immutable, so reusing it keeps normal_form a pure
+# function of its arguments; it holds one basis and no memo.
+_last_basis = None
+
+
+def _basis_entries(basis, order):
+    """(order, basis, ctx, lts, tails, masks) of a basis tuple, reusing the last one."""
+    global _last_basis
+    last = _last_basis
+    if last is not None and last[0] == order and last[1] == basis:
+        return last
+    ctx = None
+    key = basis
     red = _Reducers()
     for b in basis:
-        if isinstance(b, Polynomial) and not b.is_zero:
+        if not isinstance(b, Polynomial):
+            raise TypeError(f"basis entry is not a Polynomial: {b!r}")
+        if ctx is None:
+            ctx = b.ctx
+        elif b.ctx != ctx:
+            raise ValueError("basis context mismatch")
+        if b.degree() <= 0:
+            # a constant Polynomial equals an int, so a basis holding the int
+            # instead would hit the entry and escape the TypeError above
+            key = None
+        if not b.is_zero:
             red.add(*_entry_from_poly(b, order))
+    last = _last_basis = (order, key, ctx, tuple(red.lts), tuple(red.tails), tuple(red.masks))
+    return last
+
+
+def normal_form(p: Polynomial, basis, order: MonomialOrder = DEGREVLEX) -> Polynomial:
+    """Remainder of p modulo the basis: no term divisible by any basis leading term.
+
+    Every basis entry must be a ``Polynomial`` in p's context (else TypeError or
+    ValueError); zero polynomials are skipped.  The monic entries and masks of
+    the last basis are kept and reused while an equal basis comes back under
+    the same order, so reducing many polynomials against one basis builds them
+    once.  The first-divisor memo is built afresh on every call.
+    """
+    _, _, ctx, lts, tails, masks = _basis_entries(tuple(basis), order)
+    if ctx is not None and p.ctx != ctx:
+        raise ValueError("context mismatch")
+    red = _Reducers(lts, tails, masks)
     return Polynomial(p.ctx, red.reduce(dict(p.terms), order))
 
 

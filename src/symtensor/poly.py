@@ -383,6 +383,8 @@ def _parse_polynomial(ctx: VariableContext, text: str) -> Polynomial:
                     i += 1
                     if i >= n or tokens[i][0] != "num":
                         raise SpecParseError("expected denominator after '/'")
+                    if not tokens[i][1]:
+                        raise SpecParseError("zero denominator in polynomial text")
                     coeff *= Fraction(numerator, tokens[i][1])
                     i += 1
                 else:

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from symtensor.catalog import groebner_route
+from symtensor import groebner
+from symtensor.catalog import groebner_route, ideal_presentation_for, parse_spec
 from symtensor.errors import LimitExceeded
 from symtensor.groebner import (GroebnerBasis, GroebnerLimits, IdealPresentation,
                                 buchberger, leading_term_ideal, normal_form,
                                 s_polynomial)
 from symtensor.hilbert import (count_standard_monomials, series_from_monomial_ideal)
-from symtensor.poly import DEGREVLEX, LEX, VariableContext
+from symtensor.poly import DEGREVLEX, LEX, Polynomial, VariableContext, mono_divides
 
 ABCD = VariableContext(("a", "b", "c", "d"))
 XY = VariableContext(("x", "y"))
@@ -39,6 +40,34 @@ def test_normal_form_is_idempotent_and_irreducible():
         for b in basis:
             from symtensor.poly import mono_divides
             assert not mono_divides(b.leading_monomial(), mono)
+
+
+def test_normal_form_rejects_other_contexts():
+    xyz = VariableContext(("x", "y", "z"))
+    with pytest.raises(ValueError):
+        normal_form(XY.parse("x^2 + y"), [xyz.parse("x")])
+    with pytest.raises(ValueError):
+        normal_form(XY.parse("x^2 + y"), [XY.parse("x"), xyz.parse("y")])
+    # the same basis once more, now cached: the check still applies
+    normal_form(xyz.parse("x"), [xyz.parse("x")])
+    with pytest.raises(ValueError):
+        normal_form(XY.parse("x^2 + y"), [xyz.parse("x")])
+
+
+def test_normal_form_rejects_non_polynomial_entries():
+    x = XY.parse("x")
+    for junk in ("junk", 3, None):
+        with pytest.raises(TypeError):
+            normal_form(XY.parse("x^2 + y"), [x, junk])
+    # zero polynomials are skipped
+    assert normal_form(XY.parse("x^2 + y"), [XY.zero(), x, XY.zero()]) == XY.parse("y")
+    # an int equals a constant Polynomial, but may not reuse its basis
+    assert normal_form(XY.parse("y"), [x, XY.constant(3)]).is_zero
+    with pytest.raises(TypeError):
+        normal_form(XY.parse("y"), [x, 3])
+    assert normal_form(XY.parse("x + y"), [XY.zero(), x]) == XY.parse("y")
+    with pytest.raises(TypeError):
+        normal_form(XY.parse("x + y"), [0, x])
 
 
 def test_s_polynomial_examples():
@@ -313,3 +342,91 @@ def test_criteria_match_plain_buchberger_corner_cases(texts, order):
     ctx = VariableContext(("x", "y", "z"))
     ideal = _ideal(ctx, *texts)
     assert buchberger(ideal, order).elements == _plain_buchberger(ideal, order)
+
+
+# -- the reducer entries normal_form keeps for its last basis -----------------
+
+
+def _fresh_normal_form(p, basis, order=DEGREVLEX):
+    """normal_form with a reducer set built for this call alone."""
+    red = groebner._Reducers()
+    for b in basis:
+        if not b.is_zero:
+            red.add(*groebner._entry_from_poly(b, order))
+    return Polynomial(p.ctx, red.reduce(dict(p.terms), order))
+
+
+def test_normal_form_interleaved_bases_and_orders():
+    a = [XY.parse("x - y^2")]
+    b = [XY.parse("x^2 - y")]
+    x, x3 = XY.parse("x"), XY.parse("x^3")
+    assert normal_form(x, a) == x
+    assert normal_form(x3, b) == XY.parse("x*y")
+    assert normal_form(x, a) == x
+    assert normal_form(x, a, LEX) == XY.parse("y^2")
+    assert normal_form(x3, b, LEX) == XY.parse("x*y")
+    assert normal_form(x, a) == x
+
+
+def test_normal_form_reuses_an_equal_basis():
+    basis = [XY.parse("x - y^2"), XY.parse("x*y")]
+    normal_form(XY.parse("x"), basis)
+    kept = groebner._last_basis
+    normal_form(XY.parse("y^3"), tuple(basis))
+    assert groebner._last_basis is kept
+    normal_form(XY.parse("y^3"), [XY.parse("x - y^2"), XY.parse("x*y")])
+    assert groebner._last_basis is kept
+    normal_form(XY.parse("y^3"), basis, LEX)
+    assert groebner._last_basis is not kept
+
+
+def test_normal_form_sees_a_list_mutated_in_place():
+    basis = [XY.parse("x")]
+    p = XY.parse("x^2 + y")
+    assert normal_form(p, basis) == XY.parse("y")
+    basis[0] = XY.parse("y")
+    assert normal_form(p, basis) == XY.parse("x^2")
+
+
+@pytest.mark.parametrize("text", ["Gr(2,4)", "Q(3)"])
+def test_normal_form_matches_fresh_reducers(text):
+    presentation = ideal_presentation_for(parse_spec(text))
+    ctx = presentation.ctx
+    elements = buchberger(presentation).elements
+    leads = [g.leading_monomial() for g in elements]
+    standard = [m for m, _ in (ctx.parse(f"{u}*{v}").terms[0]
+                               for u in ctx.names for v in ctx.names)
+                if not any(mono_divides(lt, m) for lt in leads)]
+    probe = ctx.poly({standard[0]: 3})
+    for i in range(len(elements)):
+        for j in range(i + 1, len(elements)):
+            s = s_polynomial(elements[i], elements[j])
+            for p in (s, s + probe):
+                assert normal_form(p, elements) == _fresh_normal_form(p, elements)
+            assert normal_form(s + probe, elements) == probe
+    for g in presentation.generators:
+        assert normal_form(g, elements) == _fresh_normal_form(g, elements)
+
+
+def test_normal_form_recovers_from_a_failed_call(monkeypatch):
+    basis = [XY.parse("x - y^2"), XY.parse("x*y")]
+    p = XY.parse("x^3 + x*y^2 + y^5")
+    want = _fresh_normal_form(p, basis)
+    assert normal_form(p, basis) == want
+    calls = []
+    real_mono_div = groebner.mono_div
+
+    def failing_once(a, b):
+        calls.append((a, b))
+        if len(calls) == 1:
+            raise RuntimeError("injected")
+        return real_mono_div(a, b)
+
+    monkeypatch.setattr(groebner, "mono_div", failing_once)
+    with pytest.raises(RuntimeError):
+        normal_form(p, basis)
+    assert normal_form(p, basis) == want
+    monkeypatch.undo()
+    with pytest.raises(TypeError):
+        normal_form(p, [basis[0], "junk"])
+    assert normal_form(p, basis) == want

@@ -114,7 +114,7 @@ def test_parse_syntax_forms():
     assert ABCD.parse("3/4") == ABCD.constant(Fraction(3, 4))
 
 
-@pytest.mark.parametrize("bad", ["x +", "q", "x^", "1/", "x * * y", "x ^ y", ""])
+@pytest.mark.parametrize("bad", ["x +", "q", "x^", "1/", "1/0*x", "x * * y", "x ^ y", ""])
 def test_parse_rejects_bad_syntax(bad):
     with pytest.raises(SpecParseError):
         XY.parse(bad)
