@@ -3,15 +3,37 @@
 Pair selection is the normal strategy (minimal lcm total degree, ties broken
 by pair index).  Pairs are managed by the Gebauer-Moller update when a basis
 element is inserted: its B-criterion deletes queued pairs, and the M, F and
-product (coprime) criteria filter the new ones.  Leading monomials carry
-divisibility masks (Bachmann and Schonemann 1998), and the append-only
-reducer set remembers each monomial's first divisor.  Every returned basis is
-the unique reduced basis for its order, so repeated runs are bitwise
-reproducible.
+product (coprime) criteria filter the new ones.  The append-only reducer set
+remembers each monomial's first divisor.  Every returned basis is the unique
+reduced basis for its order, so repeated runs are bitwise reproducible.
 
-``normal_form`` keeps the monic entries and masks of the last basis it was
-given and reuses them while an equal basis comes back under the same order;
-its first-divisor memo lives for one call only.
+Packed monomials.  Inside the engine a monomial is one ``int`` (Bachmann and
+Schonemann 1998, with the order key packed as well).  Its exponents fill
+fields of w value bits and one guard bit above them, w + 1 being 8, 16, 32
+or 64; the exponent vector E holds variable i in field i under degrevlex
+(last variable most significant) and in field n - 1 - i under lex.  The
+packed key is K = deg * 2^T - E under degrevlex, T being the width of all n
+fields, and K = E under lex, so comparing ints compares monomials.  The key
+is linear in the exponents: a product is one addition, a quotient one
+subtraction, and a divides b exactly when E_b - E_a sets no guard bit.  The
+lcm is a field-wise maximum of E computed through the guard bits, and the
+total degree of E is read from one multiplication.  Exponent tuples appear
+only at the boundary: generators, ``p`` and bases are packed on the way in,
+and results are unpacked on the way out.
+
+Every packed monomial has total degree at most the field capacity 2^w - 1,
+which bounds every exponent; the width is the narrowest that holds the
+inputs' degrees.  Buchberger's presentations are homogeneous, so each term
+of an S-polynomial and of its reduction has the weighted degree of the pair's
+lcm, and all fields are repacked wider before a pair of higher weighted
+degree is reduced.  Under degrevlex a reduction never raises the total
+degree; under lex it can (x^3 modulo x - y^100 is y^300), so every reduction
+step whose reducer's tail outranks its leading monomial in degree checks the
+bound, and ``normal_form`` repacks wider and starts again when it is passed.
+
+``normal_form`` keeps the packed monic entries of the last basis it was given
+and reuses them while an equal basis comes back under the same order with
+fields wide enough; its first-divisor memo lives for one call only.
 
 Basis entries, like every ``Polynomial``, hold exact scalars as
 ``exactnum.exact`` makes them: an ``int`` when integral, else a ``Fraction``.
@@ -23,13 +45,13 @@ import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import mul
+from struct import Struct
 
 from .errors import LimitExceeded
 from .exactnum import exact
 from .hilbert import MonomialIdeal
-from .poly import (DEGREVLEX, MonomialOrder, Polynomial, VariableContext,
-                   mono_degree, mono_div, mono_divides, mono_lcm, mono_mul)
+from .poly import DEGREVLEX, MonomialOrder, Polynomial, VariableContext
 
 
 @dataclass(frozen=True)
@@ -84,9 +106,80 @@ class GroebnerBasis:
     elements: tuple[Polynomial, ...]
 
 
+# -- packed monomials -----------------------------------------------------------
+
+
+class _Packing:
+    """The int layout of one order's monomials in n variables.
+
+    A packed key K holds the exponent vector E (see the module docstring);
+    ``cap`` is the largest total degree, and so the largest exponent, a
+    field can hold, and the fields are the narrowest of 1, 2, 4 or 8 bytes
+    that hold ``bound``.  E is the bytes of the exponent tuple read as one
+    int: little-endian under degrevlex, big-endian under lex.
+    """
+
+    __slots__ = ("lex", "fields", "byteorder", "value_bits", "cap", "total", "low",
+                 "guards", "ones", "top")
+
+    def __init__(self, order: MonomialOrder, nvars: int, bound: int):
+        size = next((size for size in (1, 2, 4, 8) if bound < 1 << (8 * size - 1)), None)
+        if size is None:
+            raise LimitExceeded(f"degree {bound} does not fit a 63-bit exponent field")
+        self.lex = order.kind == "lex"
+        code = {1: "B", 2: "H", 4: "I", 8: "Q"}[size]
+        self.fields = Struct(f"{'>' if self.lex else '<'}{nvars}{code}")
+        self.byteorder = "big" if self.lex else "little"
+        self.value_bits = 8 * size - 1
+        self.cap = (1 << self.value_bits) - 1
+        self.total = 8 * size * nvars
+        self.low = (1 << self.total) - 1
+        self.ones = self.pack_exps((1,) * nvars)
+        self.guards = self.ones << self.value_bits
+        self.top = 8 * size * max(nvars - 1, 0)
+
+    def pack_exps(self, m) -> int:
+        """E of an exponent tuple whose entries are at most ``cap``."""
+        return int.from_bytes(self.fields.pack(*m), self.byteorder)
+
+    def unpack_exps(self, e) -> tuple:
+        return self.fields.unpack(e.to_bytes(self.fields.size, self.byteorder))
+
+    def key(self, e, degree) -> int:
+        """K of the monomial with exponent vector e and total degree ``degree``."""
+        return e if self.lex else (degree << self.total) - e
+
+    def exps(self, k) -> int:
+        return k if self.lex else -k & self.low
+
+    def pack(self, m) -> int:
+        return self.key(self.pack_exps(m), sum(m))
+
+    def unpack(self, k) -> tuple:
+        return self.unpack_exps(self.exps(k))
+
+    def degree(self, e) -> int:
+        """Total degree of E, read from the top field of E * (1, ..., 1)."""
+        return (e * self.ones >> self.top) & self.cap
+
+    def lcm(self, a, b) -> int:
+        """Field-wise maximum of two exponent vectors."""
+        ge = ((a | self.guards) - b) & self.guards  # guard i set when a_i >= b_i
+        ge -= ge >> self.value_bits                 # ... now its value bits instead
+        return b ^ ((a ^ b) & ge)
+
+
+class _Overflow(Exception):
+    """A reduction step would leave the field capacity; ``degree`` is the degree needed."""
+
+    def __init__(self, degree):
+        super().__init__(degree)
+        self.degree = degree
+
+
 # -- dict-polynomial core -----------------------------------------------------
 #
-# Inside the engine a polynomial is a dict {exponent tuple: int or Fraction}
+# Inside the engine a polynomial is a dict {packed monomial: int or Fraction}
 # and a basis entry is (leading monomial, tail) with the element kept monic.
 
 
@@ -98,84 +191,100 @@ def _entry(lt, lc, terms):
     return lt, tuple([(m, exact(c * inv)) for m, c in terms if m != lt])
 
 
-def _entry_from_dict(d, order):
+def _entry_from_dict(d):
     """Entry of a reduction result, whose sums can leave integral Fractions."""
-    lt = max(d, key=order.key)
+    lt = max(d)
     return _entry(lt, d[lt], [(m, exact(c)) for m, c in d.items()])
 
 
-def _entry_from_poly(p, order):
-    lc, lt = p.leading_term(order)
-    return _entry(lt, lc, p.terms)
+def _entry_from_poly(p, pk):
+    terms = [(pk.pack(m), c) for m, c in p.terms]
+    lt, lc = max(terms)
+    return _entry(lt, lc, terms)
 
 
-def _mask(m):
-    """Divisibility mask: bits 2i and 2i+1 are set when e_i >= 1 and e_i >= 2.
-
-    If a divides b then _mask(a) has no bit outside _mask(b), and two monomials
-    have disjoint supports exactly when their masks share no bit.  The mask of
-    lcm(a, b) is _mask(a) | _mask(b).
-    """
-    mask = 0
-    bit = 1
-    for e in m:
-        if e:
-            mask |= bit if e == 1 else 3 * bit
-        bit <<= 2
-    return mask
+def _unpacked(ctx, pk, d):
+    return Polynomial(ctx, {pk.unpack(m): c for m, c in d.items()})
 
 
 class _Reducers:
-    """Append-only monic reducers with leading-monomial masks and a divisor memo.
+    """Append-only monic reducers with their exponent vectors and a divisor memo.
 
     ``memo`` maps a monomial to the index of its first reducer, or to ~k when
     none of the first k reducers divides it, so a later lookup scans only the
     reducers added since.  The reducer found is always the first in insertion
-    order whose leading monomial divides.
+    order whose leading monomial divides.  ``rises`` holds, per reducer, how
+    far its tail's total degree exceeds its leading monomial's.
     """
 
-    __slots__ = ("lts", "tails", "masks", "memo")
+    __slots__ = ("pk", "lts", "tails", "exps", "rises", "memo")
 
-    def __init__(self, lts=(), tails=(), masks=()):
+    def __init__(self, pk, lts=(), tails=(), exps=(), rises=()):
+        self.pk = pk
         self.lts = list(lts)
         self.tails = list(tails)
-        self.masks = list(masks)
+        self.exps = list(exps)
+        self.rises = list(rises)
         self.memo = {}
 
-    def add(self, lt, tail, mask=None):
+    def _rise(self, lt, tail):
+        pk = self.pk
+        return max([pk.degree(pk.exps(m)) for m, _ in tail], default=0) - pk.degree(pk.exps(lt))
+
+    def add(self, lt, tail):
         self.lts.append(lt)
         self.tails.append(tail)
-        self.masks.append(_mask(lt) if mask is None else mask)
+        self.exps.append(self.pk.exps(lt))
+        self.rises.append(self._rise(lt, tail))
         return len(self.lts) - 1
+
+    def set_tail(self, k, tail):
+        self.tails[k] = tail
+        self.rises[k] = self._rise(self.lts[k], tail)
+
+    def repack(self, pk):
+        """Move every entry to the wider layout pk; the memo is keyed by old ints."""
+        old = self.pk
+        self.pk = pk
+        self.lts = [pk.pack(old.unpack(m)) for m in self.lts]
+        self.tails = [tuple([(pk.pack(old.unpack(m)), c) for m, c in tail])
+                      for tail in self.tails]
+        self.exps = [pk.exps(m) for m in self.lts]
+        self.memo = {}
 
     def first_divisor(self, m):
         """Index of the first reducer whose leading monomial divides m, or None."""
         k = self.memo.get(m, -1)
         if k >= 0:
             return k
-        lts, masks = self.lts, self.masks
-        n = len(lts)
+        exps = self.exps
+        n = len(exps)
         if ~k < n:
-            outside = ~_mask(m)
+            e = self.pk.exps(m)
+            guards = self.pk.guards
             for k in range(~k, n):
-                if not masks[k] & outside and mono_divides(lts[k], m):
+                if not (e - exps[k]) & guards:
                     self.memo[m] = k
                     return k
             self.memo[m] = ~n
         return None
 
-    def reduce(self, target, order):
-        """Full normal form of a dict-polynomial."""
+    def reduce(self, target):
+        """Full normal form of a dict-polynomial.
+
+        Raises _Overflow before a step whose products could pass the field
+        capacity.
+        """
         if not target:
             return {}
-        neg_key = order.neg_key
         first_divisor = self.first_divisor
+        lts, tails, rises = self.lts, self.tails, self.rises
         coeffs = dict(target)
-        heap = [(neg_key(m), m) for m in coeffs]
+        heap = [-m for m in coeffs]
         heapq.heapify(heap)
         out = {}
         while heap:
-            _, m = heapq.heappop(heap)
+            m = -heapq.heappop(heap)
             c = coeffs.pop(m, 0)
             if not c:
                 continue
@@ -183,32 +292,36 @@ class _Reducers:
             if k is None:
                 out[m] = c
                 continue
-            q = mono_div(m, self.lts[k])
+            if rises[k] > 0:
+                pk = self.pk
+                degree = pk.degree(pk.exps(m)) + rises[k]
+                if degree > pk.cap:
+                    raise _Overflow(degree)
+            q = m - lts[k]
             neg_c = -c
-            for tm, tc in self.tails[k]:
-                nm = tuple(map(add, q, tm))
+            for tm, tc in tails[k]:
+                nm = q + tm
                 prev = coeffs.get(nm)
                 if prev is None:
                     coeffs[nm] = neg_c * tc
-                    heapq.heappush(heap, (neg_key(nm), nm))
+                    heapq.heappush(heap, -nm)
                 else:
                     coeffs[nm] = prev + neg_c * tc
         return out
 
 
-def _spoly_dict(entry_f, entry_g):
-    """S-polynomial of two monic entries; the shared leading term cancels."""
+def _spoly_dict(lcm, entry_f, entry_g):
+    """S-polynomial of two monic entries with packed lcm; the shared leading term cancels."""
     ltf, tailf = entry_f
     ltg, tailg = entry_g
-    lcm = mono_lcm(ltf, ltg)
-    qf = mono_div(lcm, ltf)
-    qg = mono_div(lcm, ltg)
+    qf = lcm - ltf
+    qg = lcm - ltg
     d = {}
     for m, c in tailf:
-        nm = mono_mul(qf, m)
+        nm = qf + m
         d[nm] = d.get(nm, 0) + c
     for m, c in tailg:
-        nm = mono_mul(qg, m)
+        nm = qg + m
         d[nm] = d.get(nm, 0) - c
     return {m: c for m, c in d.items() if c}
 
@@ -217,9 +330,9 @@ class _PairQueue:
     """Critical pairs under the Gebauer-Moller update (Gebauer and Moller 1988).
 
     ``active`` holds the entries whose leading monomial no later entry divides;
-    only they form new pairs.  Live pairs map (i, j), i < j, to their lcm and
-    its mask; heap items (degree, i, j) no longer in ``live`` are skipped.
-    Coprime pairs never enter the heap.
+    only they form new pairs.  Live pairs map (i, j), i < j, to the exponent
+    vector of their lcm; heap items (degree, i, j) no longer in ``live`` are
+    skipped.  Coprime pairs never enter the heap.
     """
 
     __slots__ = ("red", "active", "live", "heap")
@@ -232,39 +345,42 @@ class _PairQueue:
 
     def update(self, h):
         """Add the pairs of the new entry h and drop the ones it makes redundant."""
-        lts, masks = self.red.lts, self.red.masks
-        lt_h, mask_h = lts[h], masks[h]
+        pk = self.red.pk
+        lcm_of, degree, guards = pk.lcm, pk.degree, pk.guards
+        exps = self.red.exps
+        e_h = exps[h]
+        deg_h = degree(e_h)
         # B-criterion: h's leading monomial divides lcm(i, j) and both
         # lcm(i, h) and lcm(j, h) differ from it.
-        doomed = [key for key, (lcm, lcm_mask) in self.live.items()
-                  if not mask_h & ~lcm_mask and mono_divides(lt_h, lcm)
-                  and mono_lcm(lts[key[0]], lt_h) != lcm
-                  and mono_lcm(lts[key[1]], lt_h) != lcm]
+        doomed = [key for key, lcm in self.live.items()
+                  if not (lcm - e_h) & guards
+                  and lcm_of(exps[key[0]], e_h) != lcm
+                  and lcm_of(exps[key[1]], e_h) != lcm]
         for key in doomed:
             del self.live[key]
         # M and F criteria: keep one pair per minimal lcm(g, h); the product
         # criterion then drops the whole class if any of its pairs is coprime.
+        # lcm / h divides g, so its degree fits a field even when the lcm's may not.
         candidates = []
         for g in self.active:
-            lcm = mono_lcm(lts[g], lt_h)
-            candidates.append((mono_degree(lcm), g, lcm, masks[g] | mask_h,
-                               not masks[g] & mask_h))
+            lcm = lcm_of(exps[g], e_h)
+            over_h = lcm - e_h
+            candidates.append((deg_h + degree(over_h), g, lcm, over_h == exps[g]))
         candidates.sort()
         classes = []
-        for deg, g, lcm, lcm_mask, coprime in candidates:
+        for deg, g, lcm, coprime in candidates:
             for cls in classes:
-                if not cls[3] & ~lcm_mask and mono_divides(cls[2], lcm):
+                if not (lcm - cls[2]) & guards:
                     if cls[2] == lcm and coprime:
-                        cls[4] = True
+                        cls[3] = True
                     break
             else:
-                classes.append([deg, g, lcm, lcm_mask, coprime])
-        for deg, g, lcm, lcm_mask, coprime in classes:
+                classes.append([deg, g, lcm, coprime])
+        for deg, g, lcm, coprime in classes:
             if not coprime:
-                self.live[(g, h)] = (lcm, lcm_mask)
+                self.live[(g, h)] = lcm
                 heapq.heappush(self.heap, (deg, g, h))
-        self.active = [g for g in self.active
-                       if mask_h & ~masks[g] or not mono_divides(lt_h, lts[g])]
+        self.active = [g for g in self.active if (exps[g] - e_h) & guards]
         self.active.append(h)
 
 
@@ -272,37 +388,44 @@ class _PairQueue:
 
 
 # The reducer entries of the last basis given to normal_form: one tuple
-# (order, basis, ctx, lts, tails, masks) of immutable fields, with basis None
-# when it may not be matched.  It is rebound in a single assignment once the
-# entries are complete, so a call that fails leaves the previous one intact.
-# Polynomials and orders are immutable, so reusing it keeps normal_form a pure
-# function of its arguments; it holds one basis and no memo.
+# (order, basis, ctx, packing, entries) of immutable fields, with basis None
+# when it may not be matched and entries the (lts, tails, exps, rises) tuples.
+# It is rebound in a single assignment once the entries are complete, so a
+# call that fails leaves the previous one intact.  Polynomials and orders are
+# immutable, so reusing it keeps normal_form a pure function of its
+# arguments; it holds one basis and no memo.
 _last_basis = None
 
 
-def _basis_entries(basis, order):
-    """(order, basis, ctx, lts, tails, masks) of a basis tuple, reusing the last one."""
+def _basis_entries(basis, order, ctx, bound):
+    """(order, basis, ctx, packing, entries) of a basis tuple, reusing the last one.
+
+    The packing holds total degree ``bound`` and every basis element's.
+    """
     global _last_basis
     last = _last_basis
-    if last is not None and last[0] == order and last[1] == basis:
+    if (last is not None and last[0] == order and last[1] == basis and last[2] == ctx
+            and last[3].cap >= bound):
         return last
-    ctx = None
     key = basis
-    red = _Reducers()
+    polys = []
     for b in basis:
         if not isinstance(b, Polynomial):
             raise TypeError(f"basis entry is not a Polynomial: {b!r}")
-        if ctx is None:
-            ctx = b.ctx
-        elif b.ctx != ctx:
+        if b.ctx != ctx:
             raise ValueError("basis context mismatch")
         if b.degree() <= 0:
             # a constant Polynomial equals an int, so a basis holding the int
             # instead would hit the entry and escape the TypeError above
             key = None
         if not b.is_zero:
-            red.add(*_entry_from_poly(b, order))
-    last = _last_basis = (order, key, ctx, tuple(red.lts), tuple(red.tails), tuple(red.masks))
+            polys.append(b)
+            bound = max(bound, b.degree())
+    red = _Reducers(_Packing(order, ctx.nvars, bound))
+    for b in polys:
+        red.add(*_entry_from_poly(b, red.pk))
+    entries = (tuple(red.lts), tuple(red.tails), tuple(red.exps), tuple(red.rises))
+    last = _last_basis = (order, key, ctx, red.pk, entries)
     return last
 
 
@@ -310,16 +433,23 @@ def normal_form(p: Polynomial, basis, order: MonomialOrder = DEGREVLEX) -> Polyn
     """Remainder of p modulo the basis: no term divisible by any basis leading term.
 
     Every basis entry must be a ``Polynomial`` in p's context (else TypeError or
-    ValueError); zero polynomials are skipped.  The monic entries and masks of
+    ValueError); zero polynomials are skipped.  The packed monic entries of
     the last basis are kept and reused while an equal basis comes back under
     the same order, so reducing many polynomials against one basis builds them
-    once.  The first-divisor memo is built afresh on every call.
+    once.  The first-divisor memo is built afresh on every call.  Under lex,
+    where a reduction can raise the degree, the fields are widened as needed.
     """
-    _, _, ctx, lts, tails, masks = _basis_entries(tuple(basis), order)
-    if ctx is not None and p.ctx != ctx:
-        raise ValueError("context mismatch")
-    red = _Reducers(lts, tails, masks)
-    return Polynomial(p.ctx, red.reduce(dict(p.terms), order))
+    basis = tuple(basis)
+    bound = p.degree()
+    while True:
+        _, _, _, pk, entries = _basis_entries(basis, order, p.ctx, bound)
+        red = _Reducers(pk, *entries)
+        try:
+            remainder = red.reduce({pk.pack(m): c for m, c in p.terms})
+        except _Overflow as exc:
+            bound = exc.degree  # lex only: repack wider and start again
+            continue
+        return _unpacked(p.ctx, pk, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
@@ -328,9 +458,12 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX)
         raise ValueError("S-polynomial of a zero polynomial")
     if f.ctx != g.ctx:
         raise ValueError("context mismatch")
-    ef = _entry_from_poly(f, order)
-    eg = _entry_from_poly(g, order)
-    return Polynomial(f.ctx, _spoly_dict(ef, eg))
+    # every term is (lcm / lt) * t, of total degree at most deg f + deg g
+    pk = _Packing(order, f.ctx.nvars, f.degree() + g.degree())
+    ef = _entry_from_poly(f, pk)
+    eg = _entry_from_poly(g, pk)
+    lcm = pk.lcm(pk.exps(ef[0]), pk.exps(eg[0]))
+    return _unpacked(f.ctx, pk, _spoly_dict(pk.key(lcm, pk.degree(lcm)), ef, eg))
 
 
 def buchberger(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
@@ -344,7 +477,9 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
     """
     limits = limits or GroebnerLimits()
     start = time.monotonic()
-    red = _Reducers()
+    grading = ideal.grading
+    bound = max([g.homogeneous_degree(grading) for g in ideal.generators], default=0)
+    red = _Reducers(_Packing(order, ideal.ctx.nvars, bound))
     queue = _PairQueue(red)
     pairs_processed = 0
     max_degree_seen = 0
@@ -364,43 +499,55 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
         queue.update(red.add(*entry))
 
     for g in ideal.generators:
-        _insert(_entry_from_poly(g, order))
+        _insert(_entry_from_poly(g, red.pk))
     while queue.heap:
         _check_timeout()
         deg, i, j = heapq.heappop(queue.heap)
-        if queue.live.pop((i, j), None) is None:
+        lcm = queue.live.pop((i, j), None)
+        if lcm is None:
             continue  # deleted by the B-criterion
         if limits.max_degree is not None and deg > limits.max_degree:
             raise _diag(f"pair of degree {deg} above cap {limits.max_degree}")
         pairs_processed += 1
         if deg > max_degree_seen:
             max_degree_seen = deg
-        spoly = _spoly_dict((red.lts[i], red.tails[i]), (red.lts[j], red.tails[j]))
-        h = red.reduce(spoly, order)
+        # every term of the S-polynomial and its reduction has the lcm's
+        # weighted degree, which bounds its total degree
+        pk = red.pk
+        weighted = sum(map(mul, pk.unpack_exps(lcm), grading))
+        if weighted > pk.cap:
+            wider = _Packing(order, ideal.ctx.nvars, weighted)
+            queue.live = {key: wider.pack_exps(pk.unpack_exps(e))
+                          for key, e in queue.live.items()}
+            red.repack(wider)
+            lcm = wider.pack_exps(pk.unpack_exps(lcm))
+            pk = wider
+        spoly = _spoly_dict(pk.key(lcm, deg), (red.lts[i], red.tails[i]),
+                            (red.lts[j], red.tails[j]))
+        h = red.reduce(spoly)
         if h:
-            _insert(_entry_from_dict(h, order))
+            _insert(_entry_from_dict(h))
 
-    return GroebnerBasis(ideal.ctx, order,
-                         _reduced_from_entries(ideal.ctx, red, queue.active, order))
+    return GroebnerBasis(ideal.ctx, order, _reduced_from_entries(ideal.ctx, red, queue.active))
 
 
-def _reduced_from_entries(ctx, red, active, order):
+def _reduced_from_entries(ctx, red, active):
     """The unique reduced basis from a complete basis and its active entries.
 
-    The minimal leading monomials are taken from the active entries, reusing
-    their masks; each tail is then reduced against the minimal set, and the
-    reduced tail replaces the old one for later elements.
+    The minimal leading monomials are taken from the active entries; each
+    tail is then reduced against the minimal set, and the reduced tail
+    replaces the old one for later elements.
     """
-    minimal = _Reducers()
-    for i in sorted(active, key=lambda i: (order.key(red.lts[i]), i)):
+    minimal = _Reducers(red.pk)
+    for i in sorted(active, key=lambda i: (red.lts[i], i)):
         if minimal.first_divisor(red.lts[i]) is None:
-            minimal.add(red.lts[i], red.tails[i], red.masks[i])
+            minimal.add(red.lts[i], red.tails[i])
     out = []
     for pos, lt in enumerate(minimal.lts):
-        tail = minimal.reduce(dict(minimal.tails[pos]), order)
-        minimal.tails[pos] = tuple([(m, exact(c)) for m, c in tail.items()])
+        tail = minimal.reduce(dict(minimal.tails[pos]))
+        minimal.set_tail(pos, tuple([(m, exact(c)) for m, c in tail.items()]))
         tail[lt] = 1
-        out.append(Polynomial(ctx, tail))
+        out.append(_unpacked(ctx, red.pk, tail))
     return tuple(out)
 
 

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, le, sub
+from operator import add, le
 
 from .errors import SpecParseError
 from .exactnum import exact
@@ -27,15 +27,6 @@ def mono_mul(a, b):
 def mono_divides(a, b):
     """True when a divides b."""
     return all(map(le, a, b))
-
-
-def mono_div(b, a):
-    """Quotient b / a; caller guarantees divisibility."""
-    return tuple(map(sub, b, a))
-
-
-def mono_lcm(a, b):
-    return tuple(map(max, a, b))
 
 
 def mono_degree(m):
@@ -67,12 +58,6 @@ class MonomialOrder:
         if self.kind == "degrevlex":
             return (sum(m), tuple([-e for e in reversed(m)]))
         return tuple(m)
-
-    def neg_key(self, m):
-        """Key whose ascending order is the descending monomial order (for heaps)."""
-        if self.kind == "degrevlex":
-            return (-sum(m), tuple(reversed(m)))
-        return tuple(-e for e in m)
 
     def compare(self, m1, m2) -> int:
         """-1, 0 or 1 as m1 <, =, > m2."""
@@ -173,7 +158,8 @@ class Polynomial:
 
     def degree(self) -> int:
         """Maximal total degree, -1 for the zero polynomial."""
-        return max((mono_degree(m) for m, _ in self.terms), default=-1)
+        # terms are sorted by degrevlex, which compares total degree first
+        return mono_degree(self.terms[0][0]) if self.terms else -1
 
     def leading_term(self, order: MonomialOrder = DEGREVLEX):
         """(coefficient, monomial) of the maximal term under order."""
@@ -291,6 +277,11 @@ class Polynomial:
         return self.ctx == other.ctx and self.terms == other.terms
 
     def __hash__(self):
+        # equal to its scalar when constant (see __eq__), so hashed as it
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1 and not any(self.terms[0][0]):
+            return hash(self.terms[0][1])
         return hash((self.ctx, self.terms))
 
     def render(self, order: MonomialOrder = DEGREVLEX) -> str:

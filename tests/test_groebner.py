@@ -11,7 +11,7 @@ from symtensor.groebner import (GroebnerBasis, GroebnerLimits, IdealPresentation
                                 buchberger, leading_term_ideal, normal_form,
                                 s_polynomial)
 from symtensor.hilbert import (count_standard_monomials, series_from_monomial_ideal)
-from symtensor.poly import DEGREVLEX, LEX, Polynomial, VariableContext, mono_divides
+from symtensor.poly import DEGREVLEX, LEX, VariableContext, mono_divides
 
 ABCD = VariableContext(("a", "b", "c", "d"))
 XY = VariableContext(("x", "y"))
@@ -348,12 +348,13 @@ def test_criteria_match_plain_buchberger_corner_cases(texts, order):
 
 
 def _fresh_normal_form(p, basis, order=DEGREVLEX):
-    """normal_form with a reducer set built for this call alone."""
-    red = groebner._Reducers()
+    """The first-divisor remainder, from the tuple reference above alone."""
+    entries = []
     for b in basis:
         if not b.is_zero:
-            red.add(*groebner._entry_from_poly(b, order))
-    return Polynomial(p.ctx, red.reduce(dict(p.terms), order))
+            lc, lt = b.leading_term(order)
+            entries.append(_plain_entry(lt, lc, b.terms))
+    return p.ctx.poly(_naive_reduce(dict(p.terms), entries, order))
 
 
 def test_normal_form_interleaved_bases_and_orders():
@@ -414,15 +415,15 @@ def test_normal_form_recovers_from_a_failed_call(monkeypatch):
     want = _fresh_normal_form(p, basis)
     assert normal_form(p, basis) == want
     calls = []
-    real_mono_div = groebner.mono_div
+    real_pack = groebner._Packing.pack
 
-    def failing_once(a, b):
-        calls.append((a, b))
+    def failing_once(packing, m):
+        calls.append(m)
         if len(calls) == 1:
             raise RuntimeError("injected")
-        return real_mono_div(a, b)
+        return real_pack(packing, m)
 
-    monkeypatch.setattr(groebner, "mono_div", failing_once)
+    monkeypatch.setattr(groebner._Packing, "pack", failing_once)
     with pytest.raises(RuntimeError):
         normal_form(p, basis)
     assert normal_form(p, basis) == want
@@ -430,3 +431,63 @@ def test_normal_form_recovers_from_a_failed_call(monkeypatch):
     with pytest.raises(TypeError):
         normal_form(p, [basis[0], "junk"])
     assert normal_form(p, basis) == want
+
+
+# -- packed monomials: fields wider than the first width ---------------------------
+
+
+XYZ = VariableContext(("x", "y", "z"))
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+@pytest.mark.parametrize("texts,weights,expected", [
+    (("x^300 - y^300", "x*y"), None, ("x^300 - y^300", "x*y", "y^301")),
+    (("x^200*y - z^201", "x*z"), None, ("x^200*y - z^201", "x*z", "z^202")),
+    # generators fit 8-bit fields, but the first pair's lcm x^100*y^60 does not
+    (("x^100 - y^100", "x^60*y^60"), None, ("x^100 - y^100", "x^60*y^60", "y^160")),
+    (("x^300 - y^100", "x*y"), (1, 3, 1), ("x^300 - y^100", "x*y", "y^101")),
+], ids=["x300", "x200y", "repack", "weighted"])
+def test_buchberger_with_large_exponents(texts, weights, expected, order):
+    ideal = IdealPresentation(XYZ, tuple(XYZ.parse(t) for t in texts), weights)
+    gb = buchberger(ideal, order)
+    assert set(gb.elements) == {XYZ.parse(t) for t in expected}
+    assert len(gb.elements) == len(expected)
+
+
+def test_buchberger_repacks_before_a_wide_pair(monkeypatch):
+    repacks = []
+    real_repack = groebner._Reducers.repack
+
+    def counting(red, pk):
+        repacks.append(pk.cap)
+        real_repack(red, pk)
+
+    monkeypatch.setattr(groebner._Reducers, "repack", counting)
+    gb = buchberger(_ideal(XY, "x^100 - y^100", "x^60*y^60"))
+    assert repacks and min(repacks) >= 160
+    assert XY.parse("y^160") in gb.elements
+
+
+def test_lex_normal_form_raises_the_degree():
+    # x^3 = (x - y^100)(x^2 + x*y^100 + y^200) + y^300, past 8-bit fields twice
+    basis = [XY.parse("x - y^100")]
+    assert normal_form(XY.parse("x^3"), basis, LEX) == XY.parse("y^300")
+    assert groebner._last_basis[3].cap >= 300
+    assert normal_form(XY.parse("x^2 + y"), basis, LEX) == XY.parse("y^200 + y")
+    assert normal_form(XY.parse("x^3"), basis) == XY.parse("x^3")  # x - y^100 leads with y^100
+    chain = [XYZ.parse("x - y^10"), XYZ.parse("y - z^20")]
+    assert normal_form(XYZ.parse("x^2*y"), chain, LEX) == XYZ.parse("z^420")
+
+
+def test_s_polynomial_with_large_exponents():
+    s = s_polynomial(XY.parse("x^200 - y^200"), XY.parse("x*y^150 - y^151"), LEX)
+    assert s == XY.parse("x^199*y^151 - y^350")
+
+
+@pytest.mark.parametrize("cap,pairs,degree,size", [(2, 8, 2, 43), (3, 71, 3, 45)])
+def test_degree_capped_grassmannian_counters(cap, pairs, degree, size):
+    from symtensor.catalog import grassmannian_ideal
+    with pytest.raises(LimitExceeded) as info:
+        buchberger(grassmannian_ideal(2, 4), limits=GroebnerLimits(max_degree=cap))
+    assert (info.value.pairs_processed, info.value.max_degree_reached,
+            info.value.basis_size) == (pairs, degree, size)

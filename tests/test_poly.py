@@ -165,3 +165,16 @@ def test_coefficients_are_int_exactly_when_integral():
 def test_unknown_order_rejected():
     with pytest.raises(ValueError):
         MonomialOrder("weird")
+
+
+def test_hash_agrees_with_equality():
+    three = XY.constant(3)
+    assert three == 3 and hash(three) == hash(3)
+    assert len({three, 3}) == 1
+    half = XY.constant(Fraction(1, 2))
+    assert half == Fraction(1, 2) and len({half, Fraction(1, 2)}) == 1
+    assert XY.zero() == 0 and len({XY.zero(), 0}) == 1
+    # a non-constant polynomial keeps its own hash and equals no scalar
+    p = XY.parse("x + 3")
+    assert hash(p) == hash(XY.parse("3 + x"))
+    assert len({p, 3, XY.parse("x + 3")}) == 2
