@@ -5,35 +5,39 @@ by pair index).  Pairs are managed by the Gebauer-Moller update when a basis
 element is inserted: its B-criterion deletes queued pairs, and the M, F and
 product (coprime) criteria filter the new ones.  The append-only reducer set
 remembers each monomial's first divisor.  Every returned basis is the unique
-reduced basis for its order, so repeated runs are bitwise reproducible.
+reduced basis, so repeated runs are bitwise reproducible.
+
+One order.  The engine works under degrevlex only.  For a homogeneous ideal
+R/I and R/in(I) have the same Hilbert function under every monomial order
+(Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 9 sec. 3), so
+the order behind the Hilbert series is an internal choice.  Under degrevlex a
+leading monomial has the largest total degree of its polynomial, so a
+reduction step never raises the total degree.
 
 Packed monomials.  Inside the engine a monomial is one ``int`` (Bachmann and
 Schonemann 1998, with the order key packed as well).  Its exponents fill
 fields of w value bits and one guard bit above them, w + 1 being 8, 16, 32
-or 64; the exponent vector E holds variable i in field i under degrevlex
-(last variable most significant) and in field n - 1 - i under lex.  The
-packed key is K = deg * 2^T - E under degrevlex, T being the width of all n
-fields, and K = E under lex, so comparing ints compares monomials.  The key
-is linear in the exponents: a product is one addition, a quotient one
-subtraction, and a divides b exactly when E_b - E_a sets no guard bit.  The
-lcm is a field-wise maximum of E computed through the guard bits, and the
-total degree of E is read from one multiplication.  Exponent tuples appear
-only at the boundary: generators, ``p`` and bases are packed on the way in,
-and results are unpacked on the way out.
+or 64; the exponent vector E holds variable i in field i (last variable most
+significant).  The packed key is K = deg * 2^T - E, T being the width of all
+n fields, so comparing ints compares monomials.  The key is linear in the
+exponents: a product is one addition, a quotient one subtraction, and a
+divides b exactly when E_b - E_a sets no guard bit.  The lcm is a field-wise
+maximum of E computed through the guard bits, and the total degree of E is
+read from one multiplication.  Exponent tuples appear only at the boundary:
+generators, ``p`` and bases are packed on the way in, and results are
+unpacked on the way out.
 
 Every packed monomial has total degree at most the field capacity 2^w - 1,
 which bounds every exponent; the width is the narrowest that holds the
 inputs' degrees.  Buchberger's presentations are homogeneous, so each term
 of an S-polynomial and of its reduction has the weighted degree of the pair's
 lcm, and all fields are repacked wider before a pair of higher weighted
-degree is reduced.  Under degrevlex a reduction never raises the total
-degree; under lex it can (x^3 modulo x - y^100 is y^300), so every reduction
-step whose reducer's tail outranks its leading monomial in degree checks the
-bound, and ``normal_form`` repacks wider and starts again when it is passed.
+degree is reduced.  ``normal_form`` packs once, to the largest degree of p
+and of the basis, which no reduction step passes.
 
 ``normal_form`` keeps the packed monic entries of the last basis it was given
-and reuses them while an equal basis comes back under the same order with
-fields wide enough; its first-divisor memo lives for one call only.
+and reuses them while an equal basis comes back with fields wide enough; its
+first-divisor memo lives for one call only.
 
 Basis entries, like every ``Polynomial``, hold exact scalars as
 ``exactnum.exact`` makes them: an ``int`` when integral, else a ``Fraction``.
@@ -51,7 +55,7 @@ from struct import Struct
 from .errors import LimitExceeded
 from .exactnum import exact
 from .hilbert import MonomialIdeal
-from .poly import DEGREVLEX, MonomialOrder, Polynomial, VariableContext
+from .poly import Polynomial, VariableContext
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,6 @@ class GroebnerBasis:
     """Reduced basis: monic elements, no term divisible by another leading term."""
 
     ctx: VariableContext
-    order: MonomialOrder
     elements: tuple[Polynomial, ...]
 
 
@@ -110,26 +113,23 @@ class GroebnerBasis:
 
 
 class _Packing:
-    """The int layout of one order's monomials in n variables.
+    """The int layout of degrevlex monomials in n variables.
 
     A packed key K holds the exponent vector E (see the module docstring);
     ``cap`` is the largest total degree, and so the largest exponent, a
     field can hold, and the fields are the narrowest of 1, 2, 4 or 8 bytes
     that hold ``bound``.  E is the bytes of the exponent tuple read as one
-    int: little-endian under degrevlex, big-endian under lex.
+    little-endian int.
     """
 
-    __slots__ = ("lex", "fields", "byteorder", "value_bits", "cap", "total", "low",
-                 "guards", "ones", "top")
+    __slots__ = ("fields", "value_bits", "cap", "total", "low", "guards", "ones", "top")
 
-    def __init__(self, order: MonomialOrder, nvars: int, bound: int):
+    def __init__(self, nvars: int, bound: int):
         size = next((size for size in (1, 2, 4, 8) if bound < 1 << (8 * size - 1)), None)
         if size is None:
             raise LimitExceeded(f"degree {bound} does not fit a 63-bit exponent field")
-        self.lex = order.kind == "lex"
         code = {1: "B", 2: "H", 4: "I", 8: "Q"}[size]
-        self.fields = Struct(f"{'>' if self.lex else '<'}{nvars}{code}")
-        self.byteorder = "big" if self.lex else "little"
+        self.fields = Struct(f"<{nvars}{code}")
         self.value_bits = 8 * size - 1
         self.cap = (1 << self.value_bits) - 1
         self.total = 8 * size * nvars
@@ -140,17 +140,17 @@ class _Packing:
 
     def pack_exps(self, m) -> int:
         """E of an exponent tuple whose entries are at most ``cap``."""
-        return int.from_bytes(self.fields.pack(*m), self.byteorder)
+        return int.from_bytes(self.fields.pack(*m), "little")
 
     def unpack_exps(self, e) -> tuple:
-        return self.fields.unpack(e.to_bytes(self.fields.size, self.byteorder))
+        return self.fields.unpack(e.to_bytes(self.fields.size, "little"))
 
     def key(self, e, degree) -> int:
         """K of the monomial with exponent vector e and total degree ``degree``."""
-        return e if self.lex else (degree << self.total) - e
+        return (degree << self.total) - e
 
     def exps(self, k) -> int:
-        return k if self.lex else -k & self.low
+        return -k & self.low
 
     def pack(self, m) -> int:
         return self.key(self.pack_exps(m), sum(m))
@@ -167,14 +167,6 @@ class _Packing:
         ge = ((a | self.guards) - b) & self.guards  # guard i set when a_i >= b_i
         ge -= ge >> self.value_bits                 # ... now its value bits instead
         return b ^ ((a ^ b) & ge)
-
-
-class _Overflow(Exception):
-    """A reduction step would leave the field capacity; ``degree`` is the degree needed."""
-
-    def __init__(self, degree):
-        super().__init__(degree)
-        self.degree = degree
 
 
 # -- dict-polynomial core -----------------------------------------------------
@@ -213,34 +205,23 @@ class _Reducers:
     ``memo`` maps a monomial to the index of its first reducer, or to ~k when
     none of the first k reducers divides it, so a later lookup scans only the
     reducers added since.  The reducer found is always the first in insertion
-    order whose leading monomial divides.  ``rises`` holds, per reducer, how
-    far its tail's total degree exceeds its leading monomial's.
+    order whose leading monomial divides.
     """
 
-    __slots__ = ("pk", "lts", "tails", "exps", "rises", "memo")
+    __slots__ = ("pk", "lts", "tails", "exps", "memo")
 
-    def __init__(self, pk, lts=(), tails=(), exps=(), rises=()):
+    def __init__(self, pk, lts=(), tails=(), exps=()):
         self.pk = pk
         self.lts = list(lts)
         self.tails = list(tails)
         self.exps = list(exps)
-        self.rises = list(rises)
         self.memo = {}
-
-    def _rise(self, lt, tail):
-        pk = self.pk
-        return max([pk.degree(pk.exps(m)) for m, _ in tail], default=0) - pk.degree(pk.exps(lt))
 
     def add(self, lt, tail):
         self.lts.append(lt)
         self.tails.append(tail)
         self.exps.append(self.pk.exps(lt))
-        self.rises.append(self._rise(lt, tail))
         return len(self.lts) - 1
-
-    def set_tail(self, k, tail):
-        self.tails[k] = tail
-        self.rises[k] = self._rise(self.lts[k], tail)
 
     def repack(self, pk):
         """Move every entry to the wider layout pk; the memo is keyed by old ints."""
@@ -270,15 +251,11 @@ class _Reducers:
         return None
 
     def reduce(self, target):
-        """Full normal form of a dict-polynomial.
-
-        Raises _Overflow before a step whose products could pass the field
-        capacity.
-        """
+        """Full normal form of a dict-polynomial."""
         if not target:
             return {}
         first_divisor = self.first_divisor
-        lts, tails, rises = self.lts, self.tails, self.rises
+        lts, tails = self.lts, self.tails
         coeffs = dict(target)
         heap = [-m for m in coeffs]
         heapq.heapify(heap)
@@ -292,11 +269,6 @@ class _Reducers:
             if k is None:
                 out[m] = c
                 continue
-            if rises[k] > 0:
-                pk = self.pk
-                degree = pk.degree(pk.exps(m)) + rises[k]
-                if degree > pk.cap:
-                    raise _Overflow(degree)
             q = m - lts[k]
             neg_c = -c
             for tm, tc in tails[k]:
@@ -388,24 +360,23 @@ class _PairQueue:
 
 
 # The reducer entries of the last basis given to normal_form: one tuple
-# (order, basis, ctx, packing, entries) of immutable fields, with basis None
-# when it may not be matched and entries the (lts, tails, exps, rises) tuples.
-# It is rebound in a single assignment once the entries are complete, so a
-# call that fails leaves the previous one intact.  Polynomials and orders are
-# immutable, so reusing it keeps normal_form a pure function of its
-# arguments; it holds one basis and no memo.
+# (basis, ctx, packing, entries) of immutable fields, with basis None when it
+# may not be matched and entries the (lts, tails, exps) tuples.  It is
+# rebound in a single assignment once the entries are complete, so a call
+# that fails leaves the previous one intact.  Polynomials are immutable, so
+# reusing it keeps normal_form a pure function of its arguments; it holds one
+# basis and no memo.
 _last_basis = None
 
 
-def _basis_entries(basis, order, ctx, bound):
-    """(order, basis, ctx, packing, entries) of a basis tuple, reusing the last one.
+def _basis_entries(basis, ctx, bound):
+    """(basis, ctx, packing, entries) of a basis tuple, reusing the last one.
 
     The packing holds total degree ``bound`` and every basis element's.
     """
     global _last_basis
     last = _last_basis
-    if (last is not None and last[0] == order and last[1] == basis and last[2] == ctx
-            and last[3].cap >= bound):
+    if last is not None and last[0] == basis and last[1] == ctx and last[2].cap >= bound:
         return last
     key = basis
     polys = []
@@ -421,53 +392,43 @@ def _basis_entries(basis, order, ctx, bound):
         if not b.is_zero:
             polys.append(b)
             bound = max(bound, b.degree())
-    red = _Reducers(_Packing(order, ctx.nvars, bound))
+    red = _Reducers(_Packing(ctx.nvars, bound))
     for b in polys:
         red.add(*_entry_from_poly(b, red.pk))
-    entries = (tuple(red.lts), tuple(red.tails), tuple(red.exps), tuple(red.rises))
-    last = _last_basis = (order, key, ctx, red.pk, entries)
+    entries = (tuple(red.lts), tuple(red.tails), tuple(red.exps))
+    last = _last_basis = (key, ctx, red.pk, entries)
     return last
 
 
-def normal_form(p: Polynomial, basis, order: MonomialOrder = DEGREVLEX) -> Polynomial:
+def normal_form(p: Polynomial, basis) -> Polynomial:
     """Remainder of p modulo the basis: no term divisible by any basis leading term.
 
     Every basis entry must be a ``Polynomial`` in p's context (else TypeError or
     ValueError); zero polynomials are skipped.  The packed monic entries of
-    the last basis are kept and reused while an equal basis comes back under
-    the same order, so reducing many polynomials against one basis builds them
-    once.  The first-divisor memo is built afresh on every call.  Under lex,
-    where a reduction can raise the degree, the fields are widened as needed.
+    the last basis are kept and reused while an equal basis comes back, so
+    reducing many polynomials against one basis builds them once.  The
+    first-divisor memo is built afresh on every call.
     """
-    basis = tuple(basis)
-    bound = p.degree()
-    while True:
-        _, _, _, pk, entries = _basis_entries(basis, order, p.ctx, bound)
-        red = _Reducers(pk, *entries)
-        try:
-            remainder = red.reduce({pk.pack(m): c for m, c in p.terms})
-        except _Overflow as exc:
-            bound = exc.degree  # lex only: repack wider and start again
-            continue
-        return _unpacked(p.ctx, pk, remainder)
+    _, _, pk, entries = _basis_entries(tuple(basis), p.ctx, p.degree())
+    remainder = _Reducers(pk, *entries).reduce({pk.pack(m): c for m, c in p.terms})
+    return _unpacked(p.ctx, pk, remainder)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial of the monic normalizations of f and g."""
     if f.is_zero or g.is_zero:
         raise ValueError("S-polynomial of a zero polynomial")
     if f.ctx != g.ctx:
         raise ValueError("context mismatch")
     # every term is (lcm / lt) * t, of total degree at most deg f + deg g
-    pk = _Packing(order, f.ctx.nvars, f.degree() + g.degree())
+    pk = _Packing(f.ctx.nvars, f.degree() + g.degree())
     ef = _entry_from_poly(f, pk)
     eg = _entry_from_poly(g, pk)
     lcm = pk.lcm(pk.exps(ef[0]), pk.exps(eg[0]))
     return _unpacked(f.ctx, pk, _spoly_dict(pk.key(lcm, pk.degree(lcm)), ef, eg))
 
 
-def buchberger(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
-               limits: GroebnerLimits | None = None) -> GroebnerBasis:
+def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of a homogeneous ideal.
 
     Raises LimitExceeded (with the S-pairs reduced and the degree reached)
@@ -479,7 +440,7 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
     start = time.monotonic()
     grading = ideal.grading
     bound = max([g.homogeneous_degree(grading) for g in ideal.generators], default=0)
-    red = _Reducers(_Packing(order, ideal.ctx.nvars, bound))
+    red = _Reducers(_Packing(ideal.ctx.nvars, bound))
     queue = _PairQueue(red)
     pairs_processed = 0
     max_degree_seen = 0
@@ -516,7 +477,7 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
         pk = red.pk
         weighted = sum(map(mul, pk.unpack_exps(lcm), grading))
         if weighted > pk.cap:
-            wider = _Packing(order, ideal.ctx.nvars, weighted)
+            wider = _Packing(ideal.ctx.nvars, weighted)
             queue.live = {key: wider.pack_exps(pk.unpack_exps(e))
                           for key, e in queue.live.items()}
             red.repack(wider)
@@ -528,7 +489,7 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
         if h:
             _insert(_entry_from_dict(h))
 
-    return GroebnerBasis(ideal.ctx, order, _reduced_from_entries(ideal.ctx, red, queue.active))
+    return GroebnerBasis(ideal.ctx, _reduced_from_entries(ideal.ctx, red, queue.active))
 
 
 def _reduced_from_entries(ctx, red, active):
@@ -545,7 +506,7 @@ def _reduced_from_entries(ctx, red, active):
     out = []
     for pos, lt in enumerate(minimal.lts):
         tail = minimal.reduce(dict(minimal.tails[pos]))
-        minimal.set_tail(pos, tuple([(m, exact(c)) for m, c in tail.items()]))
+        minimal.tails[pos] = tuple([(m, exact(c)) for m, c in tail.items()])
         tail[lt] = 1
         out.append(_unpacked(ctx, red.pk, tail))
     return tuple(out)
@@ -553,5 +514,5 @@ def _reduced_from_entries(ctx, red, active):
 
 def leading_term_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     """Minimal monomial generators of the initial ideal of a reduced basis."""
-    gens = [g.leading_monomial(gb.order) for g in gb.elements]
+    gens = [g.leading_monomial() for g in gb.elements]
     return MonomialIdeal.from_generators(gb.ctx.nvars, gens)

@@ -2,8 +2,9 @@
 
 Monomials are exponent tuples tied to an ordered :class:`VariableContext`;
 polynomials keep their terms sorted descending under degrevlex so equal values
-have identical representations.  Earlier context names have higher priority in
-every order.
+have identical representations, and their leading term is the first.  Lex
+serves display only (``render``).  Earlier context names have higher priority
+in every order.
 """
 
 from __future__ import annotations
@@ -161,18 +162,15 @@ class Polynomial:
         # terms are sorted by degrevlex, which compares total degree first
         return mono_degree(self.terms[0][0]) if self.terms else -1
 
-    def leading_term(self, order: MonomialOrder = DEGREVLEX):
-        """(coefficient, monomial) of the maximal term under order."""
+    def leading_term(self):
+        """(coefficient, monomial) of the maximal term under degrevlex."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        if order == DEGREVLEX:
-            m, c = self.terms[0]
-        else:
-            m, c = max(self.terms, key=lambda t: order.key(t[0]))
+        m, c = self.terms[0]
         return c, m
 
-    def leading_monomial(self, order: MonomialOrder = DEGREVLEX):
-        return self.leading_term(order)[1]
+    def leading_monomial(self):
+        return self.leading_term()[1]
 
     def homogeneous_degree(self, weights=None):
         """Common (weighted) degree of all terms, or None if mixed.
@@ -263,8 +261,8 @@ class Polynomial:
         c = exact(c)
         return Polynomial(self.ctx, {m: cc * c for m, cc in self.terms})
 
-    def monic(self, order: MonomialOrder = DEGREVLEX) -> "Polynomial":
-        lc, _ = self.leading_term(order)
+    def monic(self) -> "Polynomial":
+        lc, _ = self.leading_term()
         return self.scale(Fraction(1) / lc)
 
     # -- comparison / display --------------------------------------------------

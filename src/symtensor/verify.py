@@ -235,12 +235,12 @@ def _check_groebner_contract(ctx):
     for spec_text, (presentation, basis, _) in sorted(routes.items()):
         elements = basis.elements
         for g in presentation.generators:
-            nf = normal_form(g, elements, basis.order)
+            nf = normal_form(g, elements)
             assert nf.is_zero, f"{spec_text}: input generator {g.render()} has nonzero NF"
         for i in range(len(elements)):
             for j in range(i + 1, len(elements)):
-                spair = s_polynomial(elements[i], elements[j], basis.order)
-                nf = normal_form(spair, elements, basis.order)
+                spair = s_polynomial(elements[i], elements[j])
+                nf = normal_form(spair, elements)
                 assert nf.is_zero, f"{spec_text}: S-pair ({i},{j}) does not reduce to zero"
                 total_pairs += 1
     return PASS, (f"{total_pairs} S-pairs and all input generators reduce to zero "

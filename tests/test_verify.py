@@ -1,4 +1,7 @@
-from symtensor import verify
+import re
+from pathlib import Path
+
+from symtensor import cli, verify
 from symtensor.verify import CheckResult, VerifyConfig
 
 
@@ -40,3 +43,10 @@ def test_default_run_is_green():
     # integrity sweep must have seen real artifacts
     assert len(ctx.recorded_series) > 20
     assert len(ctx.recorded_groups) >= 5
+
+
+def test_default_output_matches_golden(capsys):
+    # tests/data/verify.txt holds the output with every "(0.12s)" timing removed
+    assert cli.main(["verify"]) == 0
+    out = re.sub(r"\(\d+\.\d+s\)", "", capsys.readouterr().out)
+    assert out == (Path(__file__).parent / "data" / "verify.txt").read_text()
