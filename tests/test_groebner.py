@@ -10,8 +10,9 @@ from symtensor.errors import LimitExceeded
 from symtensor.groebner import (GroebnerBasis, GroebnerLimits, IdealPresentation,
                                 buchberger, leading_term_ideal, normal_form,
                                 s_polynomial)
-from symtensor.hilbert import (count_standard_monomials, series_from_monomial_ideal)
-from symtensor.poly import DEGREVLEX, VariableContext, mono_divides
+from symtensor.hilbert import (MonomialIdeal, count_standard_monomials,
+                               series_from_monomial_ideal)
+from symtensor.poly import DEGREVLEX, LEX, VariableContext, mono_divides
 
 ABCD = VariableContext(("a", "b", "c", "d"))
 XY = VariableContext(("x", "y"))
@@ -233,11 +234,11 @@ def _plain_spoly(entry_f, entry_g):
     return {m: c for m, c in d.items() if c}
 
 
-def _naive_reduce(d, entries):
+def _naive_reduce(d, entries, order=DEGREVLEX):
     """Division by the first entry whose leading monomial divides, largest term first."""
     d, out = dict(d), {}
     while d:
-        m = max(d, key=DEGREVLEX.key)
+        m = max(d, key=order.key)
         c = d.pop(m)
         for lt, tail in entries:
             if all(x <= y for x, y in zip(lt, m)):
@@ -253,23 +254,31 @@ def _naive_reduce(d, entries):
     return out
 
 
-def _plain_reduced(ctx, entries):
+def _plain_reduced(ctx, entries, order):
     """The reduced basis: minimal leading monomials, each tail reduced by the others."""
     minimal = []
-    for lt, tail in sorted(entries, key=lambda e: DEGREVLEX.key(e[0])):
+    for lt, tail in sorted(entries, key=lambda e: order.key(e[0])):
         if not any(all(x <= y for x, y in zip(m, lt)) for m, _ in minimal):
             minimal.append((lt, tail))
     out = []
     for k, (lt, tail) in enumerate(minimal):
-        reduced = _naive_reduce(dict(tail), minimal[:k] + minimal[k + 1:])
+        reduced = _naive_reduce(dict(tail), minimal[:k] + minimal[k + 1:], order)
         reduced[lt] = Fraction(1)
         out.append(ctx.poly(reduced))
     return tuple(out)
 
 
-def _plain_buchberger(ideal):
+def _lead_entry(p, order):
+    """The monic reference entry of p, led by its largest monomial under ``order``."""
+    terms = dict(p.terms)
+    lt = max(terms, key=order.key)
+    return _plain_entry(lt, terms[lt], terms.items())
+
+
+def _plain_buchberger(ideal, order=DEGREVLEX):
     """Every S-pair reduced, lowest lcm degree first, with no criteria, over Fractions
-    only; shares no helper with the engine."""
+    only; shares no helper with the engine.  The order may be lex, which the engine
+    does not offer."""
     entries = []
     pairs = []
 
@@ -279,15 +288,14 @@ def _plain_buchberger(ideal):
         entries.append(entry)
 
     for g in ideal.generators:
-        lc, lt = g.leading_term()
-        add(_plain_entry(lt, lc, g.terms))
+        add(_lead_entry(g, order))
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        h = _naive_reduce(_plain_spoly(entries[i], entries[j]), entries)
+        h = _naive_reduce(_plain_spoly(entries[i], entries[j]), entries, order)
         if h:
-            lt = max(h, key=DEGREVLEX.key)
+            lt = max(h, key=order.key)
             add(_plain_entry(lt, h[lt], h.items()))
-    return _plain_reduced(ideal.ctx, entries)
+    return _plain_reduced(ideal.ctx, entries, order)
 
 
 def _random_ideal(seed):
@@ -310,12 +318,32 @@ def _random_ideal(seed):
     return IdealPresentation(ctx, tuple(gens))
 
 
-@pytest.mark.parametrize("seed", range(80))
-def test_criteria_match_plain_buchberger(seed):
-    ideal = _random_ideal(seed)
-    assert buchberger(ideal).elements == _plain_buchberger(ideal)
+def _check_against_plain(ideal, order):
+    """Under degrevlex the engine's reduced basis is the reference's.  Under lex the
+    reference basis differs, but it generates the same ideal, and for a homogeneous
+    ideal the two initial ideals have the same Hilbert series."""
+    gb = buchberger(ideal)
+    plain = _plain_buchberger(ideal, order)
+    if order is DEGREVLEX:
+        assert gb.elements == plain
+        return
+    assert all(normal_form(q, gb.elements).is_zero for q in plain)
+    entries = [_lead_entry(q, order) for q in plain]
+    assert all(not _naive_reduce(dict(g.terms), entries, order) for g in gb.elements)
+    plain_lt = MonomialIdeal.from_generators(ideal.ctx.nvars, [lt for lt, _ in entries])
+    assert (series_from_monomial_ideal(plain_lt)
+            == series_from_monomial_ideal(leading_term_ideal(gb)))
 
 
+@pytest.mark.parametrize("seed,order", [
+    *(pytest.param(s, DEGREVLEX, id=f"{s}-degrevlex") for s in range(80)),
+    *(pytest.param(s, LEX, id=f"{s}-lex") for s in range(40)),
+])
+def test_criteria_match_plain_buchberger(seed, order):
+    _check_against_plain(_random_ideal(seed), order)
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
 @pytest.mark.parametrize("texts", [
     ("x^2", "y^2", "z^2"),                      # coprime leading monomials only
     ("x*y - z^2", "x*y - z^2", "x*z"),          # duplicate generators
@@ -323,10 +351,8 @@ def test_criteria_match_plain_buchberger(seed):
     ("x^2 - y*z", "x*y - z^2", "y^2 - x*z"),    # twisted-cubic-like
     ("3*x^2 - 2*y^2", "2*x*y - 7*z^2"),         # non-unit leading coefficients
 ])
-def test_criteria_match_plain_buchberger_corner_cases(texts):
-    ctx = VariableContext(("x", "y", "z"))
-    ideal = _ideal(ctx, *texts)
-    assert buchberger(ideal).elements == _plain_buchberger(ideal)
+def test_criteria_match_plain_buchberger_corner_cases(texts, order):
+    _check_against_plain(_ideal(VariableContext(("x", "y", "z")), *texts), order)
 
 
 # -- the reducer entries normal_form keeps for its last basis -----------------
@@ -334,11 +360,7 @@ def test_criteria_match_plain_buchberger_corner_cases(texts):
 
 def _fresh_normal_form(p, basis):
     """The first-divisor remainder, from the tuple reference above alone."""
-    entries = []
-    for b in basis:
-        if not b.is_zero:
-            lc, lt = b.leading_term()
-            entries.append(_plain_entry(lt, lc, b.terms))
+    entries = [_lead_entry(b, DEGREVLEX) for b in basis if not b.is_zero]
     return p.ctx.poly(_naive_reduce(dict(p.terms), entries))
 
 
