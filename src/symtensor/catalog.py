@@ -555,9 +555,6 @@ class KleinTableRow:
         """Common weighted degree of the relation's terms, or None if mixed."""
         return self.relation().homogeneous_degree(self.degrees)
 
-    def is_weighted_homogeneous(self) -> bool:
-        return self.relation_degree() is not None
-
     def table_series(self) -> HilbertSeries | None:
         e = self.relation_degree()
         if e is None:

@@ -56,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("specs", nargs="+")
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--stretch", action="store_true",
-                          help="also run the heavy Gr(2,4) item")
 
     for p in (p_series, p_table, p_verify):
         p.add_argument("--max-degree", type=_non_negative_int,
@@ -170,8 +168,7 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     config = verify.VerifyConfig(max_degree=args.max_degree,
                                  gb_timeout=args.timeout,
-                                 gb_max_degree=args.gb_max_degree,
-                                 stretch=args.stretch)
+                                 gb_max_degree=args.gb_max_degree)
     results, _ = verify.run_verification(config)
     for r in results:
         tag = {verify.PASS: "PASS", verify.FAIL: "FAIL", verify.LIMIT: "LIMIT"}[r.status]

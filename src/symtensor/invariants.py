@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import lcm
 
 from .errors import IntegrityError
 from .exactnum import CyclotomicNumber, zeta
@@ -80,10 +80,6 @@ class MatrixGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def contains(self, mat: Mat2) -> bool:
-        key = mat.key()
-        return any(key == e.key() for e in self.elements)
 
     def __repr__(self):
         tag = f"{self.label}_{self.n_param}" if self.n_param else self.label
@@ -187,18 +183,6 @@ def build_group(label: str, n_param: int | None = None) -> MatrixGroup:
     return MatrixGroup(label, n_param, field_order, generators, elements)
 
 
-def build_group_from_generators(generators, field_order: int, expected_order: int,
-                                label: str = "custom") -> MatrixGroup:
-    """Close arbitrary cyclotomic generators, hard-checking the expected order
-    and determinant one everywhere.
-
-    Unlike build_group it does not require -identity: odd-order cyclic
-    subgroups of SU(2) do not contain it.
-    """
-    elements = _closed_unimodular(generators, field_order, expected_order, label)
-    return MatrixGroup(label, None, field_order, generators, elements)
-
-
 def _closed_unimodular(generators, field_order, expected_order, label):
     """Closure of the generators, checked for the expected order and for
     determinant one, on which the dimension sweep's trace recursion relies."""
@@ -211,42 +195,6 @@ def _closed_unimodular(generators, field_order, expected_order, label):
         if m.det() != one:
             raise IntegrityError(f"non-unimodular element in group {label}")
     return elements
-
-
-# -- symmetric-power traces ------------------------------------------------------
-
-
-def sym_power_trace(mat: Mat2, p: int) -> CyclotomicNumber:
-    """Trace of the degree-p symmetric power from the explicit basis action.
-
-    The matrix substitutes x -> a x + c y, y -> b x + d y into each basis
-    monomial x^i y^(p-i); the trace sums the diagonal coefficients.  Quadratic
-    cost in p, so this is the low-degree oracle, not the production path.
-    """
-    order = mat.a.order
-    if p == 0:
-        return CyclotomicNumber.one(order)
-    pow_a = [CyclotomicNumber.one(order)]
-    pow_b = [CyclotomicNumber.one(order)]
-    pow_c = [CyclotomicNumber.one(order)]
-    pow_d = [CyclotomicNumber.one(order)]
-    for _ in range(p):
-        pow_a.append(pow_a[-1] * mat.a)
-        pow_b.append(pow_b[-1] * mat.b)
-        pow_c.append(pow_c[-1] * mat.c)
-        pow_d.append(pow_d[-1] * mat.d)
-    total = CyclotomicNumber.zero(order)
-    for i in range(p + 1):
-        j = p - i
-        for k in range(i + 1):
-            if j - (i - k) < 0:
-                continue
-            count = comb(i, k) * comb(j, i - k)
-            if count == 0:
-                continue
-            term = pow_a[k] * pow_c[i - k] * pow_b[i - k] * pow_d[j - i + k]
-            total = total + term * count
-    return total
 
 
 def _extend_dims(group: MatrixGroup, p: int) -> None:

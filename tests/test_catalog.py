@@ -14,6 +14,7 @@ from symtensor.catalog import (abelian_series, check_dimension_bounds,
                                quadric_ideal, ruled_klein, triviality_registry,
                                two_quadrics_series)
 from symtensor.errors import IntegrityError, SpecParseError
+from symtensor.hilbert import HilbertSeries
 from symtensor.poly import LEX
 
 
@@ -58,6 +59,12 @@ def test_grassmannian_out_of_range():
 def test_rank_one_route_equals_projective_closed_form(n, depth):
     _, _, series = groebner_route(grassmannian_ideal(1, n))
     assert series.expand(depth) == projective_space_dims(n - 1, depth)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_rank_one_route_is_the_projective_series(n):
+    _, _, series = groebner_route(grassmannian_ideal(1, n))
+    assert series == projective_space_series(n - 1)
 
 
 def test_grassmannian_2_4_flags_and_char_coefficients():
@@ -128,12 +135,20 @@ def test_quadric_ideal_small():
     assert [g.render() for g in pres.generators] == ["p12^2 + p13^2 + p23^2"]
     _, _, series = groebner_route(pres)
     assert series.expand(8) == tuple(2 * d + 1 for d in range(9))
+    assert series == HilbertSeries((1, 1), (1, 1))
 
 
 def test_quadric_two_matches_kunneth():
     _, _, series = groebner_route(quadric_ideal(2))
     line = projective_space_series(1)
     assert series.expand(8) == (line * line).expand(8)
+    assert series == line * line
+
+
+def test_klein_quadric_is_grassmannian_2_4():
+    _, _, quadric = groebner_route(quadric_ideal(4))
+    _, _, grassmannian = groebner_route(grassmannian_ideal(2, 4))
+    assert quadric == grassmannian
 
 
 def test_quadric_three_krull():
@@ -242,11 +257,11 @@ def test_triviality_registry():
 def test_klein_rows():
     for n in range(2, 7):
         row = klein_row("BD", n)
-        assert row.is_weighted_homogeneous()
+        assert row.relation_degree() is not None
         assert row.relation_degree() == 4 * n + 4
     a4 = klein_row("2T")
     assert a4.degrees == (4, 4, 6)
-    assert not a4.is_weighted_homogeneous()
+    assert a4.relation_degree() is None
     assert a4.table_series() is None
     s4 = klein_row("2O")
     assert s4.relation_degree() == 24

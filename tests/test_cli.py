@@ -200,7 +200,7 @@ def test_verify_fail_exits_1(capsys, monkeypatch):
 
 
 def test_verify_reduced_depth_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--max-degree", "4", "--stretch")
+    code, out, _ = run_cli(capsys, "verify", "--max-degree", "4")
     assert code == 0
     assert "[FAIL]" not in out
     assert out.count("[PASS]") == 10

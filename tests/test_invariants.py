@@ -1,17 +1,61 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from symtensor.errors import IntegrityError
 from symtensor.exactnum import CyclotomicNumber, zeta
-from symtensor.invariants import (DEFAULT_WINDOW, Mat2, _recover_hypersurface,
-                                  build_group, build_group_from_generators,
-                                  invariant_dimension, molien_series,
-                                  sym_power_trace)
+from symtensor.invariants import (DEFAULT_WINDOW, Mat2, MatrixGroup, _closed_unimodular,
+                                  _recover_hypersurface, build_group,
+                                  invariant_dimension, molien_series)
 
 GROUPS = [("BD", 2, 8), ("BD", 3, 12), ("2T", None, 24), ("2O", None, 48),
           ("2I", None, 120)]
+
+
+def build_group_from_generators(generators, field_order, expected_order, label="custom"):
+    """Close arbitrary cyclotomic generators, hard-checking the expected order
+    and determinant one everywhere.
+
+    Unlike build_group it does not require -identity: odd-order cyclic
+    subgroups of SU(2) do not contain it.
+    """
+    elements = _closed_unimodular(generators, field_order, expected_order, label)
+    return MatrixGroup(label, None, field_order, generators, elements)
+
+
+def sym_power_trace(mat, p):
+    """Trace of the degree-p symmetric power from the explicit basis action.
+
+    The matrix substitutes x -> a x + c y, y -> b x + d y into each basis
+    monomial x^i y^(p-i); the trace sums the diagonal coefficients.  Quadratic
+    cost in p: the low-degree reference for the trace recursion of the sweep.
+    """
+    order = mat.a.order
+    if p == 0:
+        return CyclotomicNumber.one(order)
+    pow_a = [CyclotomicNumber.one(order)]
+    pow_b = [CyclotomicNumber.one(order)]
+    pow_c = [CyclotomicNumber.one(order)]
+    pow_d = [CyclotomicNumber.one(order)]
+    for _ in range(p):
+        pow_a.append(pow_a[-1] * mat.a)
+        pow_b.append(pow_b[-1] * mat.b)
+        pow_c.append(pow_c[-1] * mat.c)
+        pow_d.append(pow_d[-1] * mat.d)
+    total = CyclotomicNumber.zero(order)
+    for i in range(p + 1):
+        j = p - i
+        for k in range(i + 1):
+            if j - (i - k) < 0:
+                continue
+            count = comb(i, k) * comb(j, i - k)
+            if count == 0:
+                continue
+            term = pow_a[k] * pow_c[i - k] * pow_b[i - k] * pow_d[j - i + k]
+            total = total + term * count
+    return total
 
 
 @pytest.mark.parametrize("label,n,expected", GROUPS)
@@ -184,7 +228,6 @@ def test_molien_dims_window_override():
 def test_unclosed_element_set_raises_integrity_error():
     # bypass the closure builder: a one-element "group" without the identity
     # has an irrational trace average, which the sweep must refuse
-    from symtensor.invariants import MatrixGroup
     z8 = zeta(8)
     zero = CyclotomicNumber.zero(8)
     bogus = MatrixGroup("custom", None, 8, (), (Mat2(z8, zero, zero, zero),))
@@ -195,7 +238,6 @@ def test_unclosed_element_set_raises_integrity_error():
 def test_failed_sweep_leaves_cached_state_unchanged():
     # trace sqrt(2): T_1 is irrational but T_2 = 1, so a sweep that advanced its
     # recursion before raising would answer 1 for degree 1 on a second call
-    from symtensor.invariants import MatrixGroup
     z8 = zeta(8)
     zero = CyclotomicNumber.zero(8)
     rot = Mat2(z8, zero, zero, -zeta(8, 3))

@@ -1,15 +1,18 @@
 import re
 from pathlib import Path
 
-from symtensor import cli, verify
-from symtensor.verify import CheckResult, VerifyConfig
+import pytest
+
+from symtensor import cli, univar, verify
+from symtensor.hilbert import HilbertSeries
+from symtensor.verify import CheckResult, VerifyConfig, VerifyContext
 
 
 def test_exit_code_semantics():
     ok = [CheckResult("a", verify.PASS, "", 0.0)]
     assert verify.exit_code(ok) == 0
-    limited_stretch = ok + [CheckResult(verify.STRETCH_NAME, verify.LIMIT, "", 0.0)]
-    assert verify.exit_code(limited_stretch) == 0
+    limited_gr24 = ok + [CheckResult("grassmannian-2-4-bigness", verify.LIMIT, "", 0.0)]
+    assert verify.exit_code(limited_gr24) == 3
     limited_mandatory = ok + [CheckResult("quadric-coincidences", verify.LIMIT, "", 0.0)]
     assert verify.exit_code(limited_mandatory) == 3
     failed = ok + [CheckResult("b", verify.FAIL, "", 0.0)]
@@ -38,7 +41,7 @@ def test_default_run_is_green():
     assert verify.exit_code(results) == 0
     by_name = {r.name: r for r in results}
     assert len(results) == 10
-    assert all(r.status in (verify.PASS, verify.LIMIT) for r in results)
+    assert all(r.status == verify.PASS for r in results)
     assert by_name["klein-molien"].status == verify.PASS
     # integrity sweep must have seen real artifacts
     assert len(ctx.recorded_series) > 20
@@ -50,3 +53,21 @@ def test_default_output_matches_golden(capsys):
     assert cli.main(["verify"]) == 0
     out = re.sub(r"\(\d+\.\d+s\)", "", capsys.readouterr().out)
     assert out == (Path(__file__).parent / "data" / "verify.txt").read_text()
+
+
+@pytest.mark.parametrize("spec,check_name", [("Gr(1,3)", "projective-space-two-route"),
+                                             ("Q(2)", "quadric-coincidences")])
+def test_series_wrong_past_degree_eight_fails(spec, check_name):
+    # numerator N + t^9 D over the denominator D adds t^9: equal through degree 8 only
+    ctx = VerifyContext(VerifyConfig())
+    presentation, basis, series = ctx.route(spec)
+    den = [1]
+    for w in series.den_weights:
+        den = univar.mul(den, univar.one_minus_power(w))
+    wrong = HilbertSeries(tuple(univar.add(series.numerator, univar.shift(den, 9))),
+                          series.den_weights)
+    assert wrong.expand(8) == series.expand(8)
+    assert wrong.expand(9) != series.expand(9)
+    ctx._routes[spec] = (presentation, basis, wrong)
+    check = next(c for c in verify._CHECKS if c.check_name == check_name)
+    assert check(ctx).status == verify.FAIL
