@@ -22,8 +22,7 @@ from .groebner import (GroebnerBasis, GroebnerLimits, IdealPresentation,
                        buchberger, leading_term_ideal)
 from .hilbert import (HilbertSeries, series_from_generator_degrees,
                       series_from_monomial_ideal)
-from .invariants import (GROUP_LABELS, MolienResult, build_group, invariant_dimension,
-                         molien_series)
+from .invariants import GROUP_LABELS, MolienResult, build_group, molien_series
 from .poly import Polynomial, VariableContext
 
 NEG_INFINITY = float("-inf")
@@ -603,25 +602,21 @@ class RuledKleinReport:
     matching_rows: tuple[str, ...]      # names of all table rows the computation matches
 
 
-def ruled_klein(group_label: str, n: int | None = None,
-                window: int | None = None) -> RuledKleinReport:
+def ruled_klein(group_label: str, n: int | None = None) -> RuledKleinReport:
     """Compute the invariant series of a binary polyhedral group and compare it
-    with the stated table row; the computation is the authority, the comparison
-    is data."""
+    with the stated table row as rational functions; the computation is the
+    authority, the comparison is data."""
     group = build_group(group_label, n)
-    result = molien_series(group, window)
+    result = molien_series(group)
     row = klein_row(group_label, n)
     table = row.table_series()
     row_consistent = table is not None
-    match = None
-    if row_consistent and result.series is not None:
-        match = result.series == table
+    match = result.series == table if row_consistent else None
     matching = []
-    if result.series is not None:
-        for cand in _candidate_rows(row):
-            cand_series = cand.table_series()
-            if cand_series is not None and result.series == cand_series:
-                matching.append(cand.name)
+    for cand in _candidate_rows(row):
+        cand_series = cand.table_series()
+        if cand_series is not None and result.series == cand_series:
+            matching.append(cand.name)
     return RuledKleinReport(group_label=group_label, n=n, group=group, molien=result,
                             row=row, row_consistent=row_consistent, table_series=table,
                             match=match, matching_rows=tuple(matching))
@@ -678,8 +673,8 @@ class SeriesReport:
     spec: VarietySpec
     spec_text: str
     coefficients: tuple[int, ...]
-    series: HilbertSeries | None
-    krull: int | None
+    series: HilbertSeries
+    krull: int
     provenance: str
     flags: tuple[str, ...]
     presentation: IdealPresentation | None = None
@@ -690,7 +685,7 @@ class SeriesReport:
         return {
             "spec": self.spec_text,
             "coefficients": list(self.coefficients),
-            "rational_form": self.series.to_json_dict() if self.series else None,
+            "rational_form": self.series.to_json_dict(),
             "krull_dim": self.krull,
             "provenance": self.provenance,
             "flags": list(self.flags),
@@ -711,44 +706,28 @@ def evaluate(spec: VarietySpec, *, max_degree: int = DEFAULT_MAX_DEGREE,
              gb_max_degree: int | None = DEFAULT_GB_MAX_DEGREE,
              force: bool = False) -> SeriesReport:
     """Run a spec's route and package the result."""
+    family = FAMILIES[spec.kind]
+    flags = family.flags(spec)
+    presentation = basis = klein = None
     if spec.kind == "Prod":
         left, right = (evaluate(c, max_degree=max_degree, gb_timeout=gb_timeout,
                                 gb_max_degree=gb_max_degree, force=force)
                        for c in spec.components)
-        # Kunneth: the graded dimensions of a product convolve
-        a, b = left.coefficients, right.coefficients
-        coefficients = tuple(sum(a[i] * b[p - i] for i in range(p + 1))
-                             for p in range(max_degree + 1))
-        series = None
-        if left.series is not None and right.series is not None:
-            series = left.series * right.series
-        return SeriesReport(spec, spec.text(), coefficients, series,
-                            series.krull_dim() if series else None,
-                            f"product of [{left.provenance}] and [{right.provenance}]",
-                            left.flags + right.flags)
-    if spec.kind == "Klein":
-        report = ruled_klein(spec.group, spec.n)
-        dims = report.molien.dims
-        if max_degree >= len(dims):
-            dims = tuple(invariant_dimension(report.group, p)
-                         for p in range(max_degree + 1))
-        coefficients = dims[: max_degree + 1]
-        series = report.molien.series
-        flags = ["row-consistent" if report.row_consistent else "row-inconsistent"]
-        if report.match is not None:
-            flags.append("matches-stated-row" if report.match else "differs-from-stated-row")
-        if report.matching_rows:
-            flags.append("matches:" + "+".join(report.matching_rows))
-        search = ("hypersurface form recovered by search" if report.molien.matched is not None
-                  else "no hypersurface form found through degree "
-                  f"{len(report.molien.dims) - 1}")
-        return SeriesReport(spec, spec.text(), coefficients, series,
-                            series.krull_dim() if series else None,
-                            f"invariant averages over the {spec.group} group; {search}",
-                            tuple(flags), klein=report)
-    family = FAMILIES[spec.kind]
-    presentation = basis = None
-    if family.ideal is None:
+        series = left.series * right.series  # Kunneth
+        provenance = f"product of [{left.provenance}] and [{right.provenance}]"
+        flags = left.flags + right.flags
+    elif spec.kind == "Klein":
+        klein = ruled_klein(spec.group, spec.n)
+        series = klein.molien.series
+        flags = ("row-consistent" if klein.row_consistent else "row-inconsistent",)
+        if klein.match is not None:
+            flags += ("matches-stated-row" if klein.match else "differs-from-stated-row",)
+        if klein.matching_rows:
+            flags += ("matches:" + "+".join(klein.matching_rows),)
+        search = ("hypersurface form recovered by search" if klein.molien.matched
+                  else "no hypersurface form equals the exact series")
+        provenance = f"invariant averages over the {spec.group} group; {search}"
+    elif family.ideal is None:
         series = family.closed_form(spec)
         provenance = family.provenance(spec)
     else:
@@ -764,5 +743,5 @@ def evaluate(spec: VarietySpec, *, max_degree: int = DEFAULT_MAX_DEGREE,
     if spec.kind == "Pn" and coefficients != projective_space_dims(spec.n, max_degree):
         raise IntegrityError("projective-space series disagrees with closed form")
     return SeriesReport(spec, spec.text(), coefficients, series, series.krull_dim(),
-                        provenance, family.flags(spec),
-                        presentation=presentation, basis=basis)
+                        provenance, flags, presentation=presentation, basis=basis,
+                        klein=klein)

@@ -83,12 +83,11 @@ def _reports(args, spec_texts) -> list[catalog.SeriesReport]:
 
 def _render_text(report: catalog.SeriesReport) -> str:
     lines = [f"spec: {report.spec_text}",
-             "coefficients: " + " ".join(str(c) for c in report.coefficients)]
-    if report.series is not None:
-        lines.append(f"rational form: {report.series.render()}")
-    lines.append(f"krull dim: {report.krull if report.krull is not None else 'unknown'}")
-    lines.append(f"provenance: {report.provenance}")
-    lines.append("flags: " + (", ".join(report.flags) if report.flags else "(none)"))
+             "coefficients: " + " ".join(str(c) for c in report.coefficients),
+             f"rational form: {report.series.render()}",
+             f"krull dim: {report.krull}",
+             f"provenance: {report.provenance}",
+             "flags: " + (", ".join(report.flags) if report.flags else "(none)")]
     if report.klein is not None:
         m = report.klein
         lines.append(f"molien recovered (d1,d2,d3,e): {m.molien.matched}")
@@ -106,10 +105,8 @@ def _table_rows(reports, max_degree):
     header = ["spec"] + [f"c{i}" for i in range(max_degree + 1)] + ["krull", "provenance"]
     rows = [header]
     for r in reports:
-        coeffs = list(r.coefficients[: max_degree + 1])
-        coeffs += [""] * (max_degree + 1 - len(coeffs))
-        rows.append([r.spec_text] + [str(c) for c in coeffs]
-                    + [str(r.krull) if r.krull is not None else "", r.provenance])
+        rows.append([r.spec_text] + [str(c) for c in r.coefficients]
+                    + [str(r.krull), r.provenance])
     return rows
 
 
@@ -179,19 +176,15 @@ def cmd_verify(args) -> int:
     return code
 
 
+COMMANDS = {"series": cmd_series, "ideal-dump": cmd_ideal_dump, "table": cmd_table,
+            "verify": cmd_verify}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "series":
-            return cmd_series(args)
-        if args.command == "ideal-dump":
-            return cmd_ideal_dump(args)
-        if args.command == "table":
-            return cmd_table(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        raise SpecParseError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](args)
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

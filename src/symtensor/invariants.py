@@ -2,7 +2,8 @@
 
 Groups are built by closing explicit generator matrices under multiplication;
 the graded dimensions of the invariant subalgebra of the symmetric algebra on
-the 2-dimensional representation come from exact trace averages.
+the 2-dimensional representation come from exact trace averages, and the
+averages through degree |G| fix the Molien series as a rational function.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from functools import lru_cache
 from math import lcm
 
 from .errors import IntegrityError
+from . import univar
 from .exactnum import CyclotomicNumber, zeta
-from .hilbert import HilbertSeries
+from .hilbert import HilbertSeries, series_from_generator_degrees
 
+# MolienResult.dims runs through this display window
 DEFAULT_WINDOW = {"BD": 64, "2T": 64, "2O": 64, "2I": 124}
 GROUP_LABELS = ("BD", "2T", "2O", "2I")
 
@@ -248,58 +251,55 @@ def invariant_dimension(group: MatrixGroup, p: int) -> int:
 
 @dataclass(frozen=True)
 class MolienResult:
-    """Graded invariant dimensions plus the recovered hypersurface form."""
+    """The exact Molien series, its dimensions through the display window, and
+    the hypersurface form the series equals, when there is one."""
 
     dims: tuple[int, ...]
-    series: HilbertSeries | None
+    series: HilbertSeries
     matched: tuple[int, int, int, int] | None  # (d1, d2, d3, e)
 
 
-def _recover_hypersurface(dims, max_degree):
-    """Search for (d1<=d2<=d3, e) with dims = [(1-t^e)/prod(1-t^di)].
+def _hypersurface_form(series: HilbertSeries):
+    """(d1, d2, d3, e) with series == (1 - t^e)/prod(1 - t^di), or None.
 
-    Candidates run over even degrees up to max_degree/2 in ascending order;
-    the first full match through the window wins.  Each (d1, d2) is expanded
-    once; for each d3 the expansion u of 1/prod(1-t^di) is extended degree by
-    degree, e is the first degree where u differs from dims, and the
-    candidate is dropped at the first degree where u - t^e u does.
+    Each of d1, d2, d3 and then e is the first nonzero positive degree left
+    after multiplying by (1 - t^d) for the degrees already taken; the form is
+    returned only when it equals the series as a rational function.  The scan
+    runs through three times the largest denominator weight: for a Molien
+    series fitted over (1 - t^|G|)(1 - t^2) that is 3|G|, and Noether's bound
+    di <= |G| with e = d1 + d2 + d3 - 2 keeps every degree below it.
     """
-    top = max_degree // 2
-    for d1 in range(2, top + 1, 2):
-        for d2 in range(d1, top + 1, 2):
-            pair = HilbertSeries((1,), (d1, d2)).expand(max_degree)
-            for d3 in range(d2, top + 1, 2):
-                u = list(pair)
-                e = None
-                for pdeg in range(max_degree + 1):
-                    if pdeg >= d3:
-                        u[pdeg] += u[pdeg - d3]
-                    if e is None:
-                        if u[pdeg] == dims[pdeg]:
-                            continue
-                        if pdeg == 0:
-                            break
-                        e = pdeg
-                    if u[pdeg] - u[pdeg - e] != dims[pdeg]:
-                        break
-                else:
-                    if e is not None:
-                        return (d1, d2, d3, e)
-    return None
+    top = 3 * max(series.den_weights, default=0)
+    coeffs = list(series.expand(top))
+    degrees = []
+    for _ in range(4):
+        d = next((p for p in range(1, top + 1) if coeffs[p]), None)
+        if d is None:
+            return None
+        degrees.append(d)
+        for p in range(top, d - 1, -1):
+            coeffs[p] -= coeffs[p - d]
+    d1, d2, d3, e = degrees
+    if series_from_generator_degrees((d1, d2, d3), e) != series:
+        return None
+    return (d1, d2, d3, e)
 
 
-def molien_series(group: MatrixGroup, max_degree: int | None = None) -> MolienResult:
-    """Invariant dimensions through max_degree plus a recovered rational form.
+def molien_series(group: MatrixGroup) -> MolienResult:
+    """The exact Molien series of the group, from the averages through degree |G|.
 
-    The default window is large enough to see each group's relation degree.
+    With N = |G| (even, since -identity is in G), every element order divides
+    N, so each term 1/(1 - tr(g) t + t^2) of the Molien average has a
+    denominator dividing (1 - t^N)(1 - t^2).  The series is P/((1 - t^N)(1 - t^2))
+    with deg P <= N, and the averages in degrees 0..N fix P.  When the series
+    is a hypersurface form, that form is the reported series.
     """
-    if max_degree is None:
-        max_degree = DEFAULT_WINDOW[group.label if group.label in DEFAULT_WINDOW else "BD"]
-    dims = tuple(invariant_dimension(group, p) for p in range(max_degree + 1))
-    matched = _recover_hypersurface(dims, max_degree)
-    series = None
-    if matched is not None:
-        d1, d2, d3, e = matched
-        num = [1] + [0] * (e - 1) + [-1]
-        series = HilbertSeries(tuple(num), (d1, d2, d3))
-    return MolienResult(dims=dims, series=series, matched=matched)
+    order = group.order
+    dims = [invariant_dimension(group, p) for p in range(order + 1)]
+    den = univar.mul(univar.one_minus_power(order), univar.one_minus_power(2))
+    fitted = HilbertSeries(tuple(univar.mul(dims, den)[: order + 1]), (2, order))
+    matched = _hypersurface_form(fitted)
+    series = fitted if matched is None else series_from_generator_degrees(matched[:3],
+                                                                           matched[3])
+    window = DEFAULT_WINDOW.get(group.label, DEFAULT_WINDOW["BD"])
+    return MolienResult(dims=series.expand(window), series=series, matched=matched)

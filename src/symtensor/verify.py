@@ -17,11 +17,13 @@ from .errors import (EXIT_CHECK_FAILED, EXIT_LIMIT, EXIT_OK, IntegrityError,
 from .groebner import GroebnerLimits, normal_form, s_polynomial
 from .hilbert import (HilbertSeries, MonomialIdeal, count_standard_monomials,
                       series_from_monomial_ideal)
-from .invariants import build_group, invariant_dimension
+from .invariants import build_group, invariant_dimension, molien_series
 
 PASS = "pass"
 FAIL = "fail"
 LIMIT = "limit"        # work cut short by a budget
+
+ORACLE_DEPTH = 8       # degrees the monomial-ideal oracle counts by brute force
 
 
 @dataclass
@@ -46,7 +48,7 @@ class VerifyContext:
         self.config = config
         self._routes: dict[str, tuple] = {}
         self.recorded_series: list = []
-        self.recorded_groups: list = []
+        self.recorded_groups: list = []   # (group, its exact Molien series)
 
     def route(self, spec_text: str):
         """(presentation, basis, series) for a Groebner-backed spec, cached."""
@@ -152,30 +154,24 @@ def _check_hitchin_bridge(ctx):
 def _check_klein_molien(ctx):
     details = []
     for n in (2, 3):
-        report = catalog.ruled_klein("BD", n, window=40)
-        ctx.recorded_groups.append(report.group)
+        report = catalog.ruled_klein("BD", n)
+        ctx.recorded_groups.append((report.group, report.molien.series))
         assert report.row_consistent, f"D_{n} row unexpectedly inconsistent"
         assert report.match is True, f"BD_{n} does not match its stated row"
-        table = report.table_series
-        assert report.molien.dims[:41] == table.expand(40), "window mismatch"
         ctx.record_series(f"Klein(BD,{n})", report.molien.series)
-        assert all(report.molien.dims[p] == 0 for p in range(1, 41, 2))
-        details.append(f"BD_{n} matches its D_{n} row through degree 40")
-    report_2i = catalog.ruled_klein("2I", window=124)
-    ctx.recorded_groups.append(report_2i.group)
+        details.append(f"BD_{n} matches its D_{n} row as a rational function")
+    report_2i = catalog.ruled_klein("2I")
+    ctx.recorded_groups.append((report_2i.group, report_2i.molien.series))
     assert report_2i.row_consistent and report_2i.match is True, \
         "icosahedral computation must match the A5 row"
     assert report_2i.molien.matched == (12, 20, 30, 60), report_2i.molien.matched
-    assert report_2i.molien.dims == report_2i.table_series.expand(124)
-    assert all(report_2i.molien.dims[p] == 0 for p in range(1, 125, 2))
     ctx.record_series("Klein(2I)", report_2i.molien.series)
-    details.append("2I matches the A5 row through degree 124")
+    details.append("2I matches the A5 row as a rational function")
     for label in ("2T", "2O"):
         report = catalog.ruled_klein(label)
-        ctx.recorded_groups.append(report.group)
+        ctx.recorded_groups.append((report.group, report.molien.series))
         assert report.molien.matched is not None, \
             f"{label}: no hypersurface form recovered"
-        assert all(d == 0 for d in report.molien.dims[1::2])
         ctx.record_series(f"Klein({label})", report.molien.series)
         if report.row_consistent:
             stated_result = ("matches stated row" if report.match
@@ -191,7 +187,7 @@ def _check_klein_molien(ctx):
 
 @_check("monomial-ideal-oracle")
 def _check_monomial_oracle(ctx):
-    depth = min(8, ctx.config.max_degree)
+    depth = ORACLE_DEPTH
     rng = random.Random(20260809)
     checked = 0
     for _ in range(20):
@@ -267,27 +263,32 @@ def _check_dimension_bounds(ctx):
     for label, n in (("BD", 2), ("BD", 3), ("2T", None), ("2O", None), ("2I", None)):
         spec = catalog.VarietySpec(kind="Klein", group=label, n=n)
         report = catalog.ruled_klein(label, n)
-        if report.molien.series is not None:
-            catalog.check_dimension_bounds(spec, report.molien.series)
-            reports.append(f"Klein({label}{',' + str(n) if n else ''}):"
-                           f"{report.molien.series.krull_dim()}<=4")
+        catalog.check_dimension_bounds(spec, report.molien.series)
+        reports.append(f"Klein({label}{',' + str(n) if n else ''}):"
+                       f"{report.molien.series.krull_dim()}<=4")
     return PASS, "; ".join(reports)
 
 
 @_check("integrity")
 def _check_integrity(ctx):
-    depth = ctx.config.max_degree
+    depth = max(catalog.DEFAULT_MAX_DEGREE, ctx.config.max_degree)
     for _, series in ctx.recorded_series:
         series.expand(depth)  # raises IntegrityError on any negative coefficient
-    groups = ctx.recorded_groups or [build_group("BD", 2)]
+    groups = ctx.recorded_groups
+    if not groups:  # the klein check failed before recording any
+        group = build_group("BD", 2)
+        groups = [(group, molien_series(group).series)]
     averages = 0
-    for group in groups:
-        for p in range(0, 25):
-            value = invariant_dimension(group, p)
-            assert value >= 0
-            averages += 1
-    return PASS, (f"{len(ctx.recorded_series)} series re-expanded with no negative "
-                  f"coefficients; {averages} invariant averages are non-negative integers")
+    for group, series in groups:
+        # the series was fitted to the averages through degree |G|; these lie past them
+        first = group.order + 1
+        want = series.expand(first + 24)[first:]
+        got = tuple(invariant_dimension(group, p) for p in range(first, first + 25))
+        assert got == want, f"{group!r}: averages {got} != series {want} past degree {first - 1}"
+        averages += len(got)
+    return PASS, (f"{len(ctx.recorded_series)} series re-expanded through degree {depth} "
+                  f"with no negative coefficients; {averages} direct invariant averages "
+                  "past degree |G| agree with the exact Molien series")
 
 
 def run_verification(config: VerifyConfig | None = None):

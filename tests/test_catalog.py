@@ -285,6 +285,14 @@ def test_ruled_klein_dihedral_beyond_the_candidate_rows_matches_its_own_row():
     assert "matches-stated-row" in flags and "matches:D_11" in flags
 
 
+@pytest.mark.parametrize("n", [16, 17])
+def test_ruled_klein_dihedral_past_the_old_search_window_matches_its_row(n):
+    report = ruled_klein("BD", n)
+    assert report.molien.matched == (4, 2 * n, 2 * n + 2, 4 * n + 4)
+    assert report.match is True and report.matching_rows == (f"D_{n}",)
+    assert report.molien.series.krull_dim() == 2
+
+
 def test_ruled_klein_tetrahedral_reports_discrepancy():
     report = ruled_klein("2T")
     assert not report.row_consistent
@@ -410,11 +418,10 @@ def test_evaluate_trivial():
 
 
 def test_klein_provenance_names_the_search_outcome():
-    found = evaluate(parse_spec("Klein(BD,2)"), max_degree=2)
-    assert found.provenance.endswith("hypersurface form recovered by search")
-    missed = evaluate(parse_spec("Klein(BD,16)"), max_degree=2)
-    assert missed.klein.molien.matched is None and missed.krull is None
-    assert missed.provenance.endswith("no hypersurface form found through degree 64")
+    for text in ("Klein(BD,2)", "Klein(BD,16)"):
+        found = evaluate(parse_spec(text), max_degree=2)
+        assert found.provenance.endswith("hypersurface form recovered by search"), text
+        assert found.klein.molien.matched is not None and found.krull == 2, text
 
 
 # every module attribute a tracer may replace, with a spec whose route calls it

@@ -144,13 +144,14 @@ def test_ideal_dump_is_byte_identical_to_golden(capsys):
 
 
 def test_product_with_a_formless_component_convolves_dims(capsys):
-    # Klein(BD,16) has no recovered form, so the product has dims but no series
+    # Klein(BD,16)'s form lies past the old search window; the product now has a series
     code, out, err = run_cli(capsys, "series", "Prod(Klein(BD,16),Pn(1))",
                              "--max-degree", "4")
     assert code == 0, err
     assert "coefficients: 1 3 5 7 10" in out
-    assert "krull dim: unknown" in out
-    assert "rational form" not in out
+    assert "krull dim: 4" in out
+    assert ("rational form: (1 + t - t^68 - t^69) / "
+            "((1 - t)^2 (1 - t^4) (1 - t^32) (1 - t^34))") in out
 
 
 @pytest.mark.parametrize("argv", [("series", "Pn(1)", "--timeout", "nan"),
@@ -197,6 +198,13 @@ def test_verify_fail_exits_1(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     assert "[FAIL] fake-check" in out
+
+
+def test_verify_depth_zero_keeps_the_oracle_and_integrity_at_degree_eight(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--max-degree", "0")
+    assert code == 0
+    assert "brute-force counts through degree 8" in out
+    assert "re-expanded through degree 8" in out
 
 
 def test_verify_reduced_depth_passes(capsys):

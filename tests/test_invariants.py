@@ -4,10 +4,12 @@ from math import comb
 
 import pytest
 
+from symtensor import univar
 from symtensor.errors import IntegrityError
 from symtensor.exactnum import CyclotomicNumber, zeta
-from symtensor.invariants import (DEFAULT_WINDOW, Mat2, MatrixGroup, _closed_unimodular,
-                                  _recover_hypersurface, build_group,
+from symtensor.hilbert import HilbertSeries, series_from_generator_degrees
+from symtensor.invariants import (Mat2, MatrixGroup, _closed_unimodular,
+                                  _hypersurface_form, build_group,
                                   invariant_dimension, molien_series)
 
 GROUPS = [("BD", 2, 8), ("BD", 3, 12), ("2T", None, 24), ("2O", None, 48),
@@ -214,15 +216,71 @@ def test_molien_recovery_exists_for_tetra_octa(label):
 
 def test_recovered_form_extends_beyond_search_window():
     group = build_group("BD", 2)
-    result = molien_series(group, 40)
+    result = molien_series(group)
     extended = tuple(invariant_dimension(group, p) for p in range(61))
     assert result.series.expand(60) == extended
 
 
-def test_molien_dims_window_override():
+# -- the exact series ---------------------------------------------------------------
+
+CATALOG_GROUPS = [("BD", n) for n in range(2, 21)] + [("2T", None), ("2O", None),
+                                                      ("2I", None)]
+
+
+def _fit(group, period):
+    """P/((1 - t^period)(1 - t^2)) with P fixed by the averages through degree period."""
+    dims = [invariant_dimension(group, p) for p in range(period + 1)]
+    den = univar.mul(univar.one_minus_power(period), univar.one_minus_power(2))
+    return HilbertSeries(tuple(univar.mul(dims, den)[: period + 1]), (2, period))
+
+
+def _direct(group, top):
+    return tuple(invariant_dimension(group, p) for p in range(top + 1))
+
+
+@pytest.mark.parametrize("label,n", CATALOG_GROUPS)
+def test_exact_series_equals_direct_averages_through_three_times_the_order(label, n):
+    group = build_group(label, n)
+    result = molien_series(group)
+    top = 3 * group.order
+    assert result.series == _fit(group, group.order)
+    assert result.series.expand(top) == _direct(group, top)
+    assert result.dims == result.series.expand(len(result.dims) - 1)
+
+
+def test_fit_over_half_the_order_disagrees_with_direct_averages():
     group = build_group("BD", 3)
-    result = molien_series(group, 20)
-    assert len(result.dims) == 21
+    top = 3 * group.order
+    half = _fit(group, group.order // 2)
+    assert half.expand(top) != _direct(group, top)
+
+
+@pytest.mark.parametrize("label,n", [("BD", 2), ("BD", 5), ("2T", None), ("2O", None),
+                                     ("2I", None)])
+def test_perturbed_numerator_loses_the_hypersurface_form(label, n):
+    group = build_group(label, n)
+    fitted = _fit(group, group.order)
+    original = _hypersurface_form(fitted)
+    assert original is not None
+    found, formless = [], 0
+    for spot in range(len(fitted.numerator) + 1):
+        for delta in (1, -1):
+            bent = list(fitted.numerator) + [0]
+            bent[spot] += delta
+            series = HilbertSeries(tuple(bent), fitted.den_weights)
+            try:
+                form = _hypersurface_form(series)
+            except IntegrityError:  # a negative coefficient is refused outright
+                continue
+            if form is None:
+                formless += 1
+                continue
+            assert form != original
+            assert series_from_generator_degrees(form[:3], form[3]) == series
+            found.append((spot, delta, form))
+    # one bent term is still a form only for BD_n at t^(2n), which gives BD_2n's series
+    want = [(2 * n, -1, (4, 4 * n, 4 * n + 2, 8 * n + 4))] if label == "BD" else []
+    assert found == want and formless >= len(fitted.numerator)
 
 
 def test_unclosed_element_set_raises_integrity_error():
@@ -283,38 +341,12 @@ def _exhaustive_hypersurface(dims, max_degree):
     return None
 
 
-def _search_cases():
-    rng = random.Random(2024)
-    groups = [("BD", n) for n in range(2, 14)] + [("2T", None), ("2O", None), ("2I", None)]
-    for label, n in groups:
-        group = build_group(label, n)
-        for window in sorted({12, 20, 40, DEFAULT_WINDOW[label]}):
-            dims = [invariant_dimension(group, p) for p in range(window + 1)]
-            yield dims, window
-            # perturb every entry of the small windows and a sample of the larger
-            # ones, whose exhaustive reference search is slow
-            if window <= 20:
-                spots = range(window + 1)
-            else:
-                spots = rng.sample(range(window + 1), 6 if window <= 40 else 2)
-            for spot in spots:
-                for delta in (1, -1):
-                    bent = list(dims)
-                    bent[spot] += delta
-                    yield bent, window
-    for _ in range(800):
-        window = rng.randint(0, 12)
-        yield [rng.randint(0, 2) for _ in range(window + 1)], window
-    for window in (4, 8, 12):
-        # a zero in degree 0 rules out every candidate, even when u - t^0 u fits
-        yield [0] * (window + 1), window
-
-
 def test_early_exit_search_agrees_with_exhaustive_reference():
-    checked = matched = 0
-    for dims, window in _search_cases():
-        want = _exhaustive_hypersurface(dims, window)
-        assert _recover_hypersurface(dims, window) == want, (dims, window)
-        checked += 1
-        matched += want is not None
-    assert checked >= 2000 and matched >= 30
+    # the reference scans a window, so it needs one through the relation degree:
+    # |G| + 4 reaches it for every catalog group (BD_n: e = 4n + 4 = |G| + 4)
+    for label, n in CATALOG_GROUPS:
+        group = build_group(label, n)
+        window = group.order + 4
+        want = _exhaustive_hypersurface(list(_direct(group, window)), window)
+        assert want is not None, (label, n)
+        assert _hypersurface_form(_fit(group, group.order)) == want, (label, n)
