@@ -133,6 +133,19 @@ def test_catalog_table_json_is_byte_identical_to_golden(capsys):
     assert out.encode() == golden.read_bytes()
 
 
+def test_series_text_is_byte_identical_to_golden(capsys):
+    # the golden is the concatenated text output of one `series` run per spec line
+    golden = Path(__file__).parent / "data" / "series_text.txt"
+    specs = [line[len("spec: "):] for line in golden.read_text().splitlines()
+             if line.startswith("spec: ")]
+    out = ""
+    for spec in specs:
+        code, text, err = run_cli(capsys, "series", spec)
+        assert code == 0, err
+        out += text
+    assert out.encode() == golden.read_bytes()
+
+
 def test_ideal_dump_is_byte_identical_to_golden(capsys):
     out = ""
     for spec in ("Gr(1,3)", "Gr(2,4)", "Q(2)", "Q(3)"):
