@@ -30,6 +30,7 @@ NEG_INFINITY = float("-inf")
 DEFAULT_MAX_DEGREE = 8        # expansion depth D
 DEFAULT_TIMEOUT = 300.0       # seconds per Groebner run
 DEFAULT_GB_MAX_DEGREE = 12    # Groebner pair-degree cap
+DEFAULT_LIMITS = GroebnerLimits(DEFAULT_GB_MAX_DEGREE, DEFAULT_TIMEOUT)
 
 GRASSMANNIAN_CAP = 4  # largest n accepted without force
 QUADRIC_CAP = 3
@@ -166,11 +167,11 @@ FAMILIES: dict[str, Family] = {
         ideal=lambda s: quadric_ideal(s.n), cap=QUADRIC_CAP),
     "2Q": Family(
         positional=("n",), rules=(_at_least("n", 1),), dim_x=lambda s: s.n,
-        closed_form=lambda s: two_quadrics_series(s.n),
+        closed_form=lambda s: series_from_generator_degrees([2] * s.n),
         provenance=lambda s: f"closed form: free algebra on {s.n} degree-2 generators"),
     "Ab": Family(
         positional=("n",), rules=(_at_least("n", 1),), dim_x=lambda s: s.n, kappa=0,
-        closed_form=lambda s: abelian_series(s.n),
+        closed_form=lambda s: series_from_generator_degrees([1] * s.n),
         provenance=lambda s: (f"closed form: free algebra on {s.n} degree-1 generators "
                               "(trivial tangent bundle)")),
     "Hitchin": Family(
@@ -179,7 +180,7 @@ FAMILIES: dict[str, Family] = {
                (lambda s: gcd(s.r, s.d) == 1, "coprime rank and degree")),
         dim_x=lambda s: ((s.r ** 2 - 1) * (s.g - 1) if s.fixed_det
                          else s.r ** 2 * (s.g - 1) + 1),
-        closed_form=lambda s: hitchin_series(s.g, s.r, s.d, s.fixed_det),
+        closed_form=lambda s: series_from_generator_degrees(_hitchin_degrees(s)),
         provenance=lambda s: ("closed form: free algebra on characteristic coefficients "
                               f"of rank-{s.r} Higgs fields"),
         flags=lambda s: ("fixed-determinant",) if s.fixed_det else ()),
@@ -188,9 +189,9 @@ FAMILIES: dict[str, Family] = {
         rules=(_at_least("g", 2), _at_least("r", 1), _at_least("s", 1),
                (lambda s: s.mode in PARABOLIC_MODES, "mode literal or sympow")),
         dim_x=lambda s: s.r ** 2 * (s.g - 1) + 1 + s.s * s.r * (s.r - 1) // 2,
-        closed_form=lambda s: parabolic_hitchin_series(s.g, s.r, s.s, s.mode)[0],
+        closed_form=lambda s: series_from_generator_degrees(_parabolic_degrees(s)),
         provenance=lambda s: "closed form: free algebra on parabolic characteristic coefficients",
-        flags=lambda s: (f"mode:{s.mode}", "codim-condition-ok" if _parabolic_codim_ok(s.g, s.r)
+        flags=lambda s: (f"mode:{s.mode}", "codim-condition-ok" if _parabolic_codim_ok(s)
                          else "codim-condition-unverified")),
     "Klein": Family(
         positional=("group", "n"),
@@ -210,9 +211,10 @@ FAMILIES: dict[str, Family] = {
                 "degree d >= 3 and dimension n >= 2 for a hypersurface"),
                (lambda s: s.reason == "hypersurface" or (s.d is None and s.n is None),
                 "no d or n except for a hypersurface")),
-        closed_form=lambda s: triviality_registry(s.reason, s.d, s.n).series,
+        closed_form=lambda s: HilbertSeries.one(),
         provenance=lambda s: TRIVIAL_REASONS[s.reason],
-        flags=lambda s: triviality_registry(s.reason, s.d, s.n).flags),
+        flags=lambda s: ("constant-algebra",) + (
+            ("claimed-vanishing-includes-degree-zero",) if s.reason == "hypersurface" else ())),
 }
 
 
@@ -316,71 +318,41 @@ def projective_space_series(n: int) -> HilbertSeries:
     return HilbertSeries(tuple(comb(n, k) ** 2 for k in range(n + 1)), (1,) * (2 * n))
 
 
-def abelian_series(n: int) -> HilbertSeries:
-    """Free polynomial algebra on n degree-1 generators."""
-    if n < 1:
-        raise ValueError("abelian entry needs n >= 1")
-    return series_from_generator_degrees([1] * n)
-
-
-def two_quadrics_series(n: int) -> HilbertSeries:
-    """Free polynomial algebra on n generators of degree 2."""
-    if n < 1:
-        raise ValueError("two-quadric entry needs n >= 1")
-    return series_from_generator_degrees([2] * n)
-
-
-def hitchin_series(g: int, r: int, d: int, fixed_det: bool = False) -> HilbertSeries:
-    """Free algebra on the characteristic-coefficient space of rank-r Higgs fields.
+def _hitchin_degrees(spec: VarietySpec) -> list[int]:
+    """Generator degrees of the free algebra on the characteristic-coefficient
+    space of rank-r Higgs fields.
 
     Degree-i block dimension: g for i=1 (dropped with fixed determinant) and
     (2i-1)(g-1) for 2 <= i <= r, by Riemann-Roch on the i-th canonical power.
     The degree d only enters the coprimality requirement.
     """
-    if g < 2:
-        raise ValueError("need genus >= 2")
-    if r < 1:
-        raise ValueError("need rank >= 1")
-    if gcd(r, d) != 1:
-        raise SpecParseError("rank and degree must be coprime")
-    degrees: list[int] = []
-    if not fixed_det:
-        degrees.extend([1] * g)
-    for i in range(2, r + 1):
-        degrees.extend([i] * ((2 * i - 1) * (g - 1)))
-    return series_from_generator_degrees(degrees)
+    degrees = [] if spec.fixed_det else [1] * spec.g
+    for i in range(2, spec.r + 1):
+        degrees += [i] * ((2 * i - 1) * (spec.g - 1))
+    return degrees
 
 
-def parabolic_hitchin_series(g: int, r: int, s: int, mode: str = "literal"):
-    """Series for the parabolic variant plus its validity flag.
+def _parabolic_degrees(spec: VarietySpec) -> list[int]:
+    """Generator degrees of the parabolic variant.
 
     Block i contributes generators of degree i; the block dimension comes from
     Riemann-Roch on a twist of the canonical bundle.  mode='literal' twists the
     canonical bundle itself by (i-1) copies of the s-point divisor; 'sympow'
-    twists the i-th canonical power.  The flag records whether the parameters
-    satisfy g >= 4, or g = 3 and r >= 3, or g = 2 and r >= 5.
+    twists the i-th canonical power.  Block 1 is the canonical bundle itself,
+    with g sections.  For i >= 2 the twisted degree is at least (2g-2) + s, and
+    s >= 1, so it exceeds 2g-2 and Riemann-Roch gives degree - g + 1 sections.
     """
-    if g < 2 or r < 1 or s < 1:
-        raise ValueError("need g >= 2, r >= 1, s >= 1")
-    if mode not in PARABOLIC_MODES:
-        raise ValueError("mode must be 'literal' or 'sympow'")
-    degrees: list[int] = []
-    for i in range(1, r + 1):
-        if mode == "literal":
-            bundle_degree = (2 * g - 2) + (i - 1) * s
-        else:
-            bundle_degree = i * (2 * g - 2) + (i - 1) * s
-        if i == 1:
-            block = g  # the bundle is the canonical bundle itself
-        else:
-            if bundle_degree <= 2 * g - 2:
-                raise AssertionError("twisted degree must exceed 2g-2 for i >= 2")
-            block = bundle_degree - g + 1
-        degrees.extend([i] * block)
-    return series_from_generator_degrees(degrees), _parabolic_codim_ok(g, r)
+    g = spec.g
+    degrees = [1] * g
+    for i in range(2, spec.r + 1):
+        power = 1 if spec.mode == "literal" else i
+        degrees += [i] * (power * (2 * g - 2) + (i - 1) * spec.s - g + 1)
+    return degrees
 
 
-def _parabolic_codim_ok(g: int, r: int) -> bool:
+def _parabolic_codim_ok(spec: VarietySpec) -> bool:
+    """Whether g >= 4, or g = 3 and r >= 3, or g = 2 and r >= 5."""
+    g, r = spec.g, spec.r
     return (g >= 4) or (g == 3 and r >= 3) or (g == 2 and r >= 5)
 
 
@@ -505,50 +477,21 @@ def ideal_presentation_for(spec: VarietySpec) -> IdealPresentation | None:
     return None if family.ideal is None else family.ideal(spec)
 
 
-# -- triviality registry --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrivialityEntry:
-    series: HilbertSeries
-    reason: str
-    note: str
-    flags: tuple[str, ...]
-
-
-def triviality_registry(reason: str, degree: int | None = None,
-                        dimension: int | None = None) -> TrivialityEntry:
-    """Constant-algebra entry for a family with no higher symmetric tensors.
-
-    The Trivial family's rules check the reason and the hypersurface bounds.
-    """
-    VarietySpec(kind="Trivial", reason=reason, d=degree, n=dimension)
-    flags = ("constant-algebra",)
-    if reason == "hypersurface":
-        flags += ("claimed-vanishing-includes-degree-zero",)
-    return TrivialityEntry(series=HilbertSeries.one(), reason=reason,
-                           note=TRIVIAL_REASONS[reason], flags=flags)
-
-
 # -- Klein table -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KleinTableRow:
+_KLEIN_CTX = VariableContext(("x", "y", "z"))
+
+
+class KleinTableRow(NamedTuple):
     """One row of the classical three-generator/one-relation table."""
 
-    name: str                 # D_n, A4, S4, A5
-    group_label: str          # BD, 2T, 2O, 2I
-    n: int | None
+    name: str                         # D_n, A4, S4, A5
     degrees: tuple[int, int, int]     # stated degrees of the generators x, y, z
     relation_text: str
 
-    @property
-    def ctx(self) -> VariableContext:
-        return VariableContext(("x", "y", "z"))
-
     def relation(self) -> Polynomial:
-        return self.ctx.parse(self.relation_text)
+        return _KLEIN_CTX.parse(self.relation_text)
 
     def relation_degree(self) -> int | None:
         """Common weighted degree of the relation's terms, or None if mixed."""
@@ -561,65 +504,47 @@ class KleinTableRow:
         return series_from_generator_degrees(self.degrees, e)
 
 
+_EXCEPTIONAL_ROWS = {
+    "2T": KleinTableRow("A4", (4, 4, 6), "x^2 + y^3 + z^3"),
+    "2O": KleinTableRow("S4", (12, 8, 6), "x^2 + y^3 + z^4"),
+    "2I": KleinTableRow("A5", (30, 20, 12), "x^2 + y^3 + z^5"),
+}
+
+
 def klein_row(group_label: str, n: int | None = None) -> KleinTableRow:
+    """The stated row of a group: D_n for BD(n), else its exceptional row."""
     if group_label == "BD":
-        if n is None or n < 2:
-            raise ValueError("dihedral rows need n >= 2")
-        return KleinTableRow(name=f"D_{n}", group_label="BD", n=n,
-                             degrees=(2 * n + 2, 2 * n, 4),
-                             relation_text=f"x^2 + y^2*z + z^{n + 1}")
-    if group_label == "2T":
-        return KleinTableRow(name="A4", group_label="2T", n=None,
-                             degrees=(4, 4, 6), relation_text="x^2 + y^3 + z^3")
-    if group_label == "2O":
-        return KleinTableRow(name="S4", group_label="2O", n=None,
-                             degrees=(12, 8, 6), relation_text="x^2 + y^3 + z^4")
-    if group_label == "2I":
-        return KleinTableRow(name="A5", group_label="2I", n=None,
-                             degrees=(30, 20, 12), relation_text="x^2 + y^3 + z^5")
-    raise ValueError(f"unknown group label {group_label!r}")
-
-
-def _candidate_rows(stated: KleinTableRow):
-    """The dihedral rows through D_10, the three exceptional rows, and the stated row."""
-    rows = [klein_row("BD", n) for n in range(2, 11)]
-    rows.extend(klein_row(label) for label in ("2T", "2O", "2I"))
-    return rows if stated in rows else rows + [stated]
+        return KleinTableRow(f"D_{n}", (2 * n + 2, 2 * n, 4), f"x^2 + y^2*z + z^{n + 1}")
+    return _EXCEPTIONAL_ROWS[group_label]
 
 
 @dataclass(frozen=True)
 class RuledKleinReport:
     """Molien computation vs. table row for one ruled-surface group."""
 
-    group_label: str
-    n: int | None
     group: object
     molien: MolienResult
     row: KleinTableRow
-    row_consistent: bool
-    table_series: HilbertSeries | None
-    match: bool | None                  # None when the row is inconsistent
+    match: bool | None                  # None when the stated row is not weighted-homogeneous
     matching_rows: tuple[str, ...]      # names of all table rows the computation matches
 
 
 def ruled_klein(group_label: str, n: int | None = None) -> RuledKleinReport:
     """Compute the invariant series of a binary polyhedral group and compare it
     with the stated table row as rational functions; the computation is the
-    authority, the comparison is data."""
+    authority, the comparison is data.  The candidate rows are D_2 .. D_10, the
+    three exceptional rows and the stated row."""
     group = build_group(group_label, n)
     result = molien_series(group)
     row = klein_row(group_label, n)
     table = row.table_series()
-    row_consistent = table is not None
-    match = result.series == table if row_consistent else None
-    matching = []
-    for cand in _candidate_rows(row):
-        cand_series = cand.table_series()
-        if cand_series is not None and result.series == cand_series:
-            matching.append(cand.name)
-    return RuledKleinReport(group_label=group_label, n=n, group=group, molien=result,
-                            row=row, row_consistent=row_consistent, table_series=table,
-                            match=match, matching_rows=tuple(matching))
+    candidates = [klein_row("BD", k) for k in range(2, 11)] + list(_EXCEPTIONAL_ROWS.values())
+    if row not in candidates:
+        candidates.append(row)
+    matching = tuple(c.name for c in candidates if result.series == c.table_series())
+    return RuledKleinReport(group=group, molien=result, row=row,
+                            match=None if table is None else result.series == table,
+                            matching_rows=matching)
 
 
 # -- dimension-bound checks ---------------------------------------------------------
@@ -702,16 +627,13 @@ def groebner_route(presentation: IdealPresentation,
 
 
 def evaluate(spec: VarietySpec, *, max_degree: int = DEFAULT_MAX_DEGREE,
-             gb_timeout: float | None = DEFAULT_TIMEOUT,
-             gb_max_degree: int | None = DEFAULT_GB_MAX_DEGREE,
-             force: bool = False) -> SeriesReport:
+             limits: GroebnerLimits = DEFAULT_LIMITS, force: bool = False) -> SeriesReport:
     """Run a spec's route and package the result."""
     family = FAMILIES[spec.kind]
     flags = family.flags(spec)
     presentation = basis = klein = None
     if spec.kind == "Prod":
-        left, right = (evaluate(c, max_degree=max_degree, gb_timeout=gb_timeout,
-                                gb_max_degree=gb_max_degree, force=force)
+        left, right = (evaluate(c, max_degree=max_degree, limits=limits, force=force)
                        for c in spec.components)
         series = left.series * right.series  # Kunneth
         provenance = f"product of [{left.provenance}] and [{right.provenance}]"
@@ -719,9 +641,8 @@ def evaluate(spec: VarietySpec, *, max_degree: int = DEFAULT_MAX_DEGREE,
     elif spec.kind == "Klein":
         klein = ruled_klein(spec.group, spec.n)
         series = klein.molien.series
-        flags = ("row-consistent" if klein.row_consistent else "row-inconsistent",)
-        if klein.match is not None:
-            flags += ("matches-stated-row" if klein.match else "differs-from-stated-row",)
+        flags = ("row-inconsistent",) if klein.match is None else (
+            "row-consistent", "matches-stated-row" if klein.match else "differs-from-stated-row")
         if klein.matching_rows:
             flags += ("matches:" + "+".join(klein.matching_rows),)
         search = ("hypersurface form recovered by search" if klein.molien.matched
@@ -736,7 +657,6 @@ def evaluate(spec: VarietySpec, *, max_degree: int = DEFAULT_MAX_DEGREE,
                 f"{spec.kind} with n={spec.n} is above the default cap {family.cap}; "
                 "rerun with force enabled")
         presentation = family.ideal(spec)
-        limits = GroebnerLimits(max_degree=gb_max_degree, timeout=gb_timeout)
         basis, _, series = groebner_route(presentation, limits)
         provenance = presentation.provenance
     coefficients = series.expand(max_degree)

@@ -13,6 +13,7 @@ import sys
 from . import catalog, verify
 from .errors import (EXIT_INTEGRITY, EXIT_LIMIT, EXIT_OK, EXIT_USAGE,
                      IntegrityError, LimitExceeded, SpecParseError)
+from .groebner import GroebnerLimits
 from .poly import LEX
 
 
@@ -74,10 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _limits(args) -> GroebnerLimits:
+    return GroebnerLimits(max_degree=args.gb_max_degree, timeout=args.timeout)
+
+
 def _reports(args, spec_texts) -> list[catalog.SeriesReport]:
     return [catalog.evaluate(catalog.parse_spec(text), max_degree=args.max_degree,
-                             gb_timeout=args.timeout, gb_max_degree=args.gb_max_degree,
-                             force=args.force)
+                             limits=_limits(args), force=args.force)
             for text in spec_texts]
 
 
@@ -91,7 +95,7 @@ def _render_text(report: catalog.SeriesReport) -> str:
     if report.klein is not None:
         m = report.klein
         lines.append(f"molien recovered (d1,d2,d3,e): {m.molien.matched}")
-        row_state = "consistent" if m.row_consistent else "inconsistent"
+        row_state = "inconsistent" if m.match is None else "consistent"
         lines.append(f"table row {m.row.name}: degrees {m.row.degrees}, "
                      f"relation {m.row.relation_text} [{row_state}]")
         if m.match is not None:
@@ -163,9 +167,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = verify.VerifyConfig(max_degree=args.max_degree,
-                                 gb_timeout=args.timeout,
-                                 gb_max_degree=args.gb_max_degree)
+    config = verify.VerifyConfig(max_degree=args.max_degree, limits=_limits(args))
     results, _ = verify.run_verification(config)
     for r in results:
         tag = {verify.PASS: "PASS", verify.FAIL: "FAIL", verify.LIMIT: "LIMIT"}[r.status]

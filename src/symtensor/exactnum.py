@@ -234,7 +234,7 @@ class CyclotomicNumber:
 
     def __pow__(self, n: int):
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("cyclotomic numbers take non-negative powers only")
         result = CyclotomicNumber.one(self.order)
         base = self
         while n:
@@ -243,39 +243,6 @@ class CyclotomicNumber:
             base = base * base
             n >>= 1
         return result
-
-    def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse: the product of the other Galois conjugates
-        of the integral numerator, divided by its norm and scaled by ``den``."""
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        m, phi = self.order, len(self.nums)
-        powers = _power_rows(m)
-        others = CyclotomicNumber.one(m)
-        for k in range(2, m):
-            if gcd(k, m) == 1:
-                conj = [0] * phi
-                for i, c in enumerate(self.nums):
-                    if c:
-                        for idx, pc in enumerate(powers[i * k % m]):
-                            conj[idx] += c * pc
-                others = others * _make(m, tuple(conj), 1)
-        norm = (_make(m, self.nums, 1) * others).to_rational()
-        if norm is None:
-            raise AssertionError("the norm of a cyclotomic integer must be rational")
-        return others * Fraction(self.den, norm)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def embed(self, target_order: int) -> "CyclotomicNumber":
         """Image under z_m -> z_{m'}**(m'/m); requires m | m'."""

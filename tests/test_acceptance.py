@@ -7,11 +7,13 @@ The shared verification run computes each Groebner basis once.
 import pytest
 
 from symtensor import verify
+from symtensor.groebner import GroebnerLimits
 
 
 @pytest.fixture(scope="module")
 def suite():
-    config = verify.VerifyConfig(max_degree=8, gb_timeout=300.0, gb_max_degree=12)
+    config = verify.VerifyConfig(max_degree=8,
+                                 limits=GroebnerLimits(max_degree=12, timeout=300.0))
     results, ctx = verify.run_verification(config)
     return {r.name: r for r in results}, results, ctx
 

@@ -6,13 +6,10 @@ import random
 import pytest
 
 from symtensor import catalog
-from symtensor.catalog import (abelian_series, check_dimension_bounds,
-                               evaluate, grassmannian_ideal, groebner_route,
-                               hitchin_series, ideal_presentation_for, klein_row,
-                               parabolic_hitchin_series, parse_spec,
-                               projective_space_dims, projective_space_series,
-                               quadric_ideal, ruled_klein, triviality_registry,
-                               two_quadrics_series)
+from symtensor.catalog import (check_dimension_bounds, evaluate, grassmannian_ideal,
+                               groebner_route, ideal_presentation_for, klein_row,
+                               parse_spec, projective_space_dims, projective_space_series,
+                               quadric_ideal)
 from symtensor.errors import IntegrityError, SpecParseError
 from symtensor.hilbert import HilbertSeries
 from symtensor.poly import LEX
@@ -179,76 +176,82 @@ def test_induced_quadric_identity_on_decomposable_bivectors():
 # -- closed-form families ----------------------------------------------------------
 
 
+def served(text):
+    """The report the CLI serves for a spec."""
+    return evaluate(parse_spec(text))
+
+
 def test_two_quadrics_series_examples():
-    assert two_quadrics_series(3).expand(4) == (1, 0, 3, 0, 6)
-    assert two_quadrics_series(1).expand(4) == (1, 0, 1, 0, 1)
+    assert served("2Q(3)").series.expand(4) == (1, 0, 3, 0, 6)
+    assert served("2Q(1)").series.expand(4) == (1, 0, 1, 0, 1)
     for n in (1, 2, 3, 4):
-        assert two_quadrics_series(n).krull_dim() == n
+        assert served(f"2Q({n})").series.krull_dim() == n
 
 
 def test_abelian_series_examples():
-    assert abelian_series(1).expand(4) == (1, 1, 1, 1, 1)
-    assert abelian_series(2).expand(3) == (1, 2, 3, 4)
+    assert served("Ab(1)").series.expand(4) == (1, 1, 1, 1, 1)
+    assert served("Ab(2)").series.expand(3) == (1, 2, 3, 4)
     for n in (1, 2, 3):
-        assert abelian_series(n).krull_dim() == n
+        assert served(f"Ab({n})").series.krull_dim() == n
 
 
 def test_hitchin_bridge_and_examples():
-    bridge = hitchin_series(2, 2, 1, fixed_det=True)
-    assert bridge == two_quadrics_series(3)
-    rank_one = hitchin_series(3, 1, 1)
+    bridge = served("Hitchin(g=2,r=2,d=1,fixed)").series
+    assert bridge == served("2Q(3)").series
+    rank_one = served("Hitchin(g=3,r=1,d=1)").series
     assert rank_one.den_weights == (1, 1, 1)
     assert rank_one.expand(3) == (1, 3, 6, 10)
-    g2r3 = hitchin_series(2, 3, 1)
+    g2r3 = served("Hitchin(g=2,r=3,d=1)").series
     assert g2r3.den_weights == (1, 1, 2, 2, 2, 3, 3, 3, 3, 3)
 
 
 def test_hitchin_validity_errors():
     with pytest.raises(SpecParseError):
-        hitchin_series(2, 2, 2)          # gcd(r, d) != 1
-    with pytest.raises(ValueError):
-        hitchin_series(1, 2, 1)          # genus too small
+        parse_spec("Hitchin(g=2,r=2,d=2)")          # gcd(r, d) != 1
+    with pytest.raises(SpecParseError):
+        parse_spec("Hitchin(g=1,r=2,d=1)")          # genus too small
 
 
 def test_parabolic_examples():
     for mode in ("literal", "sympow"):
-        series, valid = parabolic_hitchin_series(4, 1, 3, mode)
-        assert valid is True
-        assert series.den_weights == (1, 1, 1, 1)
-    literal, valid = parabolic_hitchin_series(4, 2, 1, "literal")
-    assert valid is True
-    assert literal.den_weights == (1, 1, 1, 1, 2, 2, 2, 2)
-    sympow, _ = parabolic_hitchin_series(4, 2, 1, "sympow")
+        report = served(f"ParHitchin(g=4,r=1,s=3,mode={mode})")
+        assert "codim-condition-ok" in report.flags
+        assert report.series.den_weights == (1, 1, 1, 1)
+    literal = served("ParHitchin(g=4,r=2,s=1,mode=literal)")
+    assert "codim-condition-ok" in literal.flags
+    assert literal.series.den_weights == (1, 1, 1, 1, 2, 2, 2, 2)
+    sympow = served("ParHitchin(g=4,r=2,s=1,mode=sympow)").series
     assert sympow.den_weights.count(2) == 10
 
 
 @pytest.mark.parametrize("g,r,expect", [(4, 1, True), (3, 3, True), (3, 2, False),
                                         (2, 5, True), (2, 4, False)])
 def test_parabolic_validity_flag(g, r, expect):
-    _, valid = parabolic_hitchin_series(g, r, 1)
-    assert valid is expect
+    flags = served(f"ParHitchin(g={g},r={r},s=1)").flags
+    assert ("codim-condition-ok" in flags) is expect
+    assert ("codim-condition-unverified" in flags) is not expect
 
 
 def test_parabolic_bad_mode():
-    with pytest.raises(ValueError):
-        parabolic_hitchin_series(4, 2, 1, "other")
+    with pytest.raises(SpecParseError):
+        parse_spec("ParHitchin(g=4,r=2,s=1,mode=other)")
 
 
-# -- triviality registry -------------------------------------------------------------
+# -- trivial families ------------------------------------------------------------------
 
 
 def test_triviality_registry():
     for reason in ("c1_zero_finite_pi1", "general_type", "ruled_general_bundle"):
-        entry = triviality_registry(reason)
-        assert entry.series.expand(5) == (1, 0, 0, 0, 0, 0)
-        assert "constant-algebra" in entry.flags
-    hyper = triviality_registry("hypersurface", degree=3, dimension=2)
+        report = served(f"Trivial({reason})")
+        assert report.series.expand(5) == (1, 0, 0, 0, 0, 0)
+        assert report.flags == ("constant-algebra",)
+    hyper = served("Trivial(hypersurface,d=3,n=2)")
     assert hyper.series.expand(3) == (1, 0, 0, 0)
-    assert "claimed-vanishing-includes-degree-zero" in hyper.flags
+    assert hyper.flags == ("constant-algebra", "claimed-vanishing-includes-degree-zero")
     with pytest.raises(SpecParseError):
-        triviality_registry("hypersurface", degree=2, dimension=2)
+        parse_spec("Trivial(hypersurface,d=2,n=2)")
     with pytest.raises(SpecParseError):
-        triviality_registry("nonsense")
+        parse_spec("Trivial(nonsense)")
 
 
 # -- klein table -----------------------------------------------------------------------
@@ -268,49 +271,56 @@ def test_klein_rows():
     a5 = klein_row("2I")
     assert a5.relation_degree() == 60
     assert a5.table_series().render() == "(1 - t^60) / ((1 - t^12) (1 - t^20) (1 - t^30))"
+    # the served rows are the table's rows
+    assert served("Klein(BD,2)").klein.row == klein_row("BD", 2)
+    for label in ("2T", "2O", "2I"):
+        assert served(f"Klein({label})").klein.row == klein_row(label)
 
 
 def test_ruled_klein_dihedral():
-    report = ruled_klein("BD", 2)
-    assert report.row_consistent and report.match is True
+    report = served("Klein(BD,2)").klein
+    assert report.match is True
     assert report.molien.dims[4] == 2
     assert all(d == 0 for d in report.molien.dims[1::2])
     assert report.matching_rows == ("D_2",)
 
 
 def test_ruled_klein_dihedral_beyond_the_candidate_rows_matches_its_own_row():
-    report = ruled_klein("BD", 11)
+    served_report = served("Klein(BD,11)")
+    report = served_report.klein
     assert report.match is True and report.matching_rows == ("D_11",)
-    flags = evaluate(parse_spec("Klein(BD,11)"), max_degree=2).flags
-    assert "matches-stated-row" in flags and "matches:D_11" in flags
+    assert "matches-stated-row" in served_report.flags
+    assert "matches:D_11" in served_report.flags
 
 
 @pytest.mark.parametrize("n", [16, 17])
 def test_ruled_klein_dihedral_past_the_old_search_window_matches_its_row(n):
-    report = ruled_klein("BD", n)
+    report = served(f"Klein(BD,{n})").klein
     assert report.molien.matched == (4, 2 * n, 2 * n + 2, 4 * n + 4)
     assert report.match is True and report.matching_rows == (f"D_{n}",)
     assert report.molien.series.krull_dim() == 2
 
 
 def test_ruled_klein_tetrahedral_reports_discrepancy():
-    report = ruled_klein("2T")
-    assert not report.row_consistent
-    assert report.match is None and report.table_series is None
+    served_report = served("Klein(2T)")
+    report = served_report.klein
+    assert report.match is None and report.row.table_series() is None
+    assert served_report.flags[0] == "row-inconsistent"
     assert report.molien.matched == (6, 8, 12, 24)
     assert report.matching_rows == ("S4",)
 
 
 def test_ruled_klein_octahedral_differs_from_stated_row():
-    report = ruled_klein("2O")
-    assert report.row_consistent
+    served_report = served("Klein(2O)")
+    report = served_report.klein
+    assert served_report.flags[:2] == ("row-consistent", "differs-from-stated-row")
     assert report.match is False
     assert report.molien.matched == (8, 12, 18, 36)
     assert report.matching_rows == ()
 
 
 def test_ruled_klein_icosahedral_matches():
-    report = ruled_klein("2I")
+    report = served("Klein(2I)").klein
     assert report.match is True
     assert report.matching_rows == ("A5",)
 
@@ -319,14 +329,14 @@ def test_ruled_klein_icosahedral_matches():
 
 
 def test_check_dimension_bounds():
-    report = check_dimension_bounds(parse_spec("2Q(3)"), two_quadrics_series(3))
+    report = check_dimension_bounds(parse_spec("2Q(3)"), served("2Q(3)").series)
     assert report.krull == 3 and report.upper == 6
-    ab = check_dimension_bounds(parse_spec("Ab(2)"), abelian_series(2))
+    ab = check_dimension_bounds(parse_spec("Ab(2)"), served("Ab(2)").series)
     assert ab.liu_bound == 2 and ab.liu_equality is True
     _, _, q3 = groebner_route(quadric_ideal(3))
     quad = check_dimension_bounds(parse_spec("Q(3)"), q3)
     assert quad.homogeneous_equality is True
-    bad = abelian_series(3)          # krull 3 > 2 = dim of Ab(2): violates kappa bound
+    bad = served("Ab(3)").series     # krull 3 > 2 = dim of Ab(2): violates kappa bound
     with pytest.raises(IntegrityError):
         check_dimension_bounds(parse_spec("Ab(2)"), bad)
 
@@ -354,7 +364,10 @@ def test_parse_round_trip(text):
                                  "Hitchin(g=2,r=2,d=1,x=3)", "Hitchin(g=2,g=3,r=2,d=1)",
                                  "Hitchin(g=2,r=2,d=1,fixed,fixed)", "Pn(n=2)", "Pn(2,3)",
                                  "Q(3,fixed)", "Trivial(hypersurface)",
-                                 "Trivial(hypersurface,d=2,n=2)", "Trivial(general_type,d=3)"])
+                                 "Trivial(hypersurface,d=2,n=2)", "Trivial(general_type,d=3)",
+                                 "Ab(0)", "2Q(0)", "Hitchin(g=1,r=2,d=1)", "Hitchin(g=2,r=0,d=1)",
+                                 "ParHitchin(g=1,r=2,s=1)", "ParHitchin(g=4,r=0,s=1)",
+                                 "ParHitchin(g=4,r=2,s=0)", "Trivial(nonsense)"])
 def test_parse_rejects(bad):
     with pytest.raises(SpecParseError):
         parse_spec(bad)

@@ -45,19 +45,6 @@ def test_multiplication_examples():
     assert 1 + z3 + z3 ** 2 == 0
 
 
-def test_inverse_examples():
-    z8 = zeta(8)
-    assert z8.inverse() == zeta(8, 7)
-    two = CyclotomicNumber.from_rational(8, 2)
-    assert two.inverse() == Fraction(1, 2)
-    a = 1 + zeta(4)
-    expected = (1 - zeta(4)) * Fraction(1, 2)
-    assert a.inverse() == expected
-    assert a * a.inverse() == 1
-    with pytest.raises(ZeroDivisionError):
-        CyclotomicNumber.zero(4).inverse()
-
-
 def test_embed_examples():
     minus_one = CyclotomicNumber.from_rational(2, -1)
     assert minus_one.embed(8) == zeta(8, 4)
@@ -103,15 +90,11 @@ def _random_cyclotomic(rng, m):
 def test_field_axioms_on_random_samples(m):
     rng = random.Random(1000 + m)
     values = [_random_cyclotomic(rng, m) for _ in range(1000)]
-    one = CyclotomicNumber.one(m)
     for i in range(0, len(values) - 2, 3):
         a, b, c = values[i], values[i + 1], values[i + 2]
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert (a + b) + c == a + (b + c)
-    for a in values:
-        if not a.is_zero:
-            assert a * a.inverse() == one
 
 
 @pytest.mark.parametrize("m,target", [(4, 8), (4, 12), (8, 24), (12, 24)])
@@ -124,11 +107,9 @@ def test_embed_is_a_ring_homomorphism(m, target):
         assert (a + b).embed(target) == a.embed(target) + b.embed(target)
 
 
-def test_pow_and_division():
-    z = zeta(12)
-    assert z ** -1 == z ** 11
-    assert (z / z) == 1
-    assert (1 / z) == z.inverse()
+def test_negative_powers_are_refused():
+    with pytest.raises(ValueError):
+        zeta(12) ** -1
 
 
 # -- the (nums, den) representation against a Fraction-only reference ----------
@@ -187,10 +168,6 @@ def test_arithmetic_matches_fraction_reference(m):
         for got, want in cases:
             assert got.coeffs == want
             _assert_canonical(got)
-        if not a.is_zero:
-            inv = a.inverse()
-            _assert_canonical(inv)
-            assert _reference_product(m, ra, inv.coeffs) == (1,) + (0,) * (euler_phi(m) - 1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 12, 15, 20, 24])
@@ -207,8 +184,6 @@ def test_equal_values_share_canonical_data(m):
             (a + b) - b,
             (a * 4 + b * 4) * Fraction(1, 4) - b,
         ]
-        if not b.is_zero:
-            routes.append((a * b) * b.inverse())
         for other in routes:
             assert (other.nums, other.den, hash(other)) == (a.nums, a.den, hash(a))
             assert other == a
@@ -227,7 +202,7 @@ def test_floats_are_refused():
 
 def test_reducible_input_fractions_are_normalised():
     half_one_plus_i = CyclotomicNumber(4, [Fraction(2, 4), Fraction(3, 6)])
-    for other in ((1 + zeta(4)) * Fraction(1, 2), (1 + zeta(4)) / 2,
+    for other in ((1 + zeta(4)) * Fraction(1, 2), Fraction(1, 2) * (1 + zeta(4)),
                   CyclotomicNumber(4, ["1/2", Fraction(5, 10)])):
         assert (other.nums, other.den, hash(other)) == ((1, 1), 2, hash(half_one_plus_i))
     assert half_one_plus_i.coeffs == (Fraction(1, 2), Fraction(1, 2))

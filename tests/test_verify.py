@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from symtensor import cli, univar, verify
+from symtensor import catalog, cli, univar, verify
+from symtensor.groebner import GroebnerLimits
 from symtensor.hilbert import HilbertSeries
 from symtensor.verify import CheckResult, VerifyConfig, VerifyContext
 
@@ -20,7 +21,7 @@ def test_exit_code_semantics():
 
 
 def test_tiny_timeout_marks_heavy_checks_limited():
-    config = VerifyConfig(gb_timeout=1e-9)
+    config = VerifyConfig(limits=GroebnerLimits(catalog.DEFAULT_GB_MAX_DEGREE, timeout=1e-9))
     results, _ = verify.run_verification(config)
     by_name = {r.name: r for r in results}
     assert by_name["projective-space-two-route"].status == verify.LIMIT
