@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, fields
+from functools import cache
 from math import comb, gcd
 from typing import Callable, NamedTuple
 
@@ -403,8 +404,6 @@ def grassmannian_ideal(r: int, n: int) -> IdealPresentation:
     The minors and characteristic coefficients are adjoined because the
     square-zero entries alone do not even cut the right linear span.
     """
-    if not (1 <= r <= n - 1):
-        raise ValueError(f"need 1 <= r <= n-1, got r={r}, n={n}")
     names = tuple(f"u{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
     ctx = VariableContext(names)
     gens: list[Polynomial] = []
@@ -448,8 +447,6 @@ def quadric_ideal(n: int) -> IdealPresentation:
     coordinates p_ij, plus sum p_ij^2 (the induced form for the standard
     sum-of-squares quadric).
     """
-    if n < 1:
-        raise ValueError("quadric entry needs n >= 1")
     dim_v = n + 2
     pairs = [(i, j) for i in range(1, dim_v + 1) for j in range(i + 1, dim_v + 1)]
     ctx = VariableContext(tuple(f"p{i}{j}" for i, j in pairs))
@@ -497,6 +494,7 @@ class KleinTableRow(NamedTuple):
         """Common weighted degree of the relation's terms, or None if mixed."""
         return self.relation().homogeneous_degree(self.degrees)
 
+    @cache  # rows are constant data, so each is parsed once per process
     def table_series(self) -> HilbertSeries | None:
         e = self.relation_degree()
         if e is None:

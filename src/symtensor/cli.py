@@ -14,7 +14,6 @@ from . import catalog, verify
 from .errors import (EXIT_INTEGRITY, EXIT_LIMIT, EXIT_OK, EXIT_USAGE,
                      IntegrityError, LimitExceeded, SpecParseError)
 from .groebner import GroebnerLimits
-from .poly import LEX
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -151,7 +150,7 @@ def cmd_ideal_dump(args) -> int:
         raise SpecParseError(
             f"{spec.text()} is a closed-form entry; it has no ideal presentation")
     for g in presentation.generators:
-        print(g.render(LEX))
+        print(g.render(lex=True))
     return EXIT_OK
 
 

@@ -38,19 +38,8 @@ def exact(value):
 
 @lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
-    """Euler totient by trial-division factorization (small m only)."""
-    if m < 1:
-        raise ValueError("order must be positive")
-    result, rest, p = m, m, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            result -= result // p
-        p += 1
-    if rest > 1:
-        result -= result // rest
-    return result
+    """Euler totient phi(m), the degree of the m-th cyclotomic polynomial."""
+    return len(cyclotomic_polynomial(m)) - 1
 
 
 @lru_cache(maxsize=None)
@@ -103,9 +92,8 @@ class CyclotomicNumber:
     ``nums`` of integer numerators on the power basis over one common
     denominator ``den >= 1``, normalised so that gcd(den, *nums) == 1 and
     zero has den == 1.  Two values compare equal iff they share the order and
-    this canonical data; cross-order comparison requires an explicit
-    :meth:`embed` by the caller.  :attr:`coeffs` is the read-only view of the
-    same value as one rational per basis element.
+    this canonical data.  :attr:`coeffs` is the read-only view of the same
+    value as one rational per basis element.
     """
 
     __slots__ = ("order", "nums", "den")
@@ -161,9 +149,7 @@ class CyclotomicNumber:
     def _coerce(self, other):
         if isinstance(other, CyclotomicNumber):
             if other.order != self.order:
-                raise ValueError(
-                    f"order mismatch ({self.order} vs {other.order}); embed into a "
-                    "common order first")
+                raise ValueError(f"order mismatch ({self.order} vs {other.order})")
             return other
         if isinstance(other, (int, Fraction)):
             return CyclotomicNumber.from_rational(self.order, other)
@@ -232,35 +218,6 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("cyclotomic numbers take non-negative powers only")
-        result = CyclotomicNumber.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def embed(self, target_order: int) -> "CyclotomicNumber":
-        """Image under z_m -> z_{m'}**(m'/m); requires m | m'."""
-        if target_order % self.order != 0:
-            raise ValueError(
-                f"cannot embed order {self.order} into non-multiple order {target_order}")
-        if target_order == self.order:
-            return self
-        ratio = target_order // self.order
-        step = zeta(target_order, ratio)
-        acc = CyclotomicNumber.zero(target_order)
-        power = CyclotomicNumber.one(target_order)
-        for c in self.nums:
-            if c:
-                acc = acc + power * c
-            power = power * step
-        return acc * Fraction(1, self.den)
-
     # -- comparison / display ----------------------------------------------
 
     def __eq__(self, other):
@@ -309,11 +266,6 @@ def _make(order: int, nums: tuple, den: int) -> CyclotomicNumber:
 
 
 def zeta(m: int, k: int = 1) -> CyclotomicNumber:
-    """The k-th power of a fixed primitive m-th root of unity."""
-    k %= m
-    phi = euler_phi(m)
-    if phi == 1:
-        # Q(zeta_1) = Q(zeta_2) = Q: the root itself is 1 or -1.
-        return CyclotomicNumber(m, ((1 if m == 1 else -1) ** k,))
-    base = CyclotomicNumber(m, (0, 1) + (0,) * (phi - 2))
-    return base ** k
+    """The k-th power of a fixed primitive m-th root of unity: row k mod m of
+    the reduction table, which gives 1 and -1 for m = 1 and 2."""
+    return _make(m, _power_rows(m)[k % m], 1)

@@ -48,10 +48,6 @@ class Mat2:
     def neg(self) -> "Mat2":
         return Mat2(-self.a, -self.b, -self.c, -self.d)
 
-    def embed(self, order: int) -> "Mat2":
-        return Mat2(self.a.embed(order), self.b.embed(order),
-                    self.c.embed(order), self.d.embed(order))
-
     def key(self):
         a, b, c, d = self.a, self.b, self.c, self.d
         return (a.nums, a.den, b.nums, b.den, c.nums, c.den, d.nums, d.den)
@@ -121,11 +117,11 @@ def _bd_generators(n: int, field_order: int):
     return (rot, flip)
 
 
-def _binary_tetrahedral_generators():
-    # quaternions i, j and -(1+i+j+k)/2 as 2x2 matrices over Q(i)
-    ii = zeta(4)
-    one = CyclotomicNumber.one(4)
-    zero = CyclotomicNumber.zero(4)
+def _binary_tetrahedral_generators(order: int = 4):
+    # quaternions i, j and -(1+i+j+k)/2 as 2x2 matrices over Q(zeta_order), 4 | order
+    ii = zeta(order, order // 4)
+    one = CyclotomicNumber.one(order)
+    zero = CyclotomicNumber.zero(order)
     half = Fraction(1, 2)
     qi = Mat2(ii, zero, zero, -ii)
     qj = Mat2(zero, one, -one, zero)
@@ -135,10 +131,9 @@ def _binary_tetrahedral_generators():
 
 
 def _binary_octahedral_generators():
-    base = tuple(m.embed(8) for m in _binary_tetrahedral_generators())
     s = (zeta(8) + zeta(8, 7)) * Fraction(1, 2)  # 1/sqrt(2)
     extra = Mat2(s, s, -s, s)
-    return base + (extra,)
+    return _binary_tetrahedral_generators(8) + (extra,)
 
 
 def _binary_icosahedral_generators():
@@ -149,7 +144,7 @@ def _binary_icosahedral_generators():
     e3 = zeta(20, 12)
     e4 = zeta(20, 16)
     zero = CyclotomicNumber.zero(20)
-    rot = Mat2(e1 ** 3, zero, zero, e1 ** 2)
+    rot = Mat2(e3, zero, zero, e2)  # e1**3 and e1**2
     root5 = e1 - e2 - e3 + e4
     inv_root5 = root5 * Fraction(1, 5)
     tmat = Mat2(-(e1 - e4) * inv_root5, (e2 - e3) * inv_root5,

@@ -1,10 +1,9 @@
-"""Sparse multivariate polynomials over exact rationals, with monomial orders.
+"""Sparse multivariate polynomials over exact rationals.
 
 Monomials are exponent tuples tied to an ordered :class:`VariableContext`;
-polynomials keep their terms sorted descending under degrevlex so equal values
-have identical representations, and their leading term is the first.  Lex
-serves display only (``render``).  Earlier context names have higher priority
-in every order.
+polynomials keep their terms sorted descending under :func:`degrevlex_key` so
+equal values have identical representations, and their leading term is the
+first.  ``render(lex=True)`` lists the terms in lex order for display.
 """
 
 from __future__ import annotations
@@ -41,42 +40,9 @@ def weighted_degree(m, weights):
     return sum(e * w for e, w in zip(m, weights))
 
 
-class MonomialOrder:
-    """Total multiplicative order on monomials: degrevlex or lex."""
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: str):
-        if kind not in ("degrevlex", "lex"):
-            raise ValueError(f"unknown monomial order {kind!r}")
-        object.__setattr__(self, "kind", kind)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialOrder is immutable")
-
-    def key(self, m):
-        """Sort key: bigger key means bigger monomial."""
-        if self.kind == "degrevlex":
-            return (sum(m), tuple([-e for e in reversed(m)]))
-        return tuple(m)
-
-    def compare(self, m1, m2) -> int:
-        """-1, 0 or 1 as m1 <, =, > m2."""
-        k1, k2 = self.key(m1), self.key(m2)
-        return (k1 > k2) - (k1 < k2)
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.kind == other.kind
-
-    def __hash__(self):
-        return hash(self.kind)
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind!r})"
-
-
-DEGREVLEX = MonomialOrder("degrevlex")
-LEX = MonomialOrder("lex")
+def degrevlex_key(m):
+    """Degrevlex sort key: bigger key means bigger monomial."""
+    return (sum(m), tuple([-e for e in reversed(m)]))
 
 
 # -- contexts and polynomials ------------------------------------------------
@@ -144,7 +110,7 @@ class Polynomial:
             if len(mono) != ctx.nvars:
                 raise ValueError("monomial length does not match context")
             cleaned[tuple(mono)] = coeff
-        terms = tuple(sorted(cleaned.items(), key=lambda t: DEGREVLEX.key(t[0]), reverse=True))
+        terms = tuple(sorted(cleaned.items(), key=lambda t: degrevlex_key(t[0]), reverse=True))
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", terms)
 
@@ -282,13 +248,15 @@ class Polynomial:
             return hash(self.terms[0][1])
         return hash((self.ctx, self.terms))
 
-    def render(self, order: MonomialOrder = DEGREVLEX) -> str:
-        """Text form: terms joined by +/-, '^' powers, '*' between factors."""
+    def render(self, lex: bool = False) -> str:
+        """Text form: terms joined by +/-, '^' powers, '*' between factors.
+
+        Terms come in degrevlex order, or in lex order when ``lex`` is set:
+        distinct exponent tuples compare lexicographically, earlier names first.
+        """
         if not self.terms:
             return "0"
-        terms = self.terms
-        if order != DEGREVLEX:
-            terms = sorted(terms, key=lambda t: order.key(t[0]), reverse=True)
+        terms = sorted(self.terms, reverse=True) if lex else self.terms
         parts = []
         for mono, coeff in terms:
             factors = []

@@ -8,7 +8,8 @@ from symtensor import univar
 from symtensor.errors import IntegrityError
 from symtensor.exactnum import CyclotomicNumber, zeta
 from symtensor.hilbert import HilbertSeries, series_from_generator_degrees
-from symtensor.invariants import (Mat2, MatrixGroup, _closed_unimodular,
+from symtensor.invariants import (Mat2, MatrixGroup, _bd_generators,
+                                  _binary_tetrahedral_generators, _closed_unimodular,
                                   _hypersurface_form, build_group,
                                   invariant_dimension, molien_series)
 
@@ -184,10 +185,18 @@ def test_basis_independence_under_conjugation():
     conj = (zeta(8) + zeta(8, 7)) * Fraction(1, 2)   # 1/sqrt(2)
     h = Mat2(conj, conj, -conj, conj)
     h_inv = Mat2(h.d, -h.b, -h.c, h.a)
-    gens = [h * g.embed(8) * h_inv for g in base.generators]
+    gens = [h * g * h_inv for g in _bd_generators(2, 8)]
     conjugated = build_group_from_generators(gens, 8, 8, label="BD2-conjugated")
     for p in range(0, 9):
         assert invariant_dimension(conjugated, p) == invariant_dimension(base, p)
+
+
+def test_tetrahedral_generators_over_q_zeta8_close_inside_2o():
+    # 2O is built from 2T's generators written directly over Q(zeta_8)
+    two_t = build_group_from_generators(_binary_tetrahedral_generators(8), 8, 24, label="2T-in-8")
+    assert two_t.order == 24
+    two_o = {m.key() for m in build_group("2O").elements}
+    assert {m.key() for m in two_t.elements} <= two_o
 
 
 @pytest.mark.parametrize("n", [2, 3])
