@@ -221,7 +221,7 @@ FAMILIES: dict[str, Family] = {
 
 # -- spec grammar -----------------------------------------------------------------
 
-_NAME_RE = re.compile(r"[A-Za-z0-9]+")
+_SPEC_RE = re.compile(r"\s*([A-Za-z0-9]+)\s*(?:\((.*)\))?\s*", re.DOTALL)
 _INT_FIELDS = ("n", "r", "g", "d", "s")
 
 
@@ -230,51 +230,26 @@ def parse_spec(text: str) -> VarietySpec:
     Hitchin(g=2,r=2,d=1,fixed), ParHitchin(g=4,r=2,s=1,mode=literal),
     Klein(BD,2), Klein(2I), Prod(Pn(1),Pn(1)), Trivial(general_type),
     Trivial(hypersurface,d=3,n=2)."""
-    spec, pos = _parse_spec_at(text, 0)
-    if text[pos:].strip():
-        raise SpecParseError(f"trailing input after spec: {text[pos:]!r}")
-    return spec
-
-
-def _skip_ws(text, pos):
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _parse_spec_at(text: str, pos: int):
-    pos = _skip_ws(text, pos)
-    m = _NAME_RE.match(text, pos)
+    m = _SPEC_RE.fullmatch(text)
     if m is None:
-        raise SpecParseError(f"expected a spec name at {text[pos:pos + 12]!r}")
-    name = m.group(0)
-    pos = _skip_ws(text, m.end())
+        raise SpecParseError(f"expected a spec name and an optional (...) tail, got {text!r}")
+    name, tail = m.groups()
     args: list = []
-    if pos < len(text) and text[pos] == "(":
-        pos += 1
-        if name == "Prod":
-            first, pos = _parse_spec_at(text, pos)
-            pos = _skip_ws(text, pos)
-            if pos >= len(text) or text[pos] != ",":
-                raise SpecParseError("Prod needs two comma-separated specs")
-            second, pos = _parse_spec_at(text, pos + 1)
-            pos = _skip_ws(text, pos)
-            if pos >= len(text) or text[pos] != ")":
-                raise SpecParseError("unclosed Prod(...)")
-            return VarietySpec(kind="Prod", components=(first, second)), pos + 1
-        depth = 1
-        start = pos
-        while pos < len(text) and depth:
-            if text[pos] == "(":
-                depth += 1
-            elif text[pos] == ")":
-                depth -= 1
-            pos += 1
+    if tail is not None and tail.strip():
+        depth, start = 0, 0
+        for i, ch in enumerate(tail):
+            depth += (ch == "(") - (ch == ")")
+            if depth < 0:
+                break
+            if ch == "," and not depth:
+                args.append(tail[start:i].strip())
+                start = i + 1
         if depth:
-            raise SpecParseError(f"unclosed parenthesis in {text!r}")
-        raw = text[start:pos - 1]
-        args = [a.strip() for a in raw.split(",")] if raw.strip() else []
-    return _spec_from_name_args(name, args), pos
+            raise SpecParseError(f"unbalanced parentheses in {text!r}")
+        args.append(tail[start:].strip())
+    if name == "Prod":
+        return VarietySpec(kind="Prod", components=tuple(map(parse_spec, args)))
+    return _spec_from_name_args(name, args)
 
 
 def _spec_from_name_args(name: str, args: list) -> VarietySpec:
@@ -360,19 +335,6 @@ def _parabolic_codim_ok(spec: VarietySpec) -> bool:
 # -- ideal-backed families ----------------------------------------------------------
 
 
-def _dedupe_generators(gens):
-    seen = set()
-    out = []
-    for g in gens:
-        if g.is_zero:
-            continue
-        key = g.monic().terms
-        if key not in seen:
-            seen.add(key)
-            out.append(g)
-    return out
-
-
 def _signed_permutations(size):
     """Every permutation of range(size) with its sign."""
     out = []
@@ -423,19 +385,20 @@ def grassmannian_ideal(r: int, n: int) -> IdealPresentation:
             _add_variable_minor(coeff, n, subset, subset, perms)
         gens.append(Polynomial(ctx, coeff))
     m = min(r, n - r)
-    perms = _signed_permutations(m + 1)
-    for rows in itertools.combinations(range(n), m + 1):
-        for cols in itertools.combinations(range(n), m + 1):
-            minor = {}
-            _add_variable_minor(minor, n, rows, cols, perms)
-            gens.append(Polynomial(ctx, minor))
+    if m + 1 < n:  # else (only Gr(1,2)) the one minor is the determinant, c_n
+        perms = _signed_permutations(m + 1)
+        for rows in itertools.combinations(range(n), m + 1):
+            for cols in itertools.combinations(range(n), m + 1):
+                minor = {}
+                _add_variable_minor(minor, n, rows, cols, perms)
+                gens.append(Polynomial(ctx, minor))
     provenance = (f"square-zero endomorphisms of a {n}-dim space with rank <= "
                   f"{m}; characteristic coefficients and size-{m + 1} minors adjoined")
     if m >= 2:
         provenance += "; radicality assumed for rank bound >= 2"
     return IdealPresentation(
         ctx=ctx,
-        generators=tuple(_dedupe_generators(gens)),
+        generators=tuple(gens),
         provenance=provenance)
 
 

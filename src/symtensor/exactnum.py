@@ -21,18 +21,16 @@ from . import univar
 
 
 def exact(value):
-    """An int, a Fraction or a string such as "1/2" as an exact scalar.
+    """An int or a Fraction as an exact scalar.
 
     The result is an int when the value is integral and a Fraction otherwise.
-    Anything else, floats above all, raises TypeError: Fraction(0.1) would be
-    the float's binary value, not one tenth.
+    Anything else, floats and strings included, raises TypeError: Fraction(0.1)
+    would be the float's binary value, not one tenth.
     """
     if type(value) is int:
         return value
-    if isinstance(value, str):
-        value = Fraction(value)
-    elif not isinstance(value, (int, Fraction)):
-        raise TypeError(f"exact value needed (int, Fraction or str), got {type(value).__name__}")
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"exact value needed (int or Fraction), got {type(value).__name__}")
     return value.numerator if value.denominator == 1 else value
 
 
@@ -92,8 +90,10 @@ class CyclotomicNumber:
     ``nums`` of integer numerators on the power basis over one common
     denominator ``den >= 1``, normalised so that gcd(den, *nums) == 1 and
     zero has den == 1.  Two values compare equal iff they share the order and
-    this canonical data.  :attr:`coeffs` is the read-only view of the same
-    value as one rational per basis element.
+    this canonical data.  ``+``, ``-`` and ``==`` stay within one field; ``*``
+    also scales by an int or a Fraction on either side, and a rational enters
+    the field through :meth:`from_rational`.  :attr:`coeffs` is the read-only
+    view of the same value as one rational per basis element.
     """
 
     __slots__ = ("order", "nums", "den")
@@ -147,13 +147,11 @@ class CyclotomicNumber:
     # -- coercion ----------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, CyclotomicNumber):
-            if other.order != self.order:
-                raise ValueError(f"order mismatch ({self.order} vs {other.order})")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber.from_rational(self.order, other)
-        return None
+        if not isinstance(other, CyclotomicNumber):
+            return None
+        if other.order != self.order:
+            raise ValueError(f"order mismatch ({self.order} vs {other.order})")
+        return other
 
     # -- ring operations ---------------------------------------------------
 
@@ -167,8 +165,6 @@ class CyclotomicNumber:
         return _make(self.order,
                      tuple([a * db + b * da for a, b in zip(self.nums, o.nums)]), da * db)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _make(self.order, tuple([-a for a in self.nums]), self.den)
 
@@ -181,12 +177,6 @@ class CyclotomicNumber:
             return _make(self.order, tuple([a - b for a, b in zip(self.nums, o.nums)]), da)
         return _make(self.order,
                      tuple([a * db - b * da for a, b in zip(self.nums, o.nums)]), da * db)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -221,8 +211,6 @@ class CyclotomicNumber:
     # -- comparison / display ----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(self.order, other)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         return (self.order == other.order and self.den == other.den

@@ -378,17 +378,12 @@ def _basis_entries(basis, ctx, bound):
     last = _last_basis
     if last is not None and last[0] == basis and last[1] == ctx and last[2].cap >= bound:
         return last
-    key = basis
     polys = []
     for b in basis:
         if not isinstance(b, Polynomial):
             raise TypeError(f"basis entry is not a Polynomial: {b!r}")
         if b.ctx != ctx:
             raise ValueError("basis context mismatch")
-        if b.degree() <= 0:
-            # a constant Polynomial equals an int, so a basis holding the int
-            # instead would hit the entry and escape the TypeError above
-            key = None
         if not b.is_zero:
             polys.append(b)
             bound = max(bound, b.degree())
@@ -396,7 +391,7 @@ def _basis_entries(basis, ctx, bound):
     for b in polys:
         red.add(*_entry_from_poly(b, red.pk))
     entries = (tuple(red.lts), tuple(red.tails), tuple(red.exps))
-    last = _last_basis = (key, ctx, red.pk, entries)
+    last = _last_basis = (basis, ctx, red.pk, entries)
     return last
 
 

@@ -22,6 +22,7 @@ re-minimalisation:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from operator import mul, not_
 
@@ -256,17 +257,19 @@ class HilbertSeries:
             tuple(univar.mul(list(self.numerator), list(other.numerator))),
             self.den_weights + other.den_weights)
 
+    @cached_property
     def _den_poly(self):
+        """prod_w (1 - t^w), expanded once per series (kept in the instance dict)."""
         p = [1]
         for w in self.den_weights:
             p = univar.mul(p, univar.one_minus_power(w))
-        return p
+        return tuple(p)
 
     def __eq__(self, other):
         if not isinstance(other, HilbertSeries):
             return NotImplemented
-        left = univar.mul(list(self.numerator), other._den_poly())
-        right = univar.mul(list(other.numerator), self._den_poly())
+        left = univar.mul(self.numerator, other._den_poly)
+        right = univar.mul(other.numerator, self._den_poly)
         return left == right
 
     __hash__ = None

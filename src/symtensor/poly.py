@@ -3,7 +3,9 @@
 Monomials are exponent tuples tied to an ordered :class:`VariableContext`;
 polynomials keep their terms sorted descending under :func:`degrevlex_key` so
 equal values have identical representations, and their leading term is the
-first.  ``render(lex=True)`` lists the terms in lex order for display.
+first.  Arithmetic and ``==`` are between polynomials of one context; a
+scalar enters only through ``ctx.constant(c)`` or ``scale(c)``.
+``render(lex=True)`` lists the terms in lex order for display.
 """
 
 from __future__ import annotations
@@ -77,9 +79,6 @@ class VariableContext:
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
-
-    def one(self) -> "Polynomial":
-        return self.constant(1)
 
     def constant(self, c) -> "Polynomial":
         return Polynomial(self, {(0,) * self.nvars: c})
@@ -155,22 +154,14 @@ class Polynomial:
     def is_homogeneous(self, weights=None) -> bool:
         return self.homogeneous_degree(weights) is not None
 
-    def coefficient(self, mono):
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return 0
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, Polynomial):
-            if other.ctx != self.ctx:
-                raise ValueError("polynomials live in different variable contexts")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ctx.constant(other)
-        return None
+        if not isinstance(other, Polynomial):
+            return None
+        if other.ctx != self.ctx:
+            raise ValueError("polynomials live in different variable contexts")
+        return other
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -181,8 +172,6 @@ class Polynomial:
             acc[m] = acc.get(m, 0) + c
         return Polynomial(self.ctx, acc)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Polynomial(self.ctx, {m: -c for m, c in self.terms})
 
@@ -191,12 +180,6 @@ class Polynomial:
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -209,20 +192,6 @@ class Polynomial:
                 acc[m] = acc.get(m, 0) + c1 * c2
         return Polynomial(self.ctx, acc)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def scale(self, c) -> "Polynomial":
         c = exact(c)
         return Polynomial(self.ctx, {m: cc * c for m, cc in self.terms})
@@ -234,18 +203,11 @@ class Polynomial:
     # -- comparison / display --------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.ctx == other.ctx and self.terms == other.terms
 
     def __hash__(self):
-        # equal to its scalar when constant (see __eq__), so hashed as it
-        if not self.terms:
-            return hash(0)
-        if len(self.terms) == 1 and not any(self.terms[0][0]):
-            return hash(self.terms[0][1])
         return hash((self.ctx, self.terms))
 
     def render(self, lex: bool = False) -> str:

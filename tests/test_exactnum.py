@@ -40,11 +40,12 @@ def test_cyclotomic_product_identity(m):
 
 def test_multiplication_examples():
     z4 = zeta(4)
-    assert z4 * z4 == -1
+    assert z4 * z4 == CyclotomicNumber.from_rational(4, -1)
+    assert z4 * z4 != -1  # a rational enters the field only through from_rational
     z8 = zeta(8)
-    assert z8 * zeta(8, 7) == 1
+    assert z8 * zeta(8, 7) == CyclotomicNumber.one(8)
     z3 = zeta(3)
-    assert 1 + z3 + z3 * z3 == 0
+    assert CyclotomicNumber.one(3) + z3 + z3 * z3 == CyclotomicNumber.zero(3)
 
 
 def test_to_rational():
@@ -69,7 +70,7 @@ def test_root_of_unity_has_exact_order(m):
     for k in range(1, m + 1):
         power = power * z
         assert power == zeta(m, k)
-        assert (power == 1) == (k == m), f"zeta_{m}^{k} has the wrong order"
+        assert (power == CyclotomicNumber.one(m)) == (k == m), f"zeta_{m}^{k} has the wrong order"
 
 
 def _random_cyclotomic(rng, m):
@@ -175,15 +176,20 @@ def test_floats_are_refused():
         CyclotomicNumber(4, [0.1, 0])
     with pytest.raises(TypeError):
         CyclotomicNumber(4, [1, 2.0])
+    with pytest.raises(TypeError):
+        exact("1/2")
+    with pytest.raises(TypeError):
+        CyclotomicNumber(4, ["1/2", 0])
 
 
 def test_reducible_input_fractions_are_normalised():
     half_one_plus_i = CyclotomicNumber(4, [Fraction(2, 4), Fraction(3, 6)])
-    for other in ((1 + zeta(4)) * Fraction(1, 2), Fraction(1, 2) * (1 + zeta(4)),
-                  CyclotomicNumber(4, ["1/2", Fraction(5, 10)])):
+    one_plus_i = CyclotomicNumber.one(4) + zeta(4)
+    for other in (one_plus_i * Fraction(1, 2), Fraction(1, 2) * one_plus_i,
+                  CyclotomicNumber(4, [Fraction(1, 2), Fraction(5, 10)])):
         assert (other.nums, other.den, hash(other)) == ((1, 1), 2, hash(half_one_plus_i))
     assert half_one_plus_i.coeffs == (Fraction(1, 2), Fraction(1, 2))
-    assert [type(c) for c in CyclotomicNumber(4, [1, "1/2"]).coeffs] == [int, Fraction]
+    assert [type(c) for c in CyclotomicNumber(4, [1, Fraction(1, 2)]).coeffs] == [int, Fraction]
     doubled = half_one_plus_i * 2
     assert doubled.nums == (1, 1) and doubled.den == 1
     assert doubled.coeffs is doubled.nums

@@ -62,7 +62,8 @@ def test_normal_form_rejects_non_polynomial_entries():
             normal_form(XY.parse("x^2 + y"), [x, junk])
     # zero polynomials are skipped
     assert normal_form(XY.parse("x^2 + y"), [XY.zero(), x, XY.zero()]) == XY.parse("y")
-    # an int equals a constant Polynomial, but may not reuse its basis
+    # an int never equals a constant Polynomial, so a basis holding one instead
+    # misses the reused entries and is refused
     assert normal_form(XY.parse("y"), [x, XY.constant(3)]).is_zero
     with pytest.raises(TypeError):
         normal_form(XY.parse("y"), [x, 3])
