@@ -606,9 +606,9 @@ def evaluate(spec: VarietySpec, *, max_degree: int = DEFAULT_MAX_DEGREE,
             "row-consistent", "matches-stated-row" if klein.match else "differs-from-stated-row")
         if klein.matching_rows:
             flags += ("matches:" + "+".join(klein.matching_rows),)
-        search = ("hypersurface form recovered by search" if klein.molien.matched
-                  else "no hypersurface form equals the exact series")
-        provenance = f"invariant averages over the {spec.group} group; {search}"
+        form = ("hypersurface form equals the exact series" if klein.molien.matched
+                else "no hypersurface form equals the exact series")
+        provenance = f"invariant averages over the {spec.group} group; {form}"
     elif family.ideal is None:
         series = family.closed_form(spec)
         provenance = family.provenance(spec)

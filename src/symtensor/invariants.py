@@ -1,9 +1,11 @@
 """Finite subgroups of SU(2) over cyclotomic fields, and their Molien series.
 
-Groups are built by closing explicit generator matrices under multiplication;
-the graded dimensions of the invariant subalgebra of the symmetric algebra on
-the 2-dimensional representation come from exact trace averages, and the
-averages through degree |G| fix the Molien series as a rational function.
+Groups are built by closing explicit generator matrices under multiplication.
+The graded dimensions of the invariant subalgebra of the symmetric algebra on
+the 2-dimensional representation are Molien's average grouped by element
+order: cyclotomic arithmetic reads each element's order off its trace, and the
+dimensions are integer sums of Ramanujan sums.  The dimensions through degree
+|G| fix the Molien series as a rational function.
 """
 
 from __future__ import annotations
@@ -11,12 +13,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .errors import IntegrityError
 from . import univar
-from .exactnum import CyclotomicNumber, zeta
+from .exactnum import CyclotomicNumber, cyclotomic_polynomial, euler_phi, zeta
 from .hilbert import HilbertSeries, series_from_generator_degrees
 
 # MolienResult.dims runs through this display window
@@ -62,23 +64,35 @@ class Mat2:
 class MatrixGroup:
     """Finite multiplicatively closed set of unit-determinant 2x2 matrices."""
 
-    def __init__(self, label: str, n_param, field_order: int, generators, elements):
+    def __init__(self, label: str, n_param, field_order: int, elements):
         self.label = label
         self.n_param = n_param
         self.field_order = field_order
-        self.generators = tuple(generators)
         self.elements = tuple(elements)
-        # distinct traces with multiplicities drive the dimension sweep
-        counts = Counter(g.trace() for g in self.elements)
-        self._traces = tuple(sorted(counts.items(),
-                                    key=lambda item: (item[0].nums, item[0].den)))
-        self._dims: list[int] = []
-        self._rec_prev: list[CyclotomicNumber] = []
-        self._rec_cur: list[CyclotomicNumber] = []
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def cyclic_subgroups(self) -> dict[int, int]:
+        """{k: N_k / phi(k)} for the N_k elements of order k.  Unit determinant
+        gives tr(g^j) = s_j with s_0 = 2, s_1 = tr(g), s_j = tr(g) s_{j-1} - s_{j-2},
+        and the order of g is the least k with s_k = 2."""
+        two = CyclotomicNumber.from_rational(self.field_order, 2)
+        counts = Counter()
+        for trace, mult in Counter(g.trace() for g in self.elements).items():
+            prev, cur, k = two, trace, 1
+            while cur != two:
+                if k == self.order:
+                    raise IntegrityError(f"no order up to {k} for trace {trace} in {self.label}")
+                prev, cur, k = cur, trace * cur - prev, k + 1
+            counts[k] += mult
+        for k, count in counts.items():
+            if count % euler_phi(k):
+                raise IntegrityError(f"{count} elements of order {k} in group "
+                                     f"{self.label}, not a multiple of phi({k})")
+        return {k: counts[k] // euler_phi(k) for k in sorted(counts)}
 
     def __repr__(self):
         tag = f"{self.label}_{self.n_param}" if self.n_param else self.label
@@ -158,7 +172,8 @@ def build_group(label: str, n_param: int | None = None) -> MatrixGroup:
 
     The closure is enumerated from scratch and hard-checked: expected order,
     determinant one everywhere, and -identity present.  Instances are cached
-    and shared; the per-group dimension table is append-only.
+    and shared; their one derived table, ``cyclic_subgroups``, is stored only
+    once it is computed without error.
     """
     if label == "BD":
         if n_param is None or n_param < 2:
@@ -178,12 +193,12 @@ def build_group(label: str, n_param: int | None = None) -> MatrixGroup:
     minus_one = Mat2.identity(field_order).neg().key()
     if not any(m.key() == minus_one for m in elements):
         raise IntegrityError(f"group {label} does not contain -identity")
-    return MatrixGroup(label, n_param, field_order, generators, elements)
+    return MatrixGroup(label, n_param, field_order, elements)
 
 
 def _closed_unimodular(generators, field_order, expected_order, label):
     """Closure of the generators, checked for the expected order and for
-    determinant one, on which the dimension sweep's trace recursion relies."""
+    determinant one, on which the trace recursion for element orders relies."""
     elements = _close_under_multiplication(generators, field_order, expected_order)
     if len(elements) != expected_order:
         raise IntegrityError(
@@ -195,50 +210,34 @@ def _closed_unimodular(generators, field_order, expected_order, label):
     return elements
 
 
-def _extend_dims(group: MatrixGroup, p: int) -> None:
-    """Grow the cached dimension table through degree p.
-
-    Unit determinant makes symmetric-power traces satisfy
-    T_k = trace * T_{k-1} - T_{k-2}, which the sweep runs per distinct trace.
-    The recursion state is committed only with a validated dimension, so a
-    failed call leaves the shared group as it was.
-    """
-    if not group._dims:
-        one = CyclotomicNumber.one(group.field_order)
-        zero = CyclotomicNumber.zero(group.field_order)
-        group._rec_prev = [zero] * len(group._traces)
-        group._rec_cur = [one] * len(group._traces)
-        group._dims.append(1)
-    while len(group._dims) <= p:
-        new_cur = []
-        new_prev = []
-        total = CyclotomicNumber.zero(group.field_order)
-        for idx, (trace, mult) in enumerate(group._traces):
-            t_new = trace * group._rec_cur[idx] - group._rec_prev[idx]
-            new_prev.append(group._rec_cur[idx])
-            new_cur.append(t_new)
-            total = total + t_new * mult
-        average = total * Fraction(1, group.order)
-        value = average.to_rational()
-        if value is None:
-            raise IntegrityError(
-                f"irrational invariant average at degree {len(group._dims)} "
-                f"for {group.label}")
-        if value.denominator != 1 or value < 0:
-            raise IntegrityError(
-                f"invariant average {value} at degree {len(group._dims)} is not a "
-                f"non-negative integer for {group.label}")
-        group._rec_prev = new_prev
-        group._rec_cur = new_cur
-        group._dims.append(value)
+def _multiples(d: int, p: int) -> int:
+    """#{m in p, p - 2, ..., -p : d | m}: the j*d, |j| <= p // d, of p's parity."""
+    q = p // d
+    if d % 2:
+        return q + (q + p + 1) % 2
+    return 0 if p % 2 else 2 * q + 1
 
 
 def invariant_dimension(group: MatrixGroup, p: int) -> int:
-    """dim of the degree-p invariants: (1/|G|) * sum of symmetric-power traces."""
+    """dim of the degree-p invariants: Molien's average grouped by element order.
+
+    The generators of a cyclic subgroup of order k have eigenvalues z, 1/z with z
+    running once over the primitive k-th roots of unity, so their degree-p traces
+    add up to the Ramanujan sums sum_{d | k, d | m} mu(k/d) * d over m = p, p - 2,
+    ..., -p.  mu(k/d), the sum of the primitive (k/d)-th roots, is minus the
+    subleading coefficient of that cyclotomic polynomial.
+    """
     if p < 0:
         raise ValueError("degree must be >= 0")
-    _extend_dims(group, p)
-    return group._dims[p]
+    total = sum(count * sum(-cyclotomic_polynomial(k // d)[-2] * d * _multiples(d, p)
+                            for d in range(1, k + 1) if k % d == 0)
+                for k, count in group.cyclic_subgroups.items())
+    value, rest = divmod(total, group.order)
+    if rest or value < 0:
+        raise IntegrityError(
+            f"invariant average {Fraction(total, group.order)} at degree {p} is not a "
+            f"non-negative integer for {group.label}")
+    return value
 
 
 # -- Molien series ----------------------------------------------------------------

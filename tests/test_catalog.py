@@ -436,10 +436,10 @@ def test_evaluate_trivial():
     assert report.krull == 0
 
 
-def test_klein_provenance_names_the_search_outcome():
+def test_klein_provenance_names_the_form_outcome():
     for text in ("Klein(BD,2)", "Klein(BD,16)"):
         found = evaluate(parse_spec(text), max_degree=2)
-        assert found.provenance.endswith("hypersurface form recovered by search"), text
+        assert found.provenance.endswith("; hypersurface form equals the exact series"), text
         assert found.klein.molien.matched is not None and found.krull == 2, text
 
 

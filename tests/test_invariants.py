@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -6,7 +7,7 @@ import pytest
 
 from symtensor import univar
 from symtensor.errors import IntegrityError
-from symtensor.exactnum import CyclotomicNumber, zeta
+from symtensor.exactnum import CyclotomicNumber, euler_phi, zeta
 from symtensor.hilbert import HilbertSeries, series_from_generator_degrees
 from symtensor.invariants import (Mat2, MatrixGroup, _bd_generators,
                                   _binary_tetrahedral_generators, _closed_unimodular,
@@ -25,7 +26,7 @@ def build_group_from_generators(generators, field_order, expected_order, label="
     subgroups of SU(2) do not contain it.
     """
     elements = _closed_unimodular(generators, field_order, expected_order, label)
-    return MatrixGroup(label, None, field_order, generators, elements)
+    return MatrixGroup(label, None, field_order, elements)
 
 
 def sym_power_trace(mat, p):
@@ -33,7 +34,7 @@ def sym_power_trace(mat, p):
 
     The matrix substitutes x -> a x + c y, y -> b x + d y into each basis
     monomial x^i y^(p-i); the trace sums the diagonal coefficients.  Quadratic
-    cost in p: the low-degree reference for the trace recursion of the sweep.
+    cost in p: the low-degree reference for the trace recursion.
     """
     order = mat.a.order
     if p == 0:
@@ -126,7 +127,7 @@ def test_wrong_generators_detected():
 
 def test_custom_group_must_be_unimodular():
     # diag(i, 1) closes to order 4, but its determinant is i, so the trace
-    # recursion would give dims 1, 1, 0 where the true counts are 1, 1, 1
+    # recursion would find no order for trace 1 + i and lose the true counts 1, 1, 1
     zero = CyclotomicNumber.zero(4)
     one = CyclotomicNumber.one(4)
     with pytest.raises(IntegrityError, match="non-unimodular"):
@@ -294,28 +295,114 @@ def test_perturbed_numerator_loses_the_hypersurface_form(label, n):
 
 def test_unclosed_element_set_raises_integrity_error():
     # bypass the closure builder: a one-element "group" without the identity
-    # has an irrational trace average, which the sweep must refuse
+    # has an element of no order, which invariant_dimension must refuse
     z8 = zeta(8)
     zero = CyclotomicNumber.zero(8)
-    bogus = MatrixGroup("custom", None, 8, (), (Mat2(z8, zero, zero, zero),))
+    bogus = MatrixGroup("custom", None, 8, (Mat2(z8, zero, zero, zero),))
     with pytest.raises(IntegrityError):
         invariant_dimension(bogus, 1)
 
 
-def test_failed_sweep_leaves_cached_state_unchanged():
-    # trace sqrt(2): T_1 is irrational but T_2 = 1, so a sweep that advanced its
-    # recursion before raising would answer 1 for degree 1 on a second call
+def test_failed_call_stores_no_cached_state():
+    # trace sqrt(2) does not return to 2 within |G| = 1 steps; the order table is
+    # stored only once it is computed, so a second call fails the same way
     z8 = zeta(8)
     zero = CyclotomicNumber.zero(8)
     rot = Mat2(z8, zero, zero, -zeta(8, 3))
-    bogus = MatrixGroup("custom", None, 8, (), (rot,))
+    bogus = MatrixGroup("custom", None, 8, (rot,))
     messages = []
     for _ in range(2):
-        with pytest.raises(IntegrityError, match="irrational invariant average") as info:
+        with pytest.raises(IntegrityError, match="no order up to 1 ") as info:
             invariant_dimension(bogus, 1)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
-    assert "at degree 1 " in messages[0]
+    assert "cyclic_subgroups" not in vars(bogus)
+
+
+def test_element_counts_must_be_multiples_of_phi():
+    # {I, diag(w, w^2)} is no group: its order-3 element is one of phi(3) = 2
+    zero = CyclotomicNumber.zero(3)
+    ident = Mat2.identity(3)
+    rot = Mat2(zeta(3), zero, zero, zeta(3, 2))
+    # with |G| = 2 the recursion stops before the order 3 ...
+    with pytest.raises(IntegrityError, match="no order up to 2 "):
+        invariant_dimension(MatrixGroup("custom", None, 3, (ident, rot)), 0)
+    # ... and with -I added it reaches it, and the count fails the phi test
+    with pytest.raises(IntegrityError, match=r"1 elements of order 3 .* phi\(3\)"):
+        invariant_dimension(MatrixGroup("custom", None, 3, (ident, ident.neg(), rot)), 0)
+
+
+def test_average_not_divisible_by_the_order_raises():
+    # {I, -I, diag(w, w^2), diag(w^2, w)} passes the order and phi tests but is no
+    # group: its degree-2 traces add up to 6, which 4 does not divide
+    zero = CyclotomicNumber.zero(3)
+    ident = Mat2.identity(3)
+    rot = Mat2(zeta(3), zero, zero, zeta(3, 2))
+    bogus = MatrixGroup("custom", None, 3, (ident, ident.neg(), rot, rot * rot))
+    assert invariant_dimension(bogus, 0) == 1
+    with pytest.raises(IntegrityError, match="invariant average 3/2 at degree 2 "):
+        invariant_dimension(bogus, 2)
+
+
+# -- the order histogram against the cyclotomic trace averages ------------------
+
+
+def _trace_averages(group, top):
+    """(1/|G|) sum of tr Sym^p(g) for p = 0..top, run in the cyclotomic field.
+
+    Unit determinant gives T_p = tr(g) T_{p-1} - T_{p-2} per distinct trace; an
+    average that is not rational comes back as None.
+    """
+    counts = Counter(g.trace() for g in group.elements)
+    zero = CyclotomicNumber.zero(group.field_order)
+    states = {trace: (zero, CyclotomicNumber.one(group.field_order)) for trace in counts}
+    averages = []
+    for _ in range(top + 1):
+        total = zero
+        for trace, mult in counts.items():
+            prev, cur = states[trace]
+            total = total + cur * mult
+            states[trace] = (cur, trace * cur - prev)
+        averages.append((total * Fraction(1, group.order)).to_rational())
+    return tuple(averages)
+
+
+@pytest.mark.parametrize("label,n", CATALOG_GROUPS)
+def test_order_histogram_equals_trace_averages_past_the_order(label, n):
+    group = build_group(label, n)
+    top = group.order + 25
+    assert _direct(group, top) == _trace_averages(group, top)
+
+
+@pytest.mark.parametrize("m", [3, 5, 9, 15])
+def test_order_histogram_equals_trace_averages_without_minus_identity(m):
+    # with -identity, g and -g pair orders k and 2k for odd k, and the odd-d terms
+    # of their Ramanujan sums cancel; odd cyclic groups have no such pairing
+    zero = CyclotomicNumber.zero(m)
+    group = build_group_from_generators((Mat2(zeta(m), zero, zero, zeta(m, m - 1)),), m, m)
+    top = m + 25
+    assert _direct(group, top) == _trace_averages(group, top)
+
+
+def _elements_per_order(group):
+    return {k: count * euler_phi(k) for k, count in group.cyclic_subgroups.items()}
+
+
+@pytest.mark.parametrize("label,want", [
+    ("2T", {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}),
+    ("2O", {1: 1, 2: 1, 3: 8, 4: 18, 6: 8, 8: 12}),
+    ("2I", {1: 1, 2: 1, 3: 20, 4: 30, 5: 24, 6: 20, 10: 24})])
+def test_elements_per_order_of_the_exceptional_groups(label, want):
+    assert _elements_per_order(build_group(label)) == want
+
+
+def test_elements_per_order_of_binary_dihedral_groups():
+    # the cyclic part of order 2n has phi(k) elements of each order k | 2n; the
+    # 2n elements off it square to -identity
+    for n in range(2, 21):
+        want = {k: euler_phi(k) for k in range(1, 2 * n + 1) if 2 * n % k == 0}
+        want[4] = want.get(4, 0) + 2 * n
+        assert _elements_per_order(build_group("BD", n)) == want, n
 
 
 # -- the hypersurface search against the exhaustive reference -------------------
