@@ -320,7 +320,7 @@ def test_failed_call_stores_no_cached_state():
 
 
 def test_element_counts_must_be_multiples_of_phi():
-    # {I, diag(w, w^2)} is no group: its order-3 element is one of phi(3) = 2
+    # {I, diag(w, w^2)} is no group: one element of order 3 is no multiple of phi(3) = 2
     zero = CyclotomicNumber.zero(3)
     ident = Mat2.identity(3)
     rot = Mat2(zeta(3), zero, zero, zeta(3, 2))
