@@ -583,7 +583,7 @@ def groebner_route(presentation: IdealPresentation,
     """Run Buchberger and convert the initial ideal into a Hilbert series."""
     basis = buchberger(presentation, limits=limits)
     lt_ideal = leading_term_ideal(basis)
-    series = series_from_monomial_ideal(lt_ideal, presentation.grading).canonical()
+    series = series_from_monomial_ideal(lt_ideal).canonical()
     return basis, lt_ideal, series
 
 

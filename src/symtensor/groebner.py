@@ -29,11 +29,11 @@ unpacked on the way out.
 
 Every packed monomial has total degree at most the field capacity 2^w - 1,
 which bounds every exponent; the width is the narrowest that holds the
-inputs' degrees.  Buchberger's presentations are homogeneous, so each term
-of an S-polynomial and of its reduction has the weighted degree of the pair's
-lcm, and all fields are repacked wider before a pair of higher weighted
-degree is reduced.  ``normal_form`` packs once, to the largest degree of p
-and of the basis, which no reduction step passes.
+inputs' degrees.  Buchberger's presentations are homogeneous, every variable
+having degree 1, so each term of an S-polynomial and of its reduction has the
+total degree of the pair's lcm, and all fields are repacked wider before a
+pair of degree above the capacity is reduced.  ``normal_form`` packs once, to
+the largest degree of p and of the basis, which no reduction step passes.
 
 ``normal_form`` keeps the packed monic entries of the last basis it was given
 and reuses them while an equal basis comes back with fields wide enough; its
@@ -49,22 +49,20 @@ import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import sub
 from struct import Struct
 
 from .errors import LimitExceeded
 from .exactnum import exact
 from .hilbert import MonomialIdeal
-from .poly import Polynomial, VariableContext
+from .poly import Polynomial, VariableContext, mono_mul
 
 
 @dataclass(frozen=True)
 class GroebnerLimits:
     """Optional budgets for a single buchberger run.
 
-    ``max_degree`` caps the total degree of a reduced pair's lcm, also under a
-    weighted grading: pair degrees only order the work, so they do not change
-    the reduced basis, but the cap then counts unweighted degrees.
+    ``max_degree`` caps the total degree of a reduced pair's lcm.
     """
 
     max_degree: int | None = None
@@ -73,32 +71,21 @@ class GroebnerLimits:
 
 @dataclass(frozen=True)
 class IdealPresentation:
-    """Homogeneous generators in a pinned context, with grading metadata."""
+    """Homogeneous generators (every variable of degree 1) in a pinned context."""
 
     ctx: VariableContext
     generators: tuple[Polynomial, ...]
-    weights: tuple[int, ...] | None = None
     provenance: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
-        weights = self.weights
-        if weights is not None:
-            weights = tuple(weights)
-            if len(weights) != self.ctx.nvars or any(w < 1 for w in weights):
-                raise ValueError("need one positive weight per variable")
-            object.__setattr__(self, "weights", weights)
         for g in self.generators:
             if g.ctx != self.ctx:
                 raise ValueError("generator context mismatch")
             if g.is_zero:
                 raise ValueError("zero generator in ideal presentation")
-            if not g.is_homogeneous(self.grading):
+            if not g.is_homogeneous():
                 raise ValueError(f"inhomogeneous generator: {g.render()}")
-
-    @property
-    def grading(self) -> tuple[int, ...]:
-        return self.weights if self.weights is not None else (1,) * self.ctx.nvars
 
 
 @dataclass(frozen=True)
@@ -415,12 +402,17 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ValueError("S-polynomial of a zero polynomial")
     if f.ctx != g.ctx:
         raise ValueError("context mismatch")
-    # every term is (lcm / lt) * t, of total degree at most deg f + deg g
-    pk = _Packing(f.ctx.nvars, f.degree() + g.degree())
-    ef = _entry_from_poly(f, pk)
-    eg = _entry_from_poly(g, pk)
-    lcm = pk.lcm(pk.exps(ef[0]), pk.exps(eg[0]))
-    return _unpacked(f.ctx, pk, _spoly_dict(pk.key(lcm, pk.degree(lcm)), ef, eg))
+    lcm = tuple(map(max, f.terms[0][0], g.terms[0][0]))
+    d = {}
+    # (lcm / lt) * p / lc for p = f and -g; the shared leading term cancels
+    for p, sign in ((f, 1), (g, -1)):
+        lt, lc = p.terms[0]
+        shift = tuple(map(sub, lcm, lt))
+        scale = sign if lc == 1 else sign / Fraction(lc)
+        for m, c in p.terms[1:]:
+            m = mono_mul(m, shift)
+            d[m] = d.get(m, 0) + c * scale
+    return Polynomial(f.ctx, d)
 
 
 def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None) -> GroebnerBasis:
@@ -433,8 +425,7 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None) -
     """
     limits = limits or GroebnerLimits()
     start = time.monotonic()
-    grading = ideal.grading
-    bound = max([g.homogeneous_degree(grading) for g in ideal.generators], default=0)
+    bound = max([g.degree() for g in ideal.generators], default=0)
     red = _Reducers(_Packing(ideal.ctx.nvars, bound))
     queue = _PairQueue(red)
     pairs_processed = 0
@@ -467,12 +458,10 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None) -
         pairs_processed += 1
         if deg > max_degree_seen:
             max_degree_seen = deg
-        # every term of the S-polynomial and its reduction has the lcm's
-        # weighted degree, which bounds its total degree
+        # every term of the S-polynomial and its reduction has the lcm's degree
         pk = red.pk
-        weighted = sum(map(mul, pk.unpack_exps(lcm), grading))
-        if weighted > pk.cap:
-            wider = _Packing(ideal.ctx.nvars, weighted)
+        if deg > pk.cap:
+            wider = _Packing(ideal.ctx.nvars, deg)
             queue.live = {key: wider.pack_exps(pk.unpack_exps(e))
                           for key, e in queue.live.items()}
             red.repack(wider)

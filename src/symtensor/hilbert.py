@@ -1,13 +1,13 @@
 """Hilbert series as exact rational functions N(t) / prod(1 - t^w).
 
 The numerator is an integer polynomial, the denominator a multiset of positive
-weights.  Series from monomial ideals use the pivot recursion
+weights.  Series from monomial ideals give every variable degree 1, so their
+numerator is taken over (1 - t)^n, and use the pivot recursion
 
     N(I) = N(I + <p>) + t^deg(p) * N(I : p)
 
 with p = x^e for the variable x in most generators (first on ties) and e its
-smallest positive exponent there.  Degrees are weighted, and the numerator is
-taken over prod(1 - t^w_x).  Three facts keep every step free of a full
+smallest positive exponent there.  Three facts keep every step free of a full
 re-minimalisation:
 
 * I + <p> is the generators without x plus p, and p shares no variable with
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from operator import mul, not_
+from operator import not_
 
 from . import univar
 from .errors import IntegrityError, LimitExceeded
@@ -108,14 +108,13 @@ def _colon_by_power(gens, var, exp, same):
 
 
 class _Numerators:
-    """Memoised numerators over prod(1 - t^w) of quotients by monomial ideals.
+    """Memoised numerators over (1 - t)^n of quotients by monomial ideals.
 
     A state is a plain-sorted tuple of minimal generators, so equal ideals
     share one memo entry, and the unit monomial can only come first.
     """
 
-    def __init__(self, weights):
-        self.weights = weights
+    def __init__(self):
         self.memo = {}
         self.supports = {}  # generator -> its variables as the bits of one int
 
@@ -150,13 +149,12 @@ class _Numerators:
         cached = self.memo.get(gens)
         if cached is not None:
             return cached
-        weights = self.weights
         if not gens:
             result = [1]
         elif not any(gens[0]):
             result = []  # the unit ideal, whose quotient is zero
         elif len(gens) == 1:
-            result = univar.one_minus_power(sum(map(mul, gens[0], weights)))
+            result = univar.one_minus_power(sum(gens[0]))
         else:
             groups = self._components(gens)
             if len(groups) > 1:
@@ -170,12 +168,11 @@ class _Numerators:
                 column = columns[var]
                 exp = min(filter(None, column))
                 # I + <x^e> is the generators without x plus x^e, which shares
-                # no variable with them: N(I + <x^e>) = (1 - t^(e w)) N(same)
+                # no variable with them: N(I + <x^e>) = (1 - t^e) N(same)
                 same = tuple(compress(gens, map(not_, column)))
                 base = self.numerator(same)
                 colon = self.numerator(_colon_by_power(gens, var, exp, same))
-                result = univar.add(base, univar.shift(univar.sub(colon, base),
-                                                       exp * weights[var]))
+                result = univar.add(base, univar.shift(univar.sub(colon, base), exp))
         self.memo[gens] = result
         return result
 
@@ -303,23 +300,19 @@ class HilbertSeries:
 # -- constructors ----------------------------------------------------------------
 
 
-def series_from_monomial_ideal(ideal: MonomialIdeal, weights=None) -> HilbertSeries:
-    """Series of the quotient by a monomial ideal, over prod(1 - t^w).
+def series_from_monomial_ideal(ideal: MonomialIdeal) -> HilbertSeries:
+    """Series of the quotient by a monomial ideal, over (1 - t)^n.
 
-    ``weights`` gives each variable its positive degree; None means all ones.
     The recursion takes one stack frame per pivot level, so a pivot chain
     deeper than Python's recursion limit raises LimitExceeded.
     """
-    weights = (1,) * ideal.nvars if weights is None else tuple(weights)
-    if len(weights) != ideal.nvars:
-        raise ValueError("need one weight per variable")
     try:
-        num = _Numerators(weights).numerator(tuple(sorted(ideal.gens)))
+        num = _Numerators().numerator(tuple(sorted(ideal.gens)))
     except RecursionError:
         raise LimitExceeded(
             f"numerator recursion deeper than the recursion limit for "
             f"{len(ideal.gens)} generators in {ideal.nvars} variables") from None
-    return HilbertSeries(tuple(num), weights)
+    return HilbertSeries(tuple(num), (1,) * ideal.nvars)
 
 
 def series_from_generator_degrees(degrees, relation_degree=None) -> HilbertSeries:

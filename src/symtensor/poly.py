@@ -83,9 +83,9 @@ class VariableContext:
     def constant(self, c) -> "Polynomial":
         return Polynomial(self, {(0,) * self.nvars: c})
 
-    def variable(self, name: str, power: int = 1) -> "Polynomial":
+    def variable(self, name: str) -> "Polynomial":
         exps = [0] * self.nvars
-        exps[self.index(name)] = power
+        exps[self.index(name)] = 1
         return Polynomial(self, {tuple(exps): 1})
 
     def poly(self, mapping) -> "Polynomial":
@@ -151,8 +151,8 @@ class Polynomial:
             return None
         return degrees.pop()
 
-    def is_homogeneous(self, weights=None) -> bool:
-        return self.homogeneous_degree(weights) is not None
+    def is_homogeneous(self) -> bool:
+        return self.homogeneous_degree() is not None
 
     # -- arithmetic ----------------------------------------------------------
 

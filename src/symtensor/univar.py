@@ -84,7 +84,7 @@ def divmod_exact(num, den):
     return trim(q), trim(r)
 
 
-def render(p, var="t"):
+def render(p):
     """Readable form like '1 - 3*t^2 + 2*t^3'; zero renders as '0'."""
     p = trim(p)
     if not p:
@@ -97,9 +97,9 @@ def render(p, var="t"):
         if e == 0:
             body = str(mag)
         elif e == 1:
-            body = var if mag == 1 else f"{mag}*{var}"
+            body = "t" if mag == 1 else f"{mag}*t"
         else:
-            body = f"{var}^{e}" if mag == 1 else f"{mag}*{var}^{e}"
+            body = f"t^{e}" if mag == 1 else f"{mag}*t^{e}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from symtensor import groebner
-from symtensor.catalog import groebner_route, ideal_presentation_for, parse_spec
+from symtensor.catalog import ideal_presentation_for, parse_spec
 from symtensor.errors import LimitExceeded
 from symtensor.groebner import (GroebnerBasis, GroebnerLimits, IdealPresentation,
                                 buchberger, leading_term_ideal, normal_form,
@@ -81,6 +81,32 @@ def test_s_polynomial_examples():
     assert s_polynomial(f, f).is_zero
     with pytest.raises(ValueError):
         s_polynomial(XY.zero(), f)
+
+
+def _reference_s_polynomial(f, g):
+    """(lcm / lt_f) * f / lc_f - (lcm / lt_g) * g / lc_g in Polynomial arithmetic."""
+    ctx = f.ctx
+    lcm = tuple(max(a, b) for a, b in zip(f.leading_monomial(), g.leading_monomial()))
+
+    def cofactor(p):
+        return ctx.poly({tuple(a - b for a, b in zip(lcm, p.leading_monomial())): 1})
+
+    return cofactor(f) * f.monic() - cofactor(g) * g.monic()
+
+
+@pytest.mark.parametrize("text", ["Gr(2,4)", "Q(3)"])
+def test_s_polynomial_matches_reference_on_reduced_bases(text):
+    elements = buchberger(ideal_presentation_for(parse_spec(text))).elements
+    for f in elements:
+        for g in elements:
+            assert s_polynomial(f, g) == _reference_s_polynomial(f, g)
+
+
+def test_s_polynomial_matches_reference_off_monic_and_homogeneous():
+    texts = ("2*x^2 - 3*y^2", "x*y - 1", "x^2 - y", "-3*x*y^2 + 1/2*x", "5*y^3 - x*y", "7")
+    for f in map(XY.parse, texts):
+        for g in map(XY.parse, texts):
+            assert s_polynomial(f, g) == _reference_s_polynomial(f, g), (f, g)
 
 
 def test_buchberger_two_generator_example():
@@ -172,17 +198,6 @@ def test_inhomogeneous_generator_rejected():
         _ideal(XY, "x^2 - y")
     with pytest.raises(ValueError):
         _ideal(XY, "0")
-
-
-def test_weighted_grading_accepted():
-    ctx = VariableContext(("x", "y"))
-    ideal = IdealPresentation(ctx, (ctx.parse("x^2 - y"),), weights=(1, 2))
-    gb = buchberger(ideal)
-    assert len(gb.elements) == 1
-    # with deg y = 2 the quotient is k[x]: one standard monomial in every degree
-    _, _, series = groebner_route(ideal)
-    assert series.numerator == (1,) and series.den_weights == (1,)
-    assert series.expand(6) == (1,) * 7
 
 
 def test_timeout_limit():
@@ -448,16 +463,14 @@ def test_normal_form_recovers_from_a_failed_call(monkeypatch):
 XYZ = VariableContext(("x", "y", "z"))
 
 
-@pytest.mark.parametrize("texts,weights,expected", [
-    (("x^300 - y^300", "x*y"), None, ("x^300 - y^300", "x*y", "y^301")),
-    (("x^200*y - z^201", "x*z"), None, ("x^200*y - z^201", "x*z", "z^202")),
+@pytest.mark.parametrize("texts,expected", [
+    (("x^300 - y^300", "x*y"), ("x^300 - y^300", "x*y", "y^301")),
+    (("x^200*y - z^201", "x*z"), ("x^200*y - z^201", "x*z", "z^202")),
     # generators fit 8-bit fields, but the first pair's lcm x^100*y^60 does not
-    (("x^100 - y^100", "x^60*y^60"), None, ("x^100 - y^100", "x^60*y^60", "y^160")),
-    (("x^300 - y^100", "x*y"), (1, 3, 1), ("x^300 - y^100", "x*y", "y^101")),
-], ids=["x300", "x200y", "repack", "weighted"])
-def test_buchberger_with_large_exponents(texts, weights, expected):
-    ideal = IdealPresentation(XYZ, tuple(XYZ.parse(t) for t in texts), weights)
-    gb = buchberger(ideal)
+    (("x^100 - y^100", "x^60*y^60"), ("x^100 - y^100", "x^60*y^60", "y^160")),
+], ids=["x300", "x200y", "repack"])
+def test_buchberger_with_large_exponents(texts, expected):
+    gb = buchberger(_ideal(XYZ, *texts))
     assert set(gb.elements) == {XYZ.parse(t) for t in expected}
     assert len(gb.elements) == len(expected)
 
@@ -474,6 +487,23 @@ def test_buchberger_repacks_before_a_wide_pair(monkeypatch):
     gb = buchberger(_ideal(XY, "x^100 - y^100", "x^60*y^60"))
     assert repacks and min(repacks) >= 160
     assert XY.parse("y^160") in gb.elements
+
+
+def test_buchberger_widens_only_past_the_field_capacity(monkeypatch):
+    # 8-bit fields hold degree 127: the pair of lcm x^100*y^27 (degree 127)
+    # is reduced in them, and the first wider layout comes with x^27*y^127
+    bounds = []
+    real_packing = groebner._Packing
+
+    def recording(nvars, bound):
+        bounds.append(bound)
+        return real_packing(nvars, bound)
+
+    monkeypatch.setattr(groebner, "_Packing", recording)
+    gb = buchberger(_ideal(XY, "x^100 - y^100", "x^27*y^27"))
+    assert bounds == [100, 154]
+    assert real_packing(2, 100).cap == 127
+    assert XY.parse("y^127") in gb.elements
 
 
 def test_normal_form_widens_a_cached_layout():

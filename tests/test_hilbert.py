@@ -286,7 +286,7 @@ def test_numerator_matches_reference_recursion():
         assert got.numerator == want, f"{gens} in {nvars} vars"
         assert got.den_weights == (1,) * nvars
         # every recursion state is a canonical memo key: sorted minimal generators
-        numerators = _Numerators((1,) * nvars)
+        numerators = _Numerators()
         numerators.numerator(tuple(sorted(MonomialIdeal.from_generators(nvars, gens).gens)))
         for state in numerators.memo:
             assert state == tuple(sorted(minimalize_monomials(state))), f"state {state}"
@@ -295,46 +295,6 @@ def test_numerator_matches_reference_recursion():
         rng.shuffle(perm)
         copy = MonomialIdeal.from_generators(nvars, _permuted(gens, perm))
         assert series_from_monomial_ideal(copy).numerator == want, f"{gens} under {perm}"
-
-
-# -- weighted grading -----------------------------------------------------------------
-
-
-def _weighted_standard_count(ideal, weights, degree):
-    """Brute force: monomials of weighted degree ``degree`` outside the ideal."""
-    def monomials(v, left):
-        if v == len(weights):
-            if left == 0:
-                yield ()
-            return
-        for e in range(left // weights[v] + 1):
-            for rest in monomials(v + 1, left - e * weights[v]):
-                yield (e,) + rest
-    return sum(1 for m in monomials(0, degree) if not ideal.contains_monomial(m))
-
-
-def test_weighted_series_matches_brute_force():
-    rng = random.Random(4242)
-    for _ in range(40):
-        nvars = rng.randint(1, 4)
-        weights = tuple(rng.randint(1, 3) for _ in range(nvars))
-        ideal = MonomialIdeal.from_generators(
-            nvars, _random_gens(rng, nvars, rng.randint(0, 5), 4))
-        series = series_from_monomial_ideal(ideal, weights)
-        assert series.den_weights == tuple(sorted(weights))
-        want = tuple(_weighted_standard_count(ideal, weights, d) for d in range(13))
-        assert series.expand(12) == want, f"{ideal.gens} with weights {weights}"
-
-
-def test_weighted_examples():
-    # k[x, y] / (x^2) with deg y = 2: one monomial in each degree
-    ideal = MonomialIdeal.from_generators(2, [(2, 0)])
-    assert series_from_monomial_ideal(ideal, (1, 2)) == HilbertSeries((1,), (1,))
-    assert series_from_monomial_ideal(ideal, None) == series_from_monomial_ideal(ideal)
-    with pytest.raises(ValueError):
-        series_from_monomial_ideal(ideal, (1,))
-    with pytest.raises(ValueError):
-        series_from_monomial_ideal(ideal, (1, 0))
 
 
 def test_deep_staircase_recursion():
