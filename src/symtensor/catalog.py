@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass, fields
 from functools import cache
 from math import comb, gcd
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import IntegrityError, SpecParseError
@@ -455,7 +456,8 @@ class KleinTableRow(NamedTuple):
 
     def relation_degree(self) -> int | None:
         """Common weighted degree of the relation's terms, or None if mixed."""
-        return self.relation().homogeneous_degree(self.degrees)
+        degrees = {sum(map(mul, m, self.degrees)) for m, _ in self.relation().terms}
+        return degrees.pop() if len(degrees) == 1 else None
 
     @cache  # rows are constant data, so each is parsed once per process
     def table_series(self) -> HilbertSeries | None:
@@ -513,7 +515,6 @@ def ruled_klein(group_label: str, n: int | None = None) -> RuledKleinReport:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    spec_text: str
     krull: int
     dim_x: int
     upper: int
@@ -544,7 +545,7 @@ def check_dimension_bounds(spec: VarietySpec, series: HilbertSeries) -> BoundsRe
             raise IntegrityError(
                 f"{spec.text()}: krull dimension {krull} exceeds dim - kappa = {liu_bound}")
         liu_equality = (krull == liu_bound)
-    return BoundsReport(spec_text=spec.text(), krull=krull, dim_x=dim_x, upper=upper,
+    return BoundsReport(krull=krull, dim_x=dim_x, upper=upper,
                         homogeneous_equality=homogeneous_equality,
                         liu_bound=liu_bound, liu_equality=liu_equality)
 
@@ -557,19 +558,17 @@ class SeriesReport:
     """Everything the CLI emits for one spec."""
 
     spec: VarietySpec
-    spec_text: str
     coefficients: tuple[int, ...]
     series: HilbertSeries
     krull: int
     provenance: str
     flags: tuple[str, ...]
-    presentation: IdealPresentation | None = None
     basis: GroebnerBasis | None = None
     klein: RuledKleinReport | None = None
 
     def to_json_dict(self):
         return {
-            "spec": self.spec_text,
+            "spec": self.spec.text(),
             "coefficients": list(self.coefficients),
             "rational_form": self.series.to_json_dict(),
             "krull_dim": self.krull,
@@ -582,9 +581,7 @@ def groebner_route(presentation: IdealPresentation,
                    limits: GroebnerLimits | None = None):
     """Run Buchberger and convert the initial ideal into a Hilbert series."""
     basis = buchberger(presentation, limits=limits)
-    lt_ideal = leading_term_ideal(basis)
-    series = series_from_monomial_ideal(lt_ideal).canonical()
-    return basis, lt_ideal, series
+    return basis, series_from_monomial_ideal(leading_term_ideal(basis)).canonical()
 
 
 def evaluate(spec: VarietySpec, *, max_degree: int = DEFAULT_MAX_DEGREE,
@@ -592,7 +589,7 @@ def evaluate(spec: VarietySpec, *, max_degree: int = DEFAULT_MAX_DEGREE,
     """Run a spec's route and package the result."""
     family = FAMILIES[spec.kind]
     flags = family.flags(spec)
-    presentation = basis = klein = None
+    basis = klein = None
     if spec.kind == "Prod":
         left, right = (evaluate(c, max_degree=max_degree, limits=limits, force=force)
                        for c in spec.components)
@@ -618,11 +615,10 @@ def evaluate(spec: VarietySpec, *, max_degree: int = DEFAULT_MAX_DEGREE,
                 f"{spec.kind} with n={spec.n} is above the default cap {family.cap}; "
                 "rerun with force enabled")
         presentation = family.ideal(spec)
-        basis, _, series = groebner_route(presentation, limits)
+        basis, series = groebner_route(presentation, limits)
         provenance = presentation.provenance
     coefficients = series.expand(max_degree)
     if spec.kind == "Pn" and coefficients != projective_space_dims(spec.n, max_degree):
         raise IntegrityError("projective-space series disagrees with closed form")
-    return SeriesReport(spec, spec.text(), coefficients, series, series.krull_dim(),
-                        provenance, flags, presentation=presentation, basis=basis,
-                        klein=klein)
+    return SeriesReport(spec, coefficients, series, series.krull_dim(), provenance, flags,
+                        basis=basis, klein=klein)

@@ -78,14 +78,14 @@ def _limits(args) -> GroebnerLimits:
     return GroebnerLimits(max_degree=args.gb_max_degree, timeout=args.timeout)
 
 
-def _reports(args, spec_texts) -> list[catalog.SeriesReport]:
+def _reports(args, texts) -> list[catalog.SeriesReport]:
     return [catalog.evaluate(catalog.parse_spec(text), max_degree=args.max_degree,
                              limits=_limits(args), force=args.force)
-            for text in spec_texts]
+            for text in texts]
 
 
 def _render_text(report: catalog.SeriesReport) -> str:
-    lines = [f"spec: {report.spec_text}",
+    lines = [f"spec: {report.spec.text()}",
              "coefficients: " + " ".join(str(c) for c in report.coefficients),
              f"rational form: {report.series.render()}",
              f"krull dim: {report.krull}",
@@ -108,7 +108,7 @@ def _table_rows(reports, max_degree):
     header = ["spec"] + [f"c{i}" for i in range(max_degree + 1)] + ["krull", "provenance"]
     rows = [header]
     for r in reports:
-        rows.append([r.spec_text] + [str(c) for c in r.coefficients]
+        rows.append([r.spec.text()] + [str(c) for c in r.coefficients]
                     + [str(r.krull), r.provenance])
     return rows
 
@@ -147,8 +147,9 @@ def cmd_ideal_dump(args) -> int:
     spec = catalog.parse_spec(args.spec)
     presentation = catalog.ideal_presentation_for(spec)
     if presentation is None:
-        raise SpecParseError(
-            f"{spec.text()} is a closed-form entry; it has no ideal presentation")
+        kind = ("a closed-form entry" if catalog.FAMILIES[spec.kind].closed_form
+                else "not a Groebner-route entry")
+        raise SpecParseError(f"{spec.text()} is {kind}; it has no ideal presentation")
     for g in presentation.generators:
         print(g.render(lex=True))
     return EXIT_OK

@@ -497,6 +497,9 @@ def _reduced_from_entries(ctx, red, active):
 
 
 def leading_term_ideal(gb: GroebnerBasis) -> MonomialIdeal:
-    """Minimal monomial generators of the initial ideal of a reduced basis."""
-    gens = [g.leading_monomial() for g in gb.elements]
-    return MonomialIdeal.from_generators(gb.ctx.nvars, gens)
+    """The initial ideal of a reduced basis.
+
+    A reduced basis's leading monomials are distinct and none divides
+    another, so sorted they are already the ideal's minimal generators.
+    """
+    return MonomialIdeal(gb.ctx.nvars, tuple(sorted(g.leading_monomial() for g in gb.elements)))

@@ -34,9 +34,12 @@ from .poly import mono_divides
 
 
 def minimalize_monomials(gens):
-    """Minimal generating set: drop duplicates and multiples of other generators."""
+    """Minimal generating set, sorted: drop duplicates and multiples of other generators.
+
+    A divisor of m is at most m in every exponent, so it sorts before m.
+    """
     kept = []
-    for m in sorted(set(gens), key=lambda m: (sum(m), m)):
+    for m in sorted(set(gens)):
         if not any(mono_divides(k, m) for k in kept):
             kept.append(m)
     return tuple(kept)
@@ -44,7 +47,11 @@ def minimalize_monomials(gens):
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Monomial ideal given by its minimal generators (exponent tuples)."""
+    """Monomial ideal given by its sorted minimal generators (exponent tuples).
+
+    Sorted order is the numerator recursion's state order, so ``gens`` is a
+    memo key as it stands.
+    """
 
     nvars: int
     gens: tuple[tuple[int, ...], ...]
@@ -307,7 +314,7 @@ def series_from_monomial_ideal(ideal: MonomialIdeal) -> HilbertSeries:
     deeper than Python's recursion limit raises LimitExceeded.
     """
     try:
-        num = _Numerators().numerator(tuple(sorted(ideal.gens)))
+        num = _Numerators().numerator(ideal.gens)
     except RecursionError:
         raise LimitExceeded(
             f"numerator recursion deeper than the recursion limit for "

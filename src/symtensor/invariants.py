@@ -50,10 +50,6 @@ class Mat2:
     def neg(self) -> "Mat2":
         return Mat2(-self.a, -self.b, -self.c, -self.d)
 
-    def key(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return (a.nums, a.den, b.nums, b.den, c.nums, c.den, d.nums, d.den)
-
     @classmethod
     def identity(cls, order: int) -> "Mat2":
         one = CyclotomicNumber.one(order)
@@ -64,9 +60,8 @@ class Mat2:
 class MatrixGroup:
     """Finite multiplicatively closed set of unit-determinant 2x2 matrices."""
 
-    def __init__(self, label: str, n_param, field_order: int, elements):
+    def __init__(self, label: str, field_order: int, elements):
         self.label = label
-        self.n_param = n_param
         self.field_order = field_order
         self.elements = tuple(elements)
 
@@ -95,29 +90,27 @@ class MatrixGroup:
         return {k: counts[k] // euler_phi(k) for k in sorted(counts)}
 
     def __repr__(self):
-        tag = f"{self.label}_{self.n_param}" if self.n_param else self.label
-        return f"<MatrixGroup {tag} of order {self.order} over Q(z{self.field_order})>"
+        return f"<MatrixGroup {self.label} of order {self.order} over Q(z{self.field_order})>"
 
 
 def _close_under_multiplication(generators, field_order, expected_order):
     ident = Mat2.identity(field_order)
-    seen = {ident.key(): ident}
+    seen = {ident: None}  # a dict keeps the elements in closure order
     frontier = [ident]
     while frontier:
         nxt = []
         for m in frontier:
             for g in generators:
                 prod = m * g
-                k = prod.key()
-                if k not in seen:
+                if prod not in seen:
                     if len(seen) >= 2 * expected_order:
                         raise IntegrityError(
                             f"group closure exceeded twice the expected order "
                             f"{expected_order}; wrong generators")
-                    seen[k] = prod
+                    seen[prod] = None
                     nxt.append(prod)
         frontier = nxt
-    return tuple(sorted(seen.values(), key=Mat2.key))
+    return tuple(seen)
 
 
 def _bd_generators(n: int, field_order: int):
@@ -167,7 +160,7 @@ def _binary_icosahedral_generators():
 
 
 @lru_cache(maxsize=None)
-def build_group(label: str, n_param: int | None = None) -> MatrixGroup:
+def build_group(label: str, n: int | None = None) -> MatrixGroup:
     """Standard binary dihedral/tetrahedral/octahedral/icosahedral group.
 
     The closure is enumerated from scratch and hard-checked: expected order,
@@ -176,11 +169,11 @@ def build_group(label: str, n_param: int | None = None) -> MatrixGroup:
     once it is computed without error.
     """
     if label == "BD":
-        if n_param is None or n_param < 2:
+        if n is None or n < 2:
             raise ValueError("binary dihedral groups need n >= 2")
-        field_order = lcm(2 * n_param, 4)
-        generators = _bd_generators(n_param, field_order)
-        expected = 4 * n_param
+        field_order = lcm(2 * n, 4)
+        generators = _bd_generators(n, field_order)
+        expected = 4 * n
     elif label == "2T":
         field_order, generators, expected = 4, _binary_tetrahedral_generators(), 24
     elif label == "2O":
@@ -190,10 +183,9 @@ def build_group(label: str, n_param: int | None = None) -> MatrixGroup:
     else:
         raise ValueError(f"unknown group label {label!r}")
     elements = _closed_unimodular(generators, field_order, expected, label)
-    minus_one = Mat2.identity(field_order).neg().key()
-    if not any(m.key() == minus_one for m in elements):
+    if Mat2.identity(field_order).neg() not in elements:
         raise IntegrityError(f"group {label} does not contain -identity")
-    return MatrixGroup(label, n_param, field_order, elements)
+    return MatrixGroup(label, field_order, elements)
 
 
 def _closed_unimodular(generators, field_order, expected_order, label):

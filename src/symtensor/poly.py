@@ -31,17 +31,6 @@ def mono_divides(a, b):
     return all(map(le, a, b))
 
 
-def mono_degree(m):
-    return sum(m)
-
-
-def weighted_degree(m, weights):
-    """Total degree with one positive weight per variable."""
-    if len(weights) != len(m):
-        raise ValueError("one weight per variable required")
-    return sum(e * w for e, w in zip(m, weights))
-
-
 def degrevlex_key(m):
     """Degrevlex sort key: bigger key means bigger monomial."""
     return (sum(m), tuple([-e for e in reversed(m)]))
@@ -125,7 +114,7 @@ class Polynomial:
     def degree(self) -> int:
         """Maximal total degree, -1 for the zero polynomial."""
         # terms are sorted by degrevlex, which compares total degree first
-        return mono_degree(self.terms[0][0]) if self.terms else -1
+        return sum(self.terms[0][0]) if self.terms else -1
 
     def leading_term(self):
         """(coefficient, monomial) of the maximal term under degrevlex."""
@@ -137,22 +126,9 @@ class Polynomial:
     def leading_monomial(self):
         return self.leading_term()[1]
 
-    def homogeneous_degree(self, weights=None):
-        """Common (weighted) degree of all terms, or None if mixed.
-
-        The zero polynomial counts as homogeneous of degree 0.
-        """
-        if weights is None:
-            weights = (1,) * self.ctx.nvars
-        degrees = {weighted_degree(m, weights) for m, _ in self.terms}
-        if not degrees:
-            return 0
-        if len(degrees) > 1:
-            return None
-        return degrees.pop()
-
     def is_homogeneous(self) -> bool:
-        return self.homogeneous_degree() is not None
+        """Whether all terms share one total degree; the zero polynomial counts."""
+        return len({sum(m) for m, _ in self.terms}) <= 1
 
     # -- arithmetic ----------------------------------------------------------
 

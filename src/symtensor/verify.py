@@ -45,22 +45,19 @@ class VerifyContext:
 
     def __init__(self, config: VerifyConfig):
         self.config = config
-        self._routes: dict[str, tuple] = {}
+        self.routes: dict[str, tuple] = {}  # spec text -> (presentation, basis, series)
         self.recorded_series: list = []
         self.recorded_groups: list = []   # (group, its exact Molien series)
 
-    def route(self, spec_text: str):
+    def route(self, text: str):
         """(presentation, basis, series) for a Groebner-backed spec, cached."""
-        if spec_text not in self._routes:
-            spec = catalog.parse_spec(spec_text)
+        if text not in self.routes:
+            spec = catalog.parse_spec(text)
             presentation = catalog.ideal_presentation_for(spec)
-            basis, _, series = catalog.groebner_route(presentation, self.config.limits)
-            self._routes[spec_text] = (presentation, basis, series)
-            self.recorded_series.append((spec_text, series))
-        return self._routes[spec_text]
-
-    def cached_routes(self):
-        return dict(self._routes)
+            basis, series = catalog.groebner_route(presentation, self.config.limits)
+            self.routes[text] = (presentation, basis, series)
+            self.recorded_series.append((text, series))
+        return self.routes[text]
 
     def record_series(self, label, series):
         self.recorded_series.append((label, series))
@@ -209,20 +206,20 @@ def _check_monomial_oracle(ctx):
 
 @_check("groebner-contract")
 def _check_groebner_contract(ctx):
-    routes = ctx.cached_routes()
+    routes = ctx.routes
     if not routes:
         return LIMIT, "no groebner bases available (earlier checks hit their limits)"
     total_pairs = 0
-    for spec_text, (presentation, basis, _) in sorted(routes.items()):
+    for text, (presentation, basis, _) in sorted(routes.items()):
         elements = basis.elements
         for g in presentation.generators:
             nf = normal_form(g, elements)
-            assert nf.is_zero, f"{spec_text}: input generator {g.render()} has nonzero NF"
+            assert nf.is_zero, f"{text}: input generator {g.render()} has nonzero NF"
         for i in range(len(elements)):
             for j in range(i + 1, len(elements)):
                 spair = s_polynomial(elements[i], elements[j])
                 nf = normal_form(spair, elements)
-                assert nf.is_zero, f"{spec_text}: S-pair ({i},{j}) does not reduce to zero"
+                assert nf.is_zero, f"{text}: S-pair ({i},{j}) does not reduce to zero"
                 total_pairs += 1
     return PASS, (f"{total_pairs} S-pairs and all input generators reduce to zero "
                   f"across {len(routes)} bases")
@@ -252,10 +249,10 @@ def _check_dimension_bounds(ctx):
         catalog.check_dimension_bounds(spec, series)
     spec = catalog.parse_spec("Hitchin(g=2,r=2,d=1,fixed)")
     catalog.check_dimension_bounds(spec, catalog.evaluate(spec).series)
-    for spec_text, (_, _, series) in sorted(ctx.cached_routes().items()):
-        spec = catalog.parse_spec(spec_text)
+    for text, (_, _, series) in sorted(ctx.routes.items()):
+        spec = catalog.parse_spec(text)
         report = catalog.check_dimension_bounds(spec, series)
-        reports.append(f"{spec_text}:{report.krull}<={report.upper}")
+        reports.append(f"{text}:{report.krull}<={report.upper}")
     for label, n in (("BD", 2), ("BD", 3), ("2T", None), ("2O", None), ("2I", None)):
         spec = catalog.VarietySpec(kind="Klein", group=label, n=n)
         report = catalog.ruled_klein(label, n)

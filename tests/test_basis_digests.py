@@ -15,17 +15,21 @@ from pathlib import Path
 import pytest
 
 from symtensor.catalog import ideal_presentation_for, parse_spec
-from symtensor.groebner import buchberger
+from symtensor.groebner import buchberger, leading_term_ideal
+from symtensor.hilbert import minimalize_monomials
 
 DIGESTS = json.loads((Path(__file__).parent / "data" / "basis_digests.json").read_text())
 
 
 def check_basis(text):
-    elements = buchberger(ideal_presentation_for(parse_spec(text))).elements
+    basis = buchberger(ideal_presentation_for(parse_spec(text)))
+    elements = basis.elements
     lines = [p.render() for p in elements]
     want = DIGESTS[text]
     assert len(lines) == want["elements"], f"{text}: {len(lines)} elements"
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == want["sha256"], text
+    lts = [p.leading_monomial() for p in elements]
+    assert leading_term_ideal(basis).gens == minimalize_monomials(lts), text
 
 
 @pytest.mark.parametrize("text", ["Gr(1,6)", "Q(6)"])

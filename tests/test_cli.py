@@ -6,7 +6,7 @@ import pytest
 from symtensor import catalog, cli, verify
 from symtensor.errors import IntegrityError
 
-# one spec of every family; the expected output is tests/data/catalog_table.json
+# one spec of every family; the expected outputs are tests/data/catalog_table.{json,csv,md}
 TABLE_SPECS = ("Pn(2)", "Gr(2,4)", "Gr(1,4)", "Q(3)", "2Q(3)", "Ab(2)",
                "Hitchin(g=2,r=2,d=1,fixed)", "Hitchin(g=3,r=3,d=1)",
                "ParHitchin(g=4,r=2,s=1,mode=literal)", "ParHitchin(g=2,r=5,s=2,mode=sympow)",
@@ -94,6 +94,15 @@ def test_ideal_dump_closed_form_exits_2(capsys):
     assert "closed-form" in err
 
 
+@pytest.mark.parametrize("spec", ["Klein(2I)", "Prod(Gr(1,2),Gr(1,2))"])
+def test_ideal_dump_without_presentation_exits_2(capsys, spec):
+    # Klein goes through the Molien route and Prod through Kunneth: neither is a closed form
+    code, _, err = run_cli(capsys, "ideal-dump", spec)
+    assert code == 2
+    assert "closed-form" not in err
+    assert "no ideal presentation" in err
+
+
 def test_table_identical_rows(capsys):
     code, out, _ = run_cli(capsys, "table", "Pn(1)", "Q(1)", "--max-degree", "4")
     assert code == 0
@@ -126,10 +135,12 @@ def test_empty_table_exits_2(capsys):
     assert code == 2
 
 
-def test_catalog_table_json_is_byte_identical_to_golden(capsys):
-    code, out, _ = run_cli(capsys, "table", *TABLE_SPECS, "--format", "json")
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_catalog_table_is_byte_identical_to_golden(capsys, fmt):
+    code, out, _ = run_cli(capsys, "table", *TABLE_SPECS, "--format", fmt)
     assert code == 0
-    golden = Path(__file__).parent / "data" / "catalog_table.json"
+    suffix = "md" if fmt == "markdown" else fmt
+    golden = Path(__file__).parent / "data" / f"catalog_table.{suffix}"
     assert out.encode() == golden.read_bytes()
 
 

@@ -11,7 +11,7 @@ from symtensor.groebner import (GroebnerBasis, GroebnerLimits, IdealPresentation
                                 buchberger, leading_term_ideal, normal_form,
                                 s_polynomial)
 from symtensor.hilbert import (MonomialIdeal, count_standard_monomials,
-                               series_from_monomial_ideal)
+                               minimalize_monomials, series_from_monomial_ideal)
 from symtensor.poly import VariableContext, degrevlex_key, mono_divides
 
 ABCD = VariableContext(("a", "b", "c", "d"))
@@ -143,6 +143,14 @@ def test_buchberger_square_zero_with_trace():
     assert set(gb.elements) == {ABCD.parse("a + d"), ABCD.parse("d^2 + b*c")}
     series = series_from_monomial_ideal(leading_term_ideal(gb))
     assert series.expand(6) == (1, 3, 5, 7, 9, 11, 13)
+
+
+@pytest.mark.parametrize("text", ["Gr(1,3)", "Gr(2,4)", "Q(2)", "Q(3)"])
+def test_reduced_leading_monomials_are_the_sorted_minimal_generators(text):
+    # leading_term_ideal skips minimalisation, which a reduced basis makes a no-op
+    gb = buchberger(ideal_presentation_for(parse_spec(text)))
+    lts = [g.leading_monomial() for g in gb.elements]
+    assert leading_term_ideal(gb).gens == minimalize_monomials(lts)
 
 
 def test_empty_basis_gives_zero_ideal():

@@ -282,12 +282,14 @@ def test_numerator_matches_reference_recursion():
     rng = random.Random(7)
     for nvars, gens in cases:
         want = _reference_series_numerator(nvars, gens)
-        got = series_from_monomial_ideal(MonomialIdeal.from_generators(nvars, gens))
+        ideal = MonomialIdeal.from_generators(nvars, gens)
+        assert ideal.gens == tuple(sorted(ideal.gens)), f"{gens} in {nvars} vars"
+        got = series_from_monomial_ideal(ideal)
         assert got.numerator == want, f"{gens} in {nvars} vars"
         assert got.den_weights == (1,) * nvars
         # every recursion state is a canonical memo key: sorted minimal generators
         numerators = _Numerators()
-        numerators.numerator(tuple(sorted(MonomialIdeal.from_generators(nvars, gens).gens)))
+        numerators.numerator(ideal.gens)
         for state in numerators.memo:
             assert state == tuple(sorted(minimalize_monomials(state))), f"state {state}"
         # variable-permuted copies change pivot ties and component order only

@@ -5,8 +5,7 @@ import pytest
 
 from symtensor.catalog import klein_row
 from symtensor.errors import SpecParseError
-from symtensor.poly import (Polynomial, VariableContext, degrevlex_key, mono_mul,
-                            weighted_degree)
+from symtensor.poly import Polynomial, VariableContext, degrevlex_key, mono_mul
 
 XY = VariableContext(("x", "y"))
 ABCD = VariableContext(("a", "b", "c", "d"))
@@ -32,14 +31,6 @@ def test_leading_term_examples():
     assert XY.parse("5").leading_term() == (5, (0, 0))
     with pytest.raises(ValueError):
         XY.zero().leading_term()
-
-
-def test_weighted_degree_examples():
-    n = 2
-    weights = (2 * n + 2, 2 * n, 4)
-    assert weighted_degree((2, 0, 0), weights) == 12     # x^2
-    assert weighted_degree((0, 0, n + 1), weights) == 12  # z^(n+1)
-    assert weighted_degree((0, 0, 0), weights) == 0
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -97,7 +88,6 @@ def test_homogeneity():
     assert XY.parse("x^2 + x*y").is_homogeneous()
     assert not XY.parse("x^2 + x").is_homogeneous()
     assert XY.zero().is_homogeneous()
-    assert XY.parse("x^2 + y").homogeneous_degree((1, 2)) == 2
 
 
 def test_context_mismatch_rejected():

@@ -69,6 +69,6 @@ def test_series_wrong_past_degree_eight_fails(spec, check_name):
                           series.den_weights)
     assert wrong.expand(8) == series.expand(8)
     assert wrong.expand(9) != series.expand(9)
-    ctx._routes[spec] = (presentation, basis, wrong)
+    ctx.routes[spec] = (presentation, basis, wrong)
     check = next(c for c in verify._CHECKS if c.check_name == check_name)
     assert check(ctx).status == verify.FAIL
