@@ -159,6 +159,10 @@ class CyclotomicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not any(self.nums):
+            return o
+        if not any(o.nums):
+            return self
         da, db = self.den, o.den
         if da == db:
             return _make(self.order, tuple([a + b for a, b in zip(self.nums, o.nums)]), da)
@@ -179,16 +183,21 @@ class CyclotomicNumber:
                      tuple([a * db - b * da for a, b in zip(self.nums, o.nums)]), da * db)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return _make(self.order, tuple([a * other for a in self.nums]), self.den)
-        if isinstance(other, Fraction):
-            p = other.numerator
-            return _make(self.order, tuple([a * p for a in self.nums]),
-                         self.den * other.denominator)
+        if type(other) is not CyclotomicNumber:  # isinstance on Fraction goes through abc
+            if isinstance(other, int):
+                return _make(self.order, tuple([a * other for a in self.nums]), self.den)
+            if isinstance(other, Fraction):
+                p = other.numerator
+                return _make(self.order, tuple([a * p for a in self.nums]),
+                             self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         a, b = self.nums, o.nums
+        if not any(a):
+            return self
+        if not any(b):
+            return o
         phi = len(a)
         conv = [0] * (2 * phi - 1)
         for i, x in enumerate(a):

@@ -50,11 +50,20 @@ class MonomialIdeal:
     """Monomial ideal given by its sorted minimal generators (exponent tuples).
 
     Sorted order is the numerator recursion's state order, so ``gens`` is a
-    memo key as it stands.
+    memo key as it stands.  Construction checks the order and the lengths, so
+    the unit monomial can only come first; minimality is trusted, and
+    :meth:`from_generators` establishes it.
     """
 
     nvars: int
     gens: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        gens = self.gens
+        if any(len(g) != self.nvars for g in gens) or any(
+                a >= b for a, b in zip(gens, gens[1:])):
+            raise ValueError("monomial generators must be strictly increasing "
+                             f"tuples of {self.nvars} exponents")
 
     @classmethod
     def from_generators(cls, nvars, gens):

@@ -94,22 +94,36 @@ class MatrixGroup:
 
 
 def _close_under_multiplication(generators, field_order, expected_order):
+    """Dimino's coset closure: each element is built by exactly one product.
+
+    With H the group of the generators before s, <H, s> is a union of right
+    cosets H r.  A representative r times a generator t up to s either lies in
+    a coset already added or starts a new one, which is added whole without
+    lookups (G. Butler, Fundamental Algorithms for Permutation Groups, 1991).
+    """
     ident = Mat2.identity(field_order)
     seen = {ident: None}  # a dict keeps the elements in closure order
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in generators:
-                prod = m * g
-                if prod not in seen:
-                    if len(seen) >= 2 * expected_order:
-                        raise IntegrityError(
-                            f"group closure exceeded twice the expected order "
-                            f"{expected_order}; wrong generators")
-                    seen[prod] = None
-                    nxt.append(prod)
-        frontier = nxt
+
+    def add_coset(subgroup, rep):
+        for h in subgroup:  # the identity comes first and gives rep itself
+            if len(seen) >= 2 * expected_order:
+                raise IntegrityError(
+                    f"group closure exceeded twice the expected order "
+                    f"{expected_order}; wrong generators")
+            seen[h * rep if h is not ident else rep] = None
+
+    for i, s in enumerate(generators):
+        if s in seen:
+            continue
+        subgroup = tuple(seen)
+        add_coset(subgroup, s)
+        reps = [s]
+        for r in reps:
+            for t in generators[: i + 1]:
+                rt = r * t
+                if rt not in seen:
+                    add_coset(subgroup, rt)
+                    reps.append(rt)
     return tuple(seen)
 
 

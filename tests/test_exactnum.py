@@ -60,6 +60,36 @@ def test_order_mismatch_rejected():
         zeta(4) * zeta(8)
     with pytest.raises(ValueError):
         zeta(4) + zeta(12)
+    # a zero operand returns early only after the orders are compared
+    with pytest.raises(ValueError):
+        CyclotomicNumber.zero(4) * zeta(8)
+    with pytest.raises(ValueError):
+        zeta(4) * CyclotomicNumber.zero(8)
+    with pytest.raises(ValueError):
+        CyclotomicNumber.zero(4) + zeta(12)
+
+
+def _canonical(value):
+    return (value.order, value.nums, value.den)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 12, 20])
+def test_zero_operands_give_the_general_results(m):
+    # x has den 6 > 1; the references are built from exact coefficients
+    phi = euler_phi(m)
+    x = CyclotomicNumber(m, tuple(Fraction(k - 2, 6 if k % 2 else 3) for k in range(phi)))
+    assert x.den > 1
+    zero = CyclotomicNumber.zero(m)
+    want_product = _canonical(CyclotomicNumber(m, (0,) * phi))
+    want_sum = _canonical(CyclotomicNumber(m, x.coeffs))
+    for zero_operand in (zero, x - x, x * 0):
+        assert _canonical(zero_operand * x) == want_product
+        assert _canonical(x * zero_operand) == want_product
+        assert _canonical(x + zero_operand) == want_sum
+        assert _canonical(zero_operand + x) == want_sum
+    assert _canonical(zero * zero) == _canonical(zero + zero) == want_product
+    with pytest.raises(TypeError):
+        x * 1.5
 
 
 @pytest.mark.parametrize("m", [1, 4, 8, 12, 20])

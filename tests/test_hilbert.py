@@ -36,6 +36,18 @@ def test_unit_ideal_is_zero_series():
     assert series_from_monomial_ideal(unit).expand(3) == (0, 0, 0, 0)
 
 
+def test_direct_construction_checks_order_and_lengths():
+    # unsorted, the unit monomial would reach the numerator recursion second and never end
+    with pytest.raises(ValueError, match="strictly increasing"):
+        MonomialIdeal(2, ((1, 0), (0, 0)))
+    with pytest.raises(ValueError):
+        MonomialIdeal(2, ((0, 1), (0, 1)))
+    with pytest.raises(ValueError):
+        MonomialIdeal(2, ((0, 1), (1, 0, 0)))
+    unit = MonomialIdeal(2, ((0, 0), (1, 0)))
+    assert series_from_monomial_ideal(unit).expand(2) == (0, 0, 0)
+
+
 def test_series_from_generator_degrees_examples():
     assert series_from_generator_degrees([1, 1]).expand(3) == (1, 2, 3, 4)
     assert series_from_generator_degrees([2, 2, 2]).expand(6) == (1, 0, 3, 0, 6, 0, 10)

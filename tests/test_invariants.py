@@ -10,6 +10,8 @@ from symtensor.errors import IntegrityError
 from symtensor.exactnum import CyclotomicNumber, euler_phi, zeta
 from symtensor.hilbert import HilbertSeries, series_from_generator_degrees
 from symtensor.invariants import (Mat2, MatrixGroup, _bd_generators,
+                                  _binary_icosahedral_generators,
+                                  _binary_octahedral_generators,
                                   _binary_tetrahedral_generators, _closed_unimodular,
                                   _hypersurface_form, build_group,
                                   invariant_dimension, molien_series)
@@ -122,8 +124,13 @@ def test_wrong_generators_detected():
     two = CyclotomicNumber.from_rational(4, 2)
     zero = CyclotomicNumber.zero(4)
     one = CyclotomicNumber.one(4)
-    with pytest.raises(IntegrityError):
-        build_group_from_generators((Mat2(two, zero, zero, one),), 4, 8)
+    infinite = Mat2(two, zero, zero, one)
+    with pytest.raises(IntegrityError, match="exceeded twice"):
+        build_group_from_generators((infinite,), 4, 8)
+    # after a finite generator, the infinite one grows through whole cosets
+    finite = Mat2(zeta(4), zero, zero, -zeta(4))
+    with pytest.raises(IntegrityError, match="exceeded twice"):
+        build_group_from_generators((finite, infinite), 4, 8)
 
 
 def test_custom_group_must_be_unimodular():
@@ -235,6 +242,40 @@ def test_recovered_form_extends_beyond_search_window():
 
 CATALOG_GROUPS = [("BD", n) for n in range(2, 21)] + [("2T", None), ("2O", None),
                                                       ("2I", None)]
+
+
+def _breadth_first_closure(generators, field_order):
+    """Reference closure: every element times every generator until nothing is new."""
+    seen = {Mat2.identity(field_order)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [m * g for m in frontier for g in generators]
+        frontier = [m for m in set(frontier) if m not in seen]
+        seen.update(frontier)
+    return seen
+
+
+@pytest.mark.parametrize("label,n", CATALOG_GROUPS)
+def test_closure_equals_breadth_first_reference(label, n):
+    group = build_group(label, n)
+    generators = {"BD": lambda: _bd_generators(n, group.field_order),
+                  "2T": _binary_tetrahedral_generators,
+                  "2O": _binary_octahedral_generators,
+                  "2I": _binary_icosahedral_generators}[label]()
+    reference = _breadth_first_closure(generators, group.field_order)
+    assert set(group.elements) == reference
+    assert group.cyclic_subgroups == MatrixGroup(label, group.field_order,
+                                                 reference).cyclic_subgroups
+
+
+@pytest.mark.parametrize("generators,field_order,order", [
+    # a redundant generator: rot^2 lies in the group of rot
+    ((*_bd_generators(4, 8), _bd_generators(4, 8)[0] * _bd_generators(4, 8)[0]), 8, 16),
+    (_binary_octahedral_generators()[::-1], 8, 48),
+    (_binary_tetrahedral_generators(8), 8, 24)], ids=["BD4-rot2", "2O-reversed", "2T-in-8"])
+def test_closure_of_other_generating_sets_equals_reference(generators, field_order, order):
+    group = build_group_from_generators(generators, field_order, order)
+    assert set(group.elements) == _breadth_first_closure(generators, field_order)
 
 
 def _fit(group, period):
