@@ -14,18 +14,8 @@ the order behind the Hilbert series is an internal choice.  Under degrevlex a
 leading monomial has the largest total degree of its polynomial, so a
 reduction step never raises the total degree.
 
-Packed monomials.  Inside the engine a monomial is one ``int`` (Bachmann and
-Schonemann 1998, with the order key packed as well).  Its exponents fill
-fields of w value bits and one guard bit above them, w + 1 being 8, 16, 32
-or 64; the exponent vector E holds variable i in field i (last variable most
-significant).  The packed key is K = deg * 2^T - E, T being the width of all
-n fields, so comparing ints compares monomials.  The key is linear in the
-exponents: a product is one addition, a quotient one subtraction, and a
-divides b exactly when E_b - E_a sets no guard bit.  The lcm is a field-wise
-maximum of E computed through the guard bits, and the total degree of E is
-read from one multiplication.  Exponent tuples appear only at the boundary:
-generators, ``p`` and bases are packed on the way in, and results are
-unpacked on the way out.
+Packed monomials.  Inside the engine a monomial is one ``int``, its degrevlex
+key in the layout of :class:`poly.Packing`.
 
 Every packed monomial has total degree at most the field capacity 2^w - 1,
 which bounds every exponent; the width is the narrowest that holds the
@@ -50,12 +40,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from struct import Struct
 
 from .errors import LimitExceeded
 from .exactnum import exact
 from .hilbert import MonomialIdeal
-from .poly import Polynomial, VariableContext, mono_mul
+from .poly import Packing, Polynomial, VariableContext, mono_mul
 
 
 @dataclass(frozen=True)
@@ -94,66 +83,6 @@ class GroebnerBasis:
 
     ctx: VariableContext
     elements: tuple[Polynomial, ...]
-
-
-# -- packed monomials -----------------------------------------------------------
-
-
-class _Packing:
-    """The int layout of degrevlex monomials in n variables.
-
-    A packed key K holds the exponent vector E (see the module docstring);
-    ``cap`` is the largest total degree, and so the largest exponent, a
-    field can hold, and the fields are the narrowest of 1, 2, 4 or 8 bytes
-    that hold ``bound``.  E is the bytes of the exponent tuple read as one
-    little-endian int.
-    """
-
-    __slots__ = ("fields", "value_bits", "cap", "total", "low", "guards", "ones", "top")
-
-    def __init__(self, nvars: int, bound: int):
-        size = next((size for size in (1, 2, 4, 8) if bound < 1 << (8 * size - 1)), None)
-        if size is None:
-            raise LimitExceeded(f"degree {bound} does not fit a 63-bit exponent field")
-        code = {1: "B", 2: "H", 4: "I", 8: "Q"}[size]
-        self.fields = Struct(f"<{nvars}{code}")
-        self.value_bits = 8 * size - 1
-        self.cap = (1 << self.value_bits) - 1
-        self.total = 8 * size * nvars
-        self.low = (1 << self.total) - 1
-        self.ones = self.pack_exps((1,) * nvars)
-        self.guards = self.ones << self.value_bits
-        self.top = 8 * size * max(nvars - 1, 0)
-
-    def pack_exps(self, m) -> int:
-        """E of an exponent tuple whose entries are at most ``cap``."""
-        return int.from_bytes(self.fields.pack(*m), "little")
-
-    def unpack_exps(self, e) -> tuple:
-        return self.fields.unpack(e.to_bytes(self.fields.size, "little"))
-
-    def key(self, e, degree) -> int:
-        """K of the monomial with exponent vector e and total degree ``degree``."""
-        return (degree << self.total) - e
-
-    def exps(self, k) -> int:
-        return -k & self.low
-
-    def pack(self, m) -> int:
-        return self.key(self.pack_exps(m), sum(m))
-
-    def unpack(self, k) -> tuple:
-        return self.unpack_exps(self.exps(k))
-
-    def degree(self, e) -> int:
-        """Total degree of E, read from the top field of E * (1, ..., 1)."""
-        return (e * self.ones >> self.top) & self.cap
-
-    def lcm(self, a, b) -> int:
-        """Field-wise maximum of two exponent vectors."""
-        ge = ((a | self.guards) - b) & self.guards  # guard i set when a_i >= b_i
-        ge -= ge >> self.value_bits                 # ... now its value bits instead
-        return b ^ ((a ^ b) & ge)
 
 
 # -- dict-polynomial core -----------------------------------------------------
@@ -374,7 +303,7 @@ def _basis_entries(basis, ctx, bound):
         if not b.is_zero:
             polys.append(b)
             bound = max(bound, b.degree())
-    red = _Reducers(_Packing(ctx.nvars, bound))
+    red = _Reducers(Packing(ctx.nvars, bound))
     for b in polys:
         red.add(*_entry_from_poly(b, red.pk))
     entries = (tuple(red.lts), tuple(red.tails), tuple(red.exps))
@@ -426,7 +355,7 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None) -
     limits = limits or GroebnerLimits()
     start = time.monotonic()
     bound = max([g.degree() for g in ideal.generators], default=0)
-    red = _Reducers(_Packing(ideal.ctx.nvars, bound))
+    red = _Reducers(Packing(ideal.ctx.nvars, bound))
     queue = _PairQueue(red)
     pairs_processed = 0
     max_degree_seen = 0
@@ -461,7 +390,7 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None) -
         # every term of the S-polynomial and its reduction has the lcm's degree
         pk = red.pk
         if deg > pk.cap:
-            wider = _Packing(ideal.ctx.nvars, deg)
+            wider = Packing(ideal.ctx.nvars, deg)
             queue.live = {key: wider.pack_exps(pk.unpack_exps(e))
                           for key, e in queue.live.items()}
             red.repack(wider)

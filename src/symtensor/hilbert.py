@@ -7,8 +7,9 @@ numerator is taken over (1 - t)^n, and use the pivot recursion
     N(I) = N(I + <p>) + t^deg(p) * N(I : p)
 
 with p = x^e for the variable x in most generators (first on ties) and e its
-smallest positive exponent there.  Three facts keep every step free of a full
-re-minimalisation:
+smallest positive exponent there.  A state is the sorted tuple of packed
+minimal generators (:class:`poly.Packing`, as wide as the largest degree).
+Three facts keep every step free of a full re-minimalisation:
 
 * I + <p> is the generators without x plus p, and p shares no variable with
   them, so N(I + <p>) = (1 - t^deg(p)) N(generators without x).
@@ -28,7 +29,7 @@ from operator import not_
 
 from . import univar
 from .errors import IntegrityError, LimitExceeded
-from .poly import mono_divides
+from .poly import Packing, mono_divides
 
 # -- monomial ideals ----------------------------------------------------------
 
@@ -49,10 +50,9 @@ def minimalize_monomials(gens):
 class MonomialIdeal:
     """Monomial ideal given by its sorted minimal generators (exponent tuples).
 
-    Sorted order is the numerator recursion's state order, so ``gens`` is a
-    memo key as it stands.  Construction checks the order and the lengths, so
-    the unit monomial can only come first; minimality is trusted, and
-    :meth:`from_generators` establishes it.
+    Sorted, each ideal has one ``gens``.  Construction checks the order, the
+    lengths and the signs; minimality is trusted, and :meth:`from_generators`
+    establishes it.
     """
 
     nvars: int
@@ -60,20 +60,16 @@ class MonomialIdeal:
 
     def __post_init__(self):
         gens = self.gens
-        if any(len(g) != self.nvars for g in gens) or any(
+        if any(len(g) != self.nvars or min(g, default=0) < 0 for g in gens) or any(
                 a >= b for a, b in zip(gens, gens[1:])):
             raise ValueError("monomial generators must be strictly increasing "
-                             f"tuples of {self.nvars} exponents")
+                             f"tuples of {self.nvars} nonnegative exponents")
 
     @classmethod
     def from_generators(cls, nvars, gens):
-        gens = tuple(tuple(g) for g in gens)
-        for g in gens:
-            if len(g) != nvars:
-                raise ValueError("generator length does not match variable count")
-            if any(e < 0 for e in g):
-                raise ValueError("negative exponent in monomial generator")
-        return cls(nvars, minimalize_monomials(gens))
+        # all are checked: one of the wrong length can look like a multiple of another
+        every = cls(nvars, tuple(sorted(set(map(tuple, gens)))))
+        return cls(nvars, minimalize_monomials(every.gens))
 
     def contains_monomial(self, mono) -> bool:
         return any(mono_divides(g, mono) for g in self.gens)
@@ -104,90 +100,78 @@ def count_standard_monomials(ideal: MonomialIdeal, degree: int) -> int:
 # -- numerator recursion -------------------------------------------------------
 
 
-def _colon_by_power(gens, var, exp, same):
-    """Minimal generators of <gens> : x_var^exp, where exp is var's least positive exponent.
-
-    ``same`` holds the generators without x_var.  The others all have x_var to
-    at least exp, so the only divisibility that lowering them creates is a
-    lowered generator without x_var dividing one of ``same``.
-    """
-    moved, drops = [], []
-    for g in gens:
-        e = g[var]
-        if e:
-            m = g[:var] + (e - exp,) + g[var + 1:]
-            moved.append(m)
-            if e == exp:
-                drops.append(m)
-    kept = [s for s in same if not any(mono_divides(d, s) for d in drops)]
-    return tuple(sorted(kept + moved))
+def _components(gens, supports):
+    """Groups of generators linked through shared variables, each kept sorted."""
+    groups = []
+    while True:
+        reach, last = supports[0], 0
+        while reach != last:
+            last = reach
+            for s in supports:
+                if s & reach:
+                    reach |= s
+        flags = [s & reach for s in supports]
+        if all(flags):
+            groups.append(gens)
+            return groups
+        groups.append(tuple(compress(gens, flags)))
+        gens = tuple(compress(gens, map(not_, flags)))
+        supports = [s for s in supports if not s & reach]
 
 
 class _Numerators:
     """Memoised numerators over (1 - t)^n of quotients by monomial ideals.
 
-    A state is a plain-sorted tuple of minimal generators, so equal ideals
-    share one memo entry, and the unit monomial can only come first.
+    A state is the increasing tuple of minimal generators packed by ``pk``, so
+    equal ideals share one memo entry, and the unit monomial, 0, comes first.
     """
 
-    def __init__(self):
+    def __init__(self, pk):
+        self.pk = pk
         self.memo = {}
-        self.supports = {}  # generator -> its variables as the bits of one int
 
-    def _support(self, g):
-        s = self.supports.get(g)
-        if s is None:
-            s = self.supports[g] = int.from_bytes(bytes(map(bool, g)), "little")
-        return s
+    def _colon_by_power(self, gens, column, var, exp, same):
+        """Minimal generators of <gens> : x_var^exp, where exp is var's least positive exponent.
 
-    def _components(self, gens):
-        """Groups of generators linked through shared variables, each kept sorted."""
-        supports = list(map(self._support, gens))
-        groups = []
-        while True:
-            reach = supports[0]
-            grown = True
-            while grown:
-                grown = False
-                for s in supports:
-                    if s & reach and s | reach != reach:
-                        reach |= s
-                        grown = True
-            flags = [s & reach for s in supports]
-            if all(flags):
-                groups.append(gens)
-                return groups
-            groups.append(tuple(compress(gens, flags)))
-            gens = tuple(compress(gens, map(not_, flags)))
-            supports = [s for s in supports if not s & reach]
+        ``column`` holds the exponents of x_var, and ``same`` the generators
+        without it.  The others all have x_var to at least exp, so the only
+        divisibility that lowering them creates is a lowered generator without
+        x_var dividing one of ``same``.
+        """
+        power, guards = self.pk.power(var, exp), self.pk.guards
+        moved = [g - power for g, e in zip(gens, column) if e]
+        drops = [g - power for g, e in zip(gens, column) if e == exp]
+        kept = [s for s in same if all((s - d) & guards for d in drops)]
+        return tuple(sorted(kept + moved))
 
     def numerator(self, gens):
         cached = self.memo.get(gens)
         if cached is not None:
             return cached
+        pk = self.pk
         if not gens:
             result = [1]
-        elif not any(gens[0]):
+        elif gens[0] == 0:
             result = []  # the unit ideal, whose quotient is zero
         elif len(gens) == 1:
-            result = univar.one_minus_power(sum(gens[0]))
+            result = univar.one_minus_power(pk.degree(gens[0]))
         else:
-            groups = self._components(gens)
+            supports = pk.supports(gens)
+            groups = _components(gens, supports)
             if len(groups) > 1:
                 result = self.numerator(groups[0])
                 for group in groups[1:]:
                     result = univar.mul(result, self.numerator(group))
             else:
-                columns = list(zip(*gens))
-                counts = [len(col) - col.count(0) for col in columns]
+                counts = pk.counts(supports)
                 var = counts.index(max(counts))
-                column = columns[var]
+                column = pk.exponents(gens, var)
                 exp = min(filter(None, column))
                 # I + <x^e> is the generators without x plus x^e, which shares
                 # no variable with them: N(I + <x^e>) = (1 - t^e) N(same)
                 same = tuple(compress(gens, map(not_, column)))
                 base = self.numerator(same)
-                colon = self.numerator(_colon_by_power(gens, var, exp, same))
+                colon = self.numerator(self._colon_by_power(gens, column, var, exp, same))
                 result = univar.add(base, univar.shift(univar.sub(colon, base), exp))
         self.memo[gens] = result
         return result
@@ -322,8 +306,9 @@ def series_from_monomial_ideal(ideal: MonomialIdeal) -> HilbertSeries:
     The recursion takes one stack frame per pivot level, so a pivot chain
     deeper than Python's recursion limit raises LimitExceeded.
     """
+    pk = Packing(ideal.nvars, max(map(sum, ideal.gens), default=0))
     try:
-        num = _Numerators().numerator(ideal.gens)
+        num = _Numerators(pk).numerator(tuple(sorted(map(pk.pack_exps, ideal.gens))))
     except RecursionError:
         raise LimitExceeded(
             f"numerator recursion deeper than the recursion limit for "

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, le
+from struct import Struct
 
-from .errors import SpecParseError
+from .errors import LimitExceeded, SpecParseError
 from .exactnum import exact
 
 # -- monomial helpers (exponent tuples) -------------------------------------
@@ -34,6 +35,91 @@ def mono_divides(a, b):
 def degrevlex_key(m):
     """Degrevlex sort key: bigger key means bigger monomial."""
     return (sum(m), tuple([-e for e in reversed(m)]))
+
+
+# -- packed monomials -----------------------------------------------------------
+
+
+class Packing:
+    """The int layout of monomials in n variables (Bachmann and Schonemann 1998).
+
+    The exponent vector E is the exponent tuple's bytes read as one
+    little-endian int: fields of w value bits and a guard bit above them, w + 1
+    being the narrowest of 8, 16, 32 or 64 that holds ``bound``, with variable
+    i in field i.  ``cap`` = 2^w - 1 bounds every total degree, and so every
+    exponent.  A product is one addition, a quotient one subtraction, and a
+    divides b exactly when E_b - E_a sets no guard bit; the lcm and the
+    support are read through the guard bits, and the total degree from one
+    multiplication.  The degrevlex key K = deg * 2^T - E, T being the width
+    of all n fields, is linear too, and comparing keys compares monomials.
+    """
+
+    __slots__ = ("fields", "width", "value_bits", "cap", "total", "low", "guards", "ones", "top")
+
+    def __init__(self, nvars: int, bound: int):
+        size = next((size for size in (1, 2, 4, 8) if bound < 1 << (8 * size - 1)), None)
+        if size is None:
+            raise LimitExceeded(f"degree {bound} does not fit a 63-bit exponent field")
+        code = {1: "B", 2: "H", 4: "I", 8: "Q"}[size]
+        self.fields = Struct(f"<{nvars}{code}")
+        self.width = 8 * size
+        self.value_bits = self.width - 1
+        self.cap = (1 << self.value_bits) - 1
+        self.total = self.width * nvars
+        self.low = (1 << self.total) - 1
+        self.ones = self.pack_exps((1,) * nvars)
+        self.guards = self.ones << self.value_bits
+        self.top = self.width * max(nvars - 1, 0)
+
+    def pack_exps(self, m) -> int:
+        """E of an exponent tuple whose entries are at most ``cap``."""
+        return int.from_bytes(self.fields.pack(*m), "little")
+
+    def unpack_exps(self, e) -> tuple:
+        return self.fields.unpack(e.to_bytes(self.fields.size, "little"))
+
+    def key(self, e, degree) -> int:
+        """K of the monomial with exponent vector e and total degree ``degree``."""
+        return (degree << self.total) - e
+
+    def exps(self, k) -> int:
+        return -k & self.low
+
+    def pack(self, m) -> int:
+        return self.key(self.pack_exps(m), sum(m))
+
+    def unpack(self, k) -> tuple:
+        return self.unpack_exps(self.exps(k))
+
+    def power(self, var, e) -> int:
+        """E of x_var^e."""
+        return e << self.width * var
+
+    def exponents(self, es, var) -> list:
+        """The exponent of variable var in each exponent vector of es."""
+        shift, cap = self.width * var, self.cap
+        return [e >> shift & cap for e in es]
+
+    def supports(self, es) -> list:
+        """The guard bits of each exponent vector's variables."""
+        guards, ones = self.guards, self.ones
+        return [((e | guards) - ones) & guards for e in es]
+
+    def counts(self, supports) -> list:
+        """How many supports hold each variable; summing cap at a time keeps the fields apart."""
+        parts = [self.unpack_exps(sum(supports[i:i + self.cap]) >> self.value_bits)
+                 for i in range(0, len(supports), self.cap)]
+        return list(map(sum, zip(*parts)))
+
+    def degree(self, e) -> int:
+        """Total degree of E, read from the top field of E * (1, ..., 1)."""
+        return (e * self.ones >> self.top) & self.cap
+
+    def lcm(self, a, b) -> int:
+        """Field-wise maximum of two exponent vectors."""
+        ge = ((a | self.guards) - b) & self.guards  # guard i set when a_i >= b_i
+        ge -= ge >> self.value_bits                 # ... now its value bits instead
+        return b ^ ((a ^ b) & ge)
 
 
 # -- contexts and polynomials ------------------------------------------------

@@ -447,7 +447,7 @@ def test_normal_form_recovers_from_a_failed_call(monkeypatch):
     want = _fresh_normal_form(p, basis)
     assert normal_form(p, basis) == want
     calls = []
-    real_pack = groebner._Packing.pack
+    real_pack = groebner.Packing.pack
 
     def failing_once(packing, m):
         calls.append(m)
@@ -455,7 +455,7 @@ def test_normal_form_recovers_from_a_failed_call(monkeypatch):
             raise RuntimeError("injected")
         return real_pack(packing, m)
 
-    monkeypatch.setattr(groebner._Packing, "pack", failing_once)
+    monkeypatch.setattr(groebner.Packing, "pack", failing_once)
     with pytest.raises(RuntimeError):
         normal_form(p, basis)
     assert normal_form(p, basis) == want
@@ -501,13 +501,13 @@ def test_buchberger_widens_only_past_the_field_capacity(monkeypatch):
     # 8-bit fields hold degree 127: the pair of lcm x^100*y^27 (degree 127)
     # is reduced in them, and the first wider layout comes with x^27*y^127
     bounds = []
-    real_packing = groebner._Packing
+    real_packing = groebner.Packing
 
     def recording(nvars, bound):
         bounds.append(bound)
         return real_packing(nvars, bound)
 
-    monkeypatch.setattr(groebner, "_Packing", recording)
+    monkeypatch.setattr(groebner, "Packing", recording)
     gb = buchberger(_ideal(XY, "x^100 - y^100", "x^27*y^27"))
     assert bounds == [100, 154]
     assert real_packing(2, 100).cap == 127

@@ -9,6 +9,7 @@ from symtensor.hilbert import (HilbertSeries, MonomialIdeal, _Numerators,
                                count_standard_monomials, minimalize_monomials,
                                series_from_generator_degrees,
                                series_from_monomial_ideal)
+from symtensor.poly import Packing
 
 
 def test_minimalization():
@@ -37,7 +38,7 @@ def test_unit_ideal_is_zero_series():
 
 
 def test_direct_construction_checks_order_and_lengths():
-    # unsorted, the unit monomial would reach the numerator recursion second and never end
+    # sorted generators are the ideal's one representation
     with pytest.raises(ValueError, match="strictly increasing"):
         MonomialIdeal(2, ((1, 0), (0, 0)))
     with pytest.raises(ValueError):
@@ -46,6 +47,17 @@ def test_direct_construction_checks_order_and_lengths():
         MonomialIdeal(2, ((0, 1), (1, 0, 0)))
     unit = MonomialIdeal(2, ((0, 0), (1, 0)))
     assert series_from_monomial_ideal(unit).expand(2) == (0, 0, 0)
+
+
+def test_negative_exponents_are_refused():
+    with pytest.raises(ValueError, match="nonnegative"):
+        series_from_monomial_ideal(MonomialIdeal(2, ((-1, 0), (0, 2))))
+    with pytest.raises(ValueError, match="nonnegative"):
+        MonomialIdeal.from_generators(2, [(0, 2), (-1, 0)])
+    # a generator too short or too long is refused even where it looks like a multiple
+    for wrong in ((1,), (0, 0, 5)):
+        with pytest.raises(ValueError, match="tuples of 2"):
+            MonomialIdeal.from_generators(2, [(0, 0), wrong])
 
 
 def test_series_from_generator_degrees_examples():
@@ -270,6 +282,23 @@ def _differential_cases():
         cases.append((nvars, [(0,) * nvars]))                      # unit ideal
     for nvars in range(1, 5):
         cases.append((nvars, [(0,) * nvars] + _random_gens(rng, nvars, 3, 3)))
+    for wide in (False, True):
+        for _ in range(12):
+            # exponents about 127, the capacity of 8-bit fields: ideals whose
+            # generators all have degree at most 127 pack into 8-bit fields,
+            # the others into 16-bit ones
+            nvars = rng.randint(3, 6)
+            gens = []
+            for _ in range(rng.randint(2, 5)):
+                exps = [0] * nvars
+                big = rng.sample(range(nvars), 2 if wide else 1)
+                for v in big:
+                    exps[v] = rng.randint(120, 135 if wide else 127)
+                if not wide:
+                    for _ in range(rng.randint(0, 127 - exps[big[0]])):
+                        exps[rng.randrange(nvars)] += 1
+                gens.append(tuple(exps))
+            cases.append((nvars, gens))
     for _ in range(20):
         # duplicate generators
         nvars = rng.randint(1, 6)
@@ -292,6 +321,7 @@ def test_numerator_matches_reference_recursion():
     cases = _differential_cases()
     assert len(cases) >= 300
     rng = random.Random(7)
+    caps = set()
     for nvars, gens in cases:
         want = _reference_series_numerator(nvars, gens)
         ideal = MonomialIdeal.from_generators(nvars, gens)
@@ -299,16 +329,22 @@ def test_numerator_matches_reference_recursion():
         got = series_from_monomial_ideal(ideal)
         assert got.numerator == want, f"{gens} in {nvars} vars"
         assert got.den_weights == (1,) * nvars
-        # every recursion state is a canonical memo key: sorted minimal generators
-        numerators = _Numerators()
-        numerators.numerator(ideal.gens)
+        # every recursion state is a canonical memo key: the increasing packed
+        # minimal generators, in fields wide enough for the largest degree
+        pk = Packing(nvars, max(map(sum, ideal.gens), default=0))
+        caps.add(pk.cap)
+        numerators = _Numerators(pk)
+        numerators.numerator(tuple(sorted(map(pk.pack_exps, ideal.gens))))
         for state in numerators.memo:
-            assert state == tuple(sorted(minimalize_monomials(state))), f"state {state}"
+            assert state == tuple(sorted(set(state))), f"state {state}"
+            unpacked = sorted(map(pk.unpack_exps, state))
+            assert tuple(unpacked) == minimalize_monomials(unpacked), f"state {unpacked}"
         # variable-permuted copies change pivot ties and component order only
         perm = list(range(nvars))
         rng.shuffle(perm)
         copy = MonomialIdeal.from_generators(nvars, _permuted(gens, perm))
         assert series_from_monomial_ideal(copy).numerator == want, f"{gens} under {perm}"
+    assert {127, 2 ** 15 - 1} <= caps
 
 
 def test_deep_staircase_recursion():
@@ -325,3 +361,8 @@ def test_too_deep_staircase_raises_limit_exceeded():
     ideal = MonomialIdeal.from_generators(2, [(k, n - k) for k in range(n + 1)])
     with pytest.raises(LimitExceeded, match="1001 generators in 2 variables"):
         series_from_monomial_ideal(ideal)
+
+
+def test_degree_past_every_field_raises_limit_exceeded():
+    with pytest.raises(LimitExceeded, match="63-bit"):
+        series_from_monomial_ideal(MonomialIdeal(1, ((2 ** 64,),)))

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from symtensor.catalog import klein_row
-from symtensor.errors import SpecParseError
-from symtensor.poly import Polynomial, VariableContext, degrevlex_key, mono_mul
+from symtensor.errors import LimitExceeded, SpecParseError
+from symtensor.poly import (Packing, Polynomial, VariableContext, degrevlex_key, mono_divides,
+                            mono_mul)
 
 XY = VariableContext(("x", "y"))
 ABCD = VariableContext(("a", "b", "c", "d"))
@@ -164,3 +165,73 @@ def test_hash_agrees_with_equality():
     p = XY.parse("x + 3")
     assert hash(p) == hash(XY.parse("3 + x"))
     assert len({p, 3, XY.parse("x + 3")}) == 2
+
+
+# -- packed monomials -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bound,cap", [(0, 127), (127, 127), (128, 2 ** 15 - 1),
+                                       (2 ** 15 - 1, 2 ** 15 - 1), (2 ** 31 - 1, 2 ** 31 - 1),
+                                       (2 ** 63 - 1, 2 ** 63 - 1)])
+def test_packing_width_boundaries(bound, cap):
+    pk = Packing(3, bound)
+    assert pk.cap == cap
+    for m in ((bound, 0, 0), (0, 0, bound)):
+        assert pk.unpack_exps(pk.pack_exps(m)) == m
+        assert pk.unpack(pk.pack(m)) == m
+        assert pk.degree(pk.pack_exps(m)) == bound
+
+
+def test_packing_refuses_a_degree_past_63_bits():
+    with pytest.raises(LimitExceeded, match="63-bit"):
+        Packing(3, 2 ** 63)
+
+
+def _random_monomial(rng, nvars, cap):
+    """Exponents of total degree at most cap; sometimes all of it in one variable."""
+    if rng.random() < 0.2:
+        m = [0] * nvars
+        m[rng.randrange(nvars)] = cap
+        return tuple(m)
+    return tuple(rng.randint(0, cap // nvars) if rng.random() < 0.7 else 0
+                 for _ in range(nvars))
+
+
+@pytest.mark.parametrize("bound", [127, 128, 2 ** 15 - 1, 2 ** 31 - 1, 2 ** 63 - 1])
+def test_packing_matches_tuple_arithmetic(bound):
+    rng = random.Random(bound)
+    for nvars in range(1, 7):
+        pk = Packing(nvars, bound)
+        monos = [_random_monomial(rng, nvars, pk.cap) for _ in range(60)]
+        es = [pk.pack_exps(m) for m in monos]
+        for a, b, ea, eb in zip(monos, monos[1:], es, es[1:]):
+            below = tuple(rng.randint(0, e) for e in a)
+            eq = pk.pack_exps(below)
+            assert pk.unpack_exps(ea) == a and pk.unpack(pk.pack(a)) == a
+            assert pk.degree(ea) == sum(a)
+            assert pk.unpack_exps(pk.lcm(ea, eb)) == tuple(map(max, a, b))
+            for x, y, ex, ey in ((a, b, ea, eb), (b, a, eb, ea), (below, a, eq, ea)):
+                assert (not (ey - ex) & pk.guards) == mono_divides(x, y)
+            assert mono_divides(below, a)
+            assert pk.unpack_exps(ea - eq) == tuple(u - v for u, v in zip(a, below))
+            assert (pk.pack(a) < pk.pack(b)) == (degrevlex_key(a) < degrevlex_key(b))
+            var = rng.randrange(nvars)
+            assert pk.unpack_exps(eq + pk.power(var, a[var] - below[var])) == \
+                below[:var] + (a[var],) + below[var + 1:]
+        for var in range(nvars):
+            assert pk.exponents(es, var) == [m[var] for m in monos]
+        supports = pk.supports(es)
+        for m, support in zip(monos, supports):
+            assert support == support & pk.guards
+            assert pk.unpack_exps(support >> pk.value_bits) == tuple(int(e > 0) for e in m)
+        assert pk.counts(supports) == [sum(1 for m in monos if m[v]) for v in range(nvars)]
+
+
+def test_packing_counts_past_one_partial_sum():
+    # 8-bit fields add at most 127 masks at a time; 900 masks need eight sums
+    rng = random.Random(5)
+    pk = Packing(4, 2)
+    monos = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(4)) for _ in range(600)]
+    monos += [(1, 0, 0, 0)] * 300
+    supports = pk.supports([pk.pack_exps(m) for m in monos])
+    assert pk.counts(supports) == [sum(1 for m in monos if m[v]) for v in range(4)]
