@@ -15,14 +15,14 @@ import itertools
 import re
 from dataclasses import dataclass, fields
 from functools import cache
-from math import comb, gcd
+from math import comb, gcd, prod
 from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import IntegrityError, SpecParseError
 from .groebner import (GroebnerBasis, GroebnerLimits, IdealPresentation,
                        buchberger, leading_term_ideal)
-from .hilbert import (HilbertSeries, series_from_generator_degrees,
+from .hilbert import (HilbertSeries, series_from_expansion, series_from_generator_degrees,
                       series_from_monomial_ideal)
 from .invariants import GROUP_LABELS, MolienResult, build_group, molien_series
 from .poly import Polynomial, VariableContext
@@ -115,9 +115,12 @@ def _arg_text(value) -> str:
 class Family(NamedTuple):
     """Everything the catalog knows about one family of varieties.
 
-    A family is routed either through ``closed_form`` (with ``provenance``) or
-    through the Groebner engine on ``ideal``, refused above ``cap`` in n unless
-    forced.  ``Prod`` and ``Klein`` have neither and are evaluated by their own
+    A family without ``ideal`` is routed through ``closed_form`` (with
+    ``provenance``).  A family with ``ideal`` goes through the Groebner
+    engine, refused above ``cap`` in n unless forced; its ``closed_form`` is
+    then the Hilbert bound that drives Buchberger, never the emitted series,
+    and its ``provenance`` names that bound after the presentation's.
+    ``Prod`` and ``Klein`` have neither and are evaluated by their own
     branches.  Route callables look module names up when called, so wrappers
     installed on this module's attributes see every call.
     """
@@ -161,11 +164,16 @@ FAMILIES: dict[str, Family] = {
         positional=("r", "n"),
         rules=(_at_least("r", 1), _at_least("n", 2), (lambda s: s.r < s.n, "r <= n-1")),
         dim_x=lambda s: s.r * (s.n - s.r), kappa=NEG_INFINITY, homogeneous=True,
+        closed_form=lambda s: grassmannian_series(s.r, s.n),
+        provenance=lambda s: _grassmannian_provenance(s.r, s.n),
         ideal=lambda s: grassmannian_ideal(s.r, s.n), cap=GRASSMANNIAN_CAP,
         flags=lambda s: ("radicality-assumed",) if min(s.r, s.n - s.r) >= 2 else ()),
     "Q": Family(
         positional=("n",), rules=(_at_least("n", 1),),
         dim_x=lambda s: s.n, kappa=NEG_INFINITY, homogeneous=True,
+        closed_form=lambda s: quadric_series(s.n),
+        provenance=lambda s: (f"Hilbert-driven by Hodge's standard-monomial series of "
+                              f"Gr(2,{s.n + 2}) cut by the quadric, a nonzerodivisor"),
         ideal=lambda s: quadric_ideal(s.n), cap=QUADRIC_CAP),
     "2Q": Family(
         positional=("n",), rules=(_at_least("n", 1),), dim_x=lambda s: s.n,
@@ -333,6 +341,61 @@ def _parabolic_codim_ok(spec: VarietySpec) -> bool:
     return (g >= 4) or (g == 3 and r >= 3) or (g == 2 and r >= 5)
 
 
+def _partitions(size, rows, largest):
+    """Nonincreasing tuples of ``rows`` entries in 0..largest with sum at most size."""
+    if not rows:
+        yield ()
+        return
+    for first in range(min(size, largest) + 1):
+        for rest in _partitions(size - first, rows - 1, first):
+            yield (first,) + rest
+
+
+def grassmannian_series(r: int, n: int) -> HilbertSeries:
+    """Series of the square-zero orbit closure of rank m = min(r, n - r) in gl_n.
+
+    Its degree-d piece is the sum over partitions lam of d with at most m rows
+    of the GL_n module of highest weight (lam, 0, .., 0, -lam reversed), by the
+    Cauchy formula, Borel-Weil on Gr(r, n) and the normality of the closure
+    (Kraft and Procesi, Invent. Math. 1979).  Weyl's dimension formula is a
+    polynomial of degree at most n(n-1)/2 in the lam_i - lam_{i+1}, so the
+    series has denominator D = prod_{i <= m} (1 - t^i)^(n(n-1)/2 + 1) and a
+    numerator of degree below deg D, fixed by the first deg D dimensions.
+    """
+    m = min(r, n - r)
+    den_weights = tuple(i for i in range(1, m + 1) for _ in range(n * (n - 1) // 2 + 1))
+    top = sum(den_weights)
+    pairs = tuple(itertools.combinations(range(n), 2))
+    scale = prod(j - i for i, j in pairs)
+    dims = [0] * top
+    for lam in _partitions(top - 1, m, top - 1):
+        mu = lam + (0,) * (n - 2 * m) + tuple(-part for part in reversed(lam))
+        dims[sum(lam)] += prod(mu[i] - mu[j] + j - i for i, j in pairs) // scale
+    return series_from_expansion(dims, den_weights)
+
+
+def _grassmannian_provenance(r: int, n: int) -> str:
+    m = min(r, n - r)
+    text = (f"Hilbert-driven by the orbit closure's series: GL_{n} Weyl dimensions over "
+            f"partitions of length <= {m} (Kraft-Procesi normality)")
+    return text + ("; radicality assumed for rank bound >= 2" if m >= 2 else "")
+
+
+def quadric_series(n: int) -> HilbertSeries:
+    """Series of the decomposable-bivector ring of an N = (n+2)-dim space cut by a quadric.
+
+    That ring is the Plucker ring of Gr(2, N); by Hodge's standard monomials
+    its degree-d piece has dimension w_d = C(N+d-1, d) C(N+d-2, d) / (d + 1).
+    The quadric is a nonzerodivisor on this domain, so c_d = w_d - w_{d-2}.
+    Over (1 - t)^(2n) the numerator is the Plucker ring's, of degree N - 3,
+    times 1 + t, so c_0..c_2n fix it.
+    """
+    big = n + 2
+    w = [comb(big + d - 1, d) * comb(big + d - 2, d) // (d + 1) for d in range(2 * n + 1)]
+    return series_from_expansion([w[d] - (w[d - 2] if d >= 2 else 0) for d in range(2 * n + 1)],
+                                 (1,) * (2 * n))
+
+
 # -- ideal-backed families ----------------------------------------------------------
 
 
@@ -393,14 +456,11 @@ def grassmannian_ideal(r: int, n: int) -> IdealPresentation:
                 minor = {}
                 _add_variable_minor(minor, n, rows, cols, perms)
                 gens.append(Polynomial(ctx, minor))
-    provenance = (f"square-zero endomorphisms of a {n}-dim space with rank <= "
-                  f"{m}; characteristic coefficients and size-{m + 1} minors adjoined")
-    if m >= 2:
-        provenance += "; radicality assumed for rank bound >= 2"
     return IdealPresentation(
         ctx=ctx,
         generators=tuple(gens),
-        provenance=provenance)
+        provenance=(f"square-zero endomorphisms of a {n}-dim space with rank <= "
+                    f"{m}; characteristic coefficients and size-{m + 1} minors adjoined"))
 
 
 def quadric_ideal(n: int) -> IdealPresentation:
@@ -578,9 +638,13 @@ class SeriesReport:
 
 
 def groebner_route(presentation: IdealPresentation,
-                   limits: GroebnerLimits | None = None):
-    """Run Buchberger and convert the initial ideal into a Hilbert series."""
-    basis = buchberger(presentation, limits=limits)
+                   limits: GroebnerLimits | None = None, bound: HilbertSeries | None = None):
+    """Run Buchberger, driven by ``bound`` when given, and convert the initial
+    ideal into a Hilbert series.
+
+    The series is always the reduced basis's initial ideal's, never the bound.
+    """
+    basis = buchberger(presentation, limits=limits, bound=bound)
     return basis, series_from_monomial_ideal(leading_term_ideal(basis)).canonical()
 
 
@@ -615,8 +679,8 @@ def evaluate(spec: VarietySpec, *, max_degree: int = DEFAULT_MAX_DEGREE,
                 f"{spec.kind} with n={spec.n} is above the default cap {family.cap}; "
                 "rerun with force enabled")
         presentation = family.ideal(spec)
-        basis, series = groebner_route(presentation, limits)
-        provenance = presentation.provenance
+        basis, series = groebner_route(presentation, limits, family.closed_form(spec))
+        provenance = f"{presentation.provenance}; {family.provenance(spec)}"
     coefficients = series.expand(max_degree)
     if spec.kind == "Pn" and coefficients != projective_space_dims(spec.n, max_degree):
         raise IntegrityError("projective-space series disagrees with closed form")

@@ -14,6 +14,13 @@ the order behind the Hilbert series is an internal choice.  Under degrevlex a
 leading monomial has the largest total degree of its polynomial, so a
 reduction step never raises the total degree.
 
+Hilbert-driven runs.  Given a series B no larger than the Hilbert series of
+R/I in any degree, ``buchberger`` stops as soon as its lead ideal's series
+equals B, and drops a degree's remaining pairs once that degree's count of
+standard monomials equals B's (Traverso, "Hilbert functions and the
+Buchberger algorithm", J. Symbolic Comput. 22, 1996).  Without B it runs
+every pair the criteria keep.
+
 Packed monomials.  Inside the engine a monomial is one ``int``, its degrevlex
 key in the layout of :class:`poly.Packing`.
 
@@ -41,9 +48,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 
-from .errors import LimitExceeded
+from . import hilbert
+from .errors import IntegrityError, LimitExceeded
 from .exactnum import exact
-from .hilbert import MonomialIdeal
+from .hilbert import HilbertSeries, MonomialIdeal
 from .poly import Packing, Polynomial, VariableContext, mono_mul
 
 
@@ -344,18 +352,29 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(f.ctx, d)
 
 
-def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None) -> GroebnerBasis:
+def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
+               bound: HilbertSeries | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of a homogeneous ideal.
 
     Raises LimitExceeded (with the S-pairs reduced and the degree reached)
     when the configured degree cap or timeout is hit before completion.  The
-    timeout is checked before every inserted basis element and popped pair;
-    the degree cap applies to the pairs that are reduced.
+    timeout is checked before every inserted basis element, popped pair and
+    lead-ideal series; the degree cap applies to the pairs that are reduced.
+
+    ``bound``, a series B with B <= H(R/I) in every degree, drives the run
+    (Traverso 1996).  The lead ideal J of the elements so far has
+    H(R/J) >= H(R/I) >= B, so H(R/J) = B forces J = in(I), and the run stops
+    there, before any pair when the inputs are a basis.  At the first pair of
+    degree d the deficit H(R/J)(d) - B(d) counts the nonzero reductions left
+    in degree d, each adding one leading monomial; at 0 the degree's other
+    pairs are dropped unreduced, and below 0 IntegrityError is raised.  A
+    bound too high can also pass unnoticed and give a wrong basis, so no
+    driven run checks B.  The degree cap never sees a dropped pair.
     """
     limits = limits or GroebnerLimits()
     start = time.monotonic()
-    bound = max([g.degree() for g in ideal.generators], default=0)
-    red = _Reducers(Packing(ideal.ctx.nvars, bound))
+    top = max([g.degree() for g in ideal.generators], default=0)
+    red = _Reducers(Packing(ideal.ctx.nvars, top))
     queue = _PairQueue(red)
     pairs_processed = 0
     max_degree_seen = 0
@@ -370,18 +389,44 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None) -
         if limits.timeout is not None and time.monotonic() - start > limits.timeout:
             raise _diag(f"groebner timeout after {limits.timeout}s")
 
+    def _lead_series(entries):
+        _check_timeout()
+        lts = _minimal(red, entries).lts
+        lead = MonomialIdeal(ideal.ctx.nvars, tuple(sorted(map(red.pk.unpack, lts))))
+        return hilbert.series_from_monomial_ideal(lead)
+
     def _insert(entry):
         _check_timeout()
         queue.update(red.add(*entry))
 
     for g in ideal.generators:
-        _insert(_entry_from_poly(g, red.pk))
+        _check_timeout()
+        red.add(*_entry_from_poly(g, red.pk))
+    inputs = range(len(red.lts))
+    if bound is not None and _lead_series(inputs) == bound:
+        return GroebnerBasis(ideal.ctx, _reduced_from_entries(ideal.ctx, red, inputs))
+    for h in inputs:
+        _check_timeout()
+        queue.update(h)
+    degree = deficit = 0
     while queue.heap:
         _check_timeout()
         deg, i, j = heapq.heappop(queue.heap)
         lcm = queue.live.pop((i, j), None)
         if lcm is None:
             continue  # deleted by the B-criterion
+        if bound is not None:
+            if deg > degree:
+                degree = deg
+                lead = _lead_series(queue.active)
+                if lead == bound:
+                    break
+                deficit = lead.expand(deg)[deg] - bound.expand(deg)[deg]
+                if deficit < 0:
+                    raise IntegrityError(f"Hilbert bound exceeds the lead ideal's count by "
+                                         f"{-deficit} in degree {deg}")
+            if not deficit:
+                continue  # in(I) is reached in this degree: the pair reduces to zero
         if limits.max_degree is not None and deg > limits.max_degree:
             raise _diag(f"pair of degree {deg} above cap {limits.max_degree}")
         pairs_processed += 1
@@ -400,22 +445,33 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None) -
                             (red.lts[j], red.tails[j]))
         h = red.reduce(spoly)
         if h:
+            deficit -= 1  # one more degree-deg monomial in the lead ideal
             _insert(_entry_from_dict(h))
 
     return GroebnerBasis(ideal.ctx, _reduced_from_entries(ideal.ctx, red, queue.active))
 
 
-def _reduced_from_entries(ctx, red, active):
-    """The unique reduced basis from a complete basis and its active entries.
+def _minimal(red, entries):
+    """Reducers of the entries whose leading monomials generate minimally.
 
-    The minimal leading monomials are taken from the active entries; each
-    tail is then reduced against the minimal set, and the reduced tail
-    replaces the old one for later elements.
+    Sorted by key, a divisor comes before its multiples, so one first-divisor
+    pass keeps the minimal leading monomials, the first entry of each.
     """
     minimal = _Reducers(red.pk)
-    for i in sorted(active, key=lambda i: (red.lts[i], i)):
+    for i in sorted(entries, key=lambda i: (red.lts[i], i)):
         if minimal.first_divisor(red.lts[i]) is None:
             minimal.add(red.lts[i], red.tails[i])
+    return minimal
+
+
+def _reduced_from_entries(ctx, red, entries):
+    """The unique reduced basis from entries that form a basis.
+
+    The minimal leading monomials are taken from the entries; each tail is
+    then reduced against the minimal set, and the reduced tail replaces the
+    old one for later elements.
+    """
+    minimal = _minimal(red, entries)
     out = []
     for pos, lt in enumerate(minimal.lts):
         tail = minimal.reduce(dict(minimal.tails[pos]))

@@ -316,6 +316,18 @@ def series_from_monomial_ideal(ideal: MonomialIdeal) -> HilbertSeries:
     return HilbertSeries(tuple(num), (1,) * ideal.nvars)
 
 
+def series_from_expansion(coeffs, den_weights) -> HilbertSeries:
+    """The series N / prod(1 - t^w) whose expansion begins with coeffs.
+
+    N is the first len(coeffs) coefficients of the expansion times the
+    denominator, so this is exact when deg N < len(coeffs).
+    """
+    den = [1]
+    for w in den_weights:
+        den = univar.mul(den, univar.one_minus_power(w))
+    return HilbertSeries(tuple(univar.mul(coeffs, den)[: len(coeffs)]), tuple(den_weights))
+
+
 def series_from_generator_degrees(degrees, relation_degree=None) -> HilbertSeries:
     """Free generators of the given degrees, with one optional relation."""
     degrees = tuple(sorted(int(d) for d in degrees))

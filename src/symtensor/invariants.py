@@ -17,9 +17,8 @@ from functools import cached_property, lru_cache
 from math import lcm
 
 from .errors import IntegrityError
-from . import univar
 from .exactnum import CyclotomicNumber, cyclotomic_polynomial, euler_phi, zeta
-from .hilbert import HilbertSeries, series_from_generator_degrees
+from .hilbert import HilbertSeries, series_from_expansion, series_from_generator_degrees
 
 # MolienResult.dims runs through this display window
 DEFAULT_WINDOW = {"BD": 64, "2T": 64, "2O": 64, "2I": 124}
@@ -296,8 +295,7 @@ def molien_series(group: MatrixGroup) -> MolienResult:
     """
     order = group.order
     dims = [invariant_dimension(group, p) for p in range(order + 1)]
-    den = univar.mul(univar.one_minus_power(order), univar.one_minus_power(2))
-    fitted = HilbertSeries(tuple(univar.mul(dims, den)[: order + 1]), (2, order))
+    fitted = series_from_expansion(dims, (2, order))
     matched = _hypersurface_form(fitted)
     series = fitted if matched is None else series_from_generator_degrees(matched[:3],
                                                                            matched[3])

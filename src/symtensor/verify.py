@@ -50,7 +50,11 @@ class VerifyContext:
         self.recorded_groups: list = []   # (group, its exact Molien series)
 
     def route(self, text: str):
-        """(presentation, basis, series) for a Groebner-backed spec, cached."""
+        """(presentation, basis, series) for a Groebner-backed spec, cached.
+
+        The run is undriven: no closed form bounds it, so the series it
+        gives can check the closed forms.
+        """
         if text not in self.routes:
             spec = catalog.parse_spec(text)
             presentation = catalog.ideal_presentation_for(spec)
@@ -282,6 +286,22 @@ def _check_integrity(ctx):
     return PASS, (f"{len(ctx.recorded_series)} series re-expanded through degree {depth} "
                   f"with no negative coefficients; {averages} direct invariant averages "
                   "past degree |G| agree with the exact Molien series")
+
+
+@_check("closed-form-oracle")
+def _check_closed_form_oracle(ctx):
+    """Undriven Groebner series equal the families' closed forms, and Q(4) = Gr(2,4)."""
+    texts = [f"Gr(1,{n})" for n in range(2, 6)] + ["Gr(2,4)", "Gr(2,5)"] + [
+        f"Q({n})" for n in range(1, 5)]
+    for text in texts:
+        spec = catalog.parse_spec(text)
+        _, _, series = ctx.route(text)
+        want = catalog.FAMILIES[spec.kind].closed_form(spec)
+        assert series == want, f"{text}: series {series.render()} != closed form {want.render()}"
+    q4, gr24 = ctx.route("Q(4)")[2], ctx.route("Gr(2,4)")[2]
+    assert q4 == gr24, f"Q(4) series {q4.render()} != Gr(2,4) {gr24.render()}"
+    return PASS, (f"undriven series equal the closed forms for {', '.join(texts)}; "
+                  "Q(4) = Gr(2,4) as rational functions")
 
 
 def run_verification(config: VerifyConfig | None = None):

@@ -496,3 +496,34 @@ def test_ideal_presentation_for():
     assert ideal_presentation_for(parse_spec("Q(2)")) is not None
     assert ideal_presentation_for(parse_spec("2Q(3)")) is None
     assert ideal_presentation_for(parse_spec("Klein(2T)")) is None
+
+
+# -- closed forms of the Groebner families ----------------------------------------
+
+
+@pytest.mark.parametrize("text", ["Gr(1,3)", "Gr(2,4)", "Gr(2,5)", "Q(2)", "Q(5)"])
+def test_evaluate_is_driven_by_the_closed_form_and_emits_the_lead_ideal_series(monkeypatch,
+                                                                             text):
+    spec = parse_spec(text)
+    bounds = []
+    original = catalog.buchberger
+
+    def recording(presentation, limits=None, bound=None):
+        bounds.append(bound)
+        return original(presentation, limits=limits, bound=bound)
+
+    monkeypatch.setattr(catalog, "buchberger", recording)
+    report = evaluate(spec, max_degree=4, force=True)
+    form = catalog.FAMILIES[spec.kind].closed_form(spec)
+    assert bounds == [form] and report.series == form
+    _, undriven = groebner_route(ideal_presentation_for(spec))
+    assert report.series.to_json_dict() == undriven.to_json_dict()
+    assert "Hilbert-driven by" in report.provenance
+
+
+def test_quadric_series_is_hodges_formula():
+    # Q(1) = (1 + t)/(1 - t)^2, and Q(n) is palindromic of degree n over (1 - t)^(2n)
+    assert catalog.quadric_series(1) == HilbertSeries((1, 1), (1, 1))
+    for n in range(1, 8):
+        num = catalog.quadric_series(n).numerator
+        assert len(num) == n + 1 and num == num[::-1]

@@ -235,7 +235,7 @@ def test_verify_reduced_depth_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-degree", "4")
     assert code == 0
     assert "[FAIL]" not in out
-    assert out.count("[PASS]") == 10
+    assert out.count("[PASS]") == 11
 
 
 def test_series_markdown_and_csv_formats(capsys):

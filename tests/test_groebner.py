@@ -1,16 +1,18 @@
+import hashlib
 import heapq
 import random
 from fractions import Fraction
 
 import pytest
 
-from symtensor import groebner
-from symtensor.catalog import ideal_presentation_for, parse_spec
-from symtensor.errors import LimitExceeded
+from symtensor import groebner, univar
+from symtensor.catalog import (grassmannian_ideal, grassmannian_series, ideal_presentation_for,
+                               parse_spec, quadric_ideal, quadric_series)
+from symtensor.errors import IntegrityError, LimitExceeded
 from symtensor.groebner import (GroebnerBasis, GroebnerLimits, IdealPresentation,
                                 buchberger, leading_term_ideal, normal_form,
                                 s_polynomial)
-from symtensor.hilbert import (MonomialIdeal, count_standard_monomials,
+from symtensor.hilbert import (HilbertSeries, MonomialIdeal, count_standard_monomials,
                                minimalize_monomials, series_from_monomial_ideal)
 from symtensor.poly import VariableContext, degrevlex_key, mono_divides
 
@@ -537,3 +539,74 @@ def test_degree_capped_grassmannian_counters(cap, pairs, degree, size):
         buchberger(grassmannian_ideal(2, 4), limits=GroebnerLimits(max_degree=cap))
     assert (info.value.pairs_processed, info.value.max_degree_reached,
             info.value.basis_size) == (pairs, degree, size)
+
+
+# -- Hilbert-driven runs --------------------------------------------------------
+
+
+def _digest(gb):
+    return hashlib.sha256("\n".join(p.render() for p in gb.elements).encode()).hexdigest()
+
+
+def _shifted(series, k, sign):
+    """series + sign * t^k as a rational function over the same denominator."""
+    den = [1]
+    for w in series.den_weights:
+        den = univar.mul(den, univar.one_minus_power(w))
+    term = [sign * c for c in univar.shift(den, k)]
+    return HilbertSeries(tuple(univar.add(series.numerator, term)), series.den_weights)
+
+
+DRIVEN_CASES = [(grassmannian_ideal, grassmannian_series, (r, n))
+                for n in range(2, 6) for r in range(1, n)] + [
+    (quadric_ideal, quadric_series, (n,)) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("ideal,form,args", DRIVEN_CASES,
+                         ids=[f"{i.__name__}{a}" for i, _, a in DRIVEN_CASES])
+def test_driven_basis_equals_undriven(ideal, form, args):
+    presentation = ideal(*args)
+    assert _digest(buchberger(presentation, bound=form(*args))) == _digest(
+        buchberger(presentation))
+
+
+@pytest.mark.parametrize("ideal,form,args", [(quadric_ideal, quadric_series, (3,)),
+                                             (grassmannian_ideal, grassmannian_series, (1, 4))])
+def test_inputs_that_are_a_basis_reach_no_s_polynomial(monkeypatch, ideal, form, args):
+    calls = []
+    original = groebner._spoly_dict
+    monkeypatch.setattr(groebner, "_spoly_dict", lambda *a: calls.append(a) or original(*a))
+    buchberger(ideal(*args), bound=form(*args))
+    assert not calls
+
+
+def test_bound_too_high_is_caught_only_against_the_undriven_basis():
+    presentation, bound = grassmannian_ideal(2, 5), grassmannian_series(2, 5)
+    undriven = _digest(buchberger(presentation))
+    # one extra degree-4 monomial: the lead ideal's count falls short of it
+    with pytest.raises(IntegrityError):
+        buchberger(presentation, bound=_shifted(bound, 4, 1))
+    # one extra in degree 3: the deficit closes a reduction early, and a wrong
+    # basis comes back with no error, so no driven run may check a bound
+    assert _digest(buchberger(presentation, bound=_shifted(bound, 3, 1))) != undriven
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_bound_lowered_by_one_gives_the_undriven_basis(k):
+    presentation, bound = grassmannian_ideal(2, 5), grassmannian_series(2, 5)
+    lowered = buchberger(presentation, bound=_shifted(bound, k, -1))
+    assert _digest(lowered) == _digest(buchberger(presentation))
+
+
+def test_driven_run_keeps_the_timeout():
+    with pytest.raises(LimitExceeded):
+        buchberger(grassmannian_ideal(2, 5), limits=GroebnerLimits(timeout=1e-9),
+                   bound=grassmannian_series(2, 5))
+
+
+def test_degree_cap_counts_only_reduced_pairs_of_a_driven_run():
+    presentation, limits = quadric_ideal(3), GroebnerLimits(max_degree=2)
+    with pytest.raises(LimitExceeded):
+        buchberger(presentation, limits=limits)
+    driven = buchberger(presentation, limits=limits, bound=quadric_series(3))
+    assert _digest(driven) == _digest(buchberger(presentation))

@@ -41,7 +41,7 @@ def test_default_run_is_green():
     results, ctx = verify.run_verification()
     assert verify.exit_code(results) == 0
     by_name = {r.name: r for r in results}
-    assert len(results) == 10
+    assert len(results) == 11
     assert all(r.status == verify.PASS for r in results)
     assert by_name["klein-molien"].status == verify.PASS
     # integrity sweep must have seen real artifacts
