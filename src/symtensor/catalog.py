@@ -474,17 +474,21 @@ def quadric_ideal(n: int) -> IdealPresentation:
     dim_v = n + 2
     pairs = [(i, j) for i in range(1, dim_v + 1) for j in range(i + 1, dim_v + 1)]
     ctx = VariableContext(tuple(f"p{i}{j}" for i, j in pairs))
+    index = {pair: v for v, pair in enumerate(pairs)}
 
-    def var(i, j):
-        return ctx.variable(f"p{i}{j}")
+    def product(first, second):
+        exps = [0] * len(pairs)
+        exps[index[first]] += 1
+        exps[index[second]] += 1
+        return tuple(exps)
 
     gens: list[Polynomial] = []
     for (i, j, k, l) in itertools.combinations(range(1, dim_v + 1), 4):
-        gens.append(var(i, j) * var(k, l) - var(i, k) * var(j, l) + var(i, l) * var(j, k))
-    square_sum = ctx.zero()
-    for i, j in pairs:
-        square_sum = square_sum + var(i, j) * var(i, j)
-    gens.append(square_sum)
+        # the three products share no variable, so they are distinct monomials
+        gens.append(Polynomial(ctx, {product((i, j), (k, l)): 1,
+                                     product((i, k), (j, l)): -1,
+                                     product((i, l), (j, k)): 1}))
+    gens.append(Polynomial(ctx, {product(pair, pair): 1 for pair in pairs}))
     return IdealPresentation(
         ctx=ctx,
         generators=tuple(gens),

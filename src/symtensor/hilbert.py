@@ -262,9 +262,28 @@ class HilbertSeries:
             p = univar.mul(p, univar.one_minus_power(w))
         return tuple(p)
 
+    @cached_property
+    def _at_two(self):
+        """(N(2), prod_w (1 - 2^w)), evaluated once per series like ``_den_poly``."""
+        num = 0
+        for c in reversed(self.numerator):
+            num = 2 * num + c
+        den = 1
+        for w in self.den_weights:
+            den *= 1 - (1 << w)
+        return num, den
+
     def __eq__(self, other):
+        """Equality as rational functions: N1 D2 == N2 D1 as polynomials.
+
+        Equal rational functions have equal cross products at every t, so
+        unequal ones at t = 2 are rejected without multiplying out.
+        """
         if not isinstance(other, HilbertSeries):
             return NotImplemented
+        (num1, den1), (num2, den2) = self._at_two, other._at_two
+        if num1 * den2 != num2 * den1:
+            return False
         left = univar.mul(self.numerator, other._den_poly)
         right = univar.mul(other.numerator, self._den_poly)
         return left == right

@@ -1,11 +1,13 @@
 """Finite subgroups of SU(2) over cyclotomic fields, and their Molien series.
 
-Groups are built by closing explicit generator matrices under multiplication.
-The graded dimensions of the invariant subalgebra of the symmetric algebra on
-the 2-dimensional representation are Molien's average grouped by element
-order: cyclotomic arithmetic reads each element's order off its trace, and the
-dimensions are integer sums of Ramanujan sums.  The dimensions through degree
-|G| fix the Molien series as a rational function.
+Groups are built by closing explicit generator matrices under multiplication,
+and cyclotomic arithmetic reads each element's order off its trace.  The
+Molien series of the invariant subalgebra of the symmetric algebra on the
+2-dimensional representation is then one closed sum over the histogram of
+cyclic subgroups (R. Stanley, Bull. AMS 1979, section 2; B. Sturmfels,
+Algorithms in Invariant Theory, 1993, chapter 2).  The graded dimensions,
+integer sums of Ramanujan sums over the same histogram, are computed degree by
+degree only as an independent check of that series.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import lcm
 
 from .errors import IntegrityError
 from .exactnum import CyclotomicNumber, cyclotomic_polynomial, euler_phi, zeta
-from .hilbert import HilbertSeries, series_from_expansion, series_from_generator_degrees
+from .hilbert import HilbertSeries, series_from_generator_degrees
 
 # MolienResult.dims runs through this display window
 DEFAULT_WINDOW = {"BD": 64, "2T": 64, "2O": 64, "2I": 124}
@@ -215,6 +217,12 @@ def _closed_unimodular(generators, field_order, expected_order, label):
     return elements
 
 
+def _mobius(m: int) -> int:
+    """mu(m), the sum of the primitive m-th roots of unity: minus the subleading
+    coefficient of the m-th cyclotomic polynomial."""
+    return -cyclotomic_polynomial(m)[-2]
+
+
 def _multiples(d: int, p: int) -> int:
     """#{m in p, p - 2, ..., -p : d | m}: the j*d, |j| <= p // d, of p's parity."""
     q = p // d
@@ -234,7 +242,7 @@ def invariant_dimension(group: MatrixGroup, p: int) -> int:
     """
     if p < 0:
         raise ValueError("degree must be >= 0")
-    total = sum(count * sum(-cyclotomic_polynomial(k // d)[-2] * d * _multiples(d, p)
+    total = sum(count * sum(_mobius(k // d) * d * _multiples(d, p)
                             for d in range(1, k + 1) if k % d == 0)
                 for k, count in group.cyclic_subgroups.items())
     value, rest = divmod(total, group.order)
@@ -265,7 +273,7 @@ def _hypersurface_form(series: HilbertSeries):
     after multiplying by (1 - t^d) for the degrees already taken; the form is
     returned only when it equals the series as a rational function.  The scan
     runs through three times the largest denominator weight: for a Molien
-    series fitted over (1 - t^|G|)(1 - t^2) that is 3|G|, and Noether's bound
+    series over (1 - t^2)(1 - t^|G|) that is 3|G|, and Noether's bound
     di <= |G| with e = d1 + d2 + d3 - 2 keeps every degree below it.
     """
     top = 3 * max(series.den_weights, default=0)
@@ -285,19 +293,47 @@ def _hypersurface_form(series: HilbertSeries):
 
 
 def molien_series(group: MatrixGroup) -> MolienResult:
-    """The exact Molien series of the group, from the averages through degree |G|.
+    """The exact Molien series of the group, as one sum over its cyclic subgroups.
 
-    With N = |G| (even, since -identity is in G), every element order divides
-    N, so each term 1/(1 - tr(g) t + t^2) of the Molien average has a
-    denominator dividing (1 - t^N)(1 - t^2).  The series is P/((1 - t^N)(1 - t^2))
-    with deg P <= N, and the averages in degrees 0..N fix P.  When the series
-    is a hypersurface form, that form is the reported series.
+    A cyclic subgroup C_d of SU(2) has sum_{g in C_d} 1/det(1 - g t) =
+    d (1 + t^d) / ((1 - t^2)(1 - t^d)), so by Moebius inversion the elements of
+    order exactly k contribute sum_{d | k} mu(k/d) d (1 + t^d) / ((1 - t^2)(1 - t^d)).
+    With N = |G| and c_k = ``cyclic_subgroups[k]``, every order divides N, and
+
+        P(t) = (1/N) sum_k c_k sum_{d | k} mu(k/d) d (1 + t^d)(1 + t^d + ... + t^(N-d))
+
+    over (1 - t^2)(1 - t^N) is the series, with deg P <= N (Stanley, Bull. AMS
+    1979, section 2; Sturmfels, Algorithms in Invariant Theory, 1993, ch. 2).
+    An order that does not divide N, or a coefficient of P that N does not
+    divide, raises IntegrityError.  When the series is a hypersurface form,
+    that form is the reported series.
     """
     order = group.order
-    dims = [invariant_dimension(group, p) for p in range(order + 1)]
-    fitted = series_from_expansion(dims, (2, order))
-    matched = _hypersurface_form(fitted)
-    series = fitted if matched is None else series_from_generator_degrees(matched[:3],
+    weights = Counter()  # d -> sum of c_k mu(k/d) d over the orders k that d divides
+    for k, count in group.cyclic_subgroups.items():
+        if order % k:
+            raise IntegrityError(f"element order {k} does not divide the order {order} "
+                                 f"of {group.label}")
+        for d in range(1, k + 1):
+            if k % d == 0:
+                weights[d] += count * _mobius(k // d) * d
+    # (1 + t^d)(1 + t^d + ... + t^(N-d)) is 1 + 2t^d + ... + 2t^(N-d) + t^N
+    total = [0] * (order + 1)
+    for d, weight in weights.items():
+        for p in range(0, order + 1, d):
+            total[p] += 2 * weight
+        total[0] -= weight
+        total[order] -= weight
+    numerator = []
+    for p, coeff in enumerate(total):
+        value, rest = divmod(coeff, order)
+        if rest:
+            raise IntegrityError(f"Molien numerator coefficient {Fraction(coeff, order)} "
+                                 f"at degree {p} is not an integer for {group.label}")
+        numerator.append(value)
+    summed = HilbertSeries(tuple(numerator), (2, order))
+    matched = _hypersurface_form(summed)
+    series = summed if matched is None else series_from_generator_degrees(matched[:3],
                                                                            matched[3])
     window = DEFAULT_WINDOW.get(group.label, DEFAULT_WINDOW["BD"])
     return MolienResult(dims=series.expand(window), series=series, matched=matched)

@@ -277,15 +277,16 @@ def _check_integrity(ctx):
         groups = [(group, molien_series(group).series)]
     averages = 0
     for group, series in groups:
-        # the series was fitted to the averages through degree |G|; these lie past them
-        first = group.order + 1
-        want = series.expand(first + 24)[first:]
-        got = tuple(invariant_dimension(group, p) for p in range(first, first + 25))
-        assert got == want, f"{group!r}: averages {got} != series {want} past degree {first - 1}"
+        # the series is a closed sum over the order histogram; the averages are
+        # taken degree by degree, through |G| (which fixes the series) and 24 past it
+        top = group.order + 24
+        want = series.expand(top)
+        got = tuple(invariant_dimension(group, p) for p in range(top + 1))
+        assert got == want, f"{group!r}: averages {got} != series {want} through degree {top}"
         averages += len(got)
     return PASS, (f"{len(ctx.recorded_series)} series re-expanded through degree {depth} "
                   f"with no negative coefficients; {averages} direct invariant averages "
-                  "past degree |G| agree with the exact Molien series")
+                  "through degree |G| + 24 agree with the exact Molien series")
 
 
 @_check("closed-form-oracle")

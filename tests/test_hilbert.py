@@ -101,6 +101,42 @@ def test_series_eq_examples():
     assert HilbertSeries(tuple(e12), (6, 4, 4)) == HilbertSeries(tuple(e12), (4, 6, 4))
 
 
+def _times_one_minus_power(series, w):
+    """The same rational function with numerator and denominator times (1 - t^w)."""
+    num = univar.mul(list(series.numerator), univar.one_minus_power(w))
+    return HilbertSeries(tuple(num), series.den_weights + (w,))
+
+
+def test_series_equal_in_other_forms():
+    rng = random.Random(23)
+    for _ in range(30):
+        degrees = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+        series = series_from_generator_degrees(degrees, rng.choice([None, 2 * degrees[0]]))
+        for w in (1, 2, 5):
+            widened = _times_one_minus_power(series, w)
+            assert widened == series and series == widened
+            assert widened.canonical() == widened
+            assert widened.canonical() == series.canonical()
+    klein = HilbertSeries(tuple([1] + [0] * 11 + [-1]), (4, 4, 6))
+    assert klein.canonical() == klein and klein == klein.canonical()
+
+
+def test_series_differing_in_one_coefficient_compare_unequal():
+    rng = random.Random(29)
+    for _ in range(30):
+        degrees = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+        series = _times_one_minus_power(series_from_generator_degrees(degrees), 3)
+        for spot in range(len(series.numerator) + 2):
+            for delta in (1, -1):
+                bent = list(series.numerator) + [0, 0]
+                bent[spot] += delta
+                other = HilbertSeries(tuple(bent), series.den_weights)
+                assert other != series and series != other
+    # equal values at t = 2 do not make equal series: 1 and t - 1 over (1 - t)
+    assert HilbertSeries((1,), (1,)) != HilbertSeries((-1, 1), (1,))
+    assert HilbertSeries((1, 0, 0, 1), (2,)) != HilbertSeries((1, 4), (2,))
+
+
 def _random_ideal(rng):
     nvars = rng.randint(1, 5)
     gens = []

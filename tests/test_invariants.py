@@ -358,6 +358,9 @@ def test_failed_call_stores_no_cached_state():
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert "cyclic_subgroups" not in vars(bogus)
+    with pytest.raises(IntegrityError, match="no order up to 1 "):
+        molien_series(bogus)
+    assert "cyclic_subgroups" not in vars(bogus)
 
 
 def test_element_counts_must_be_multiples_of_phi():
@@ -383,6 +386,31 @@ def test_average_not_divisible_by_the_order_raises():
     assert invariant_dimension(bogus, 0) == 1
     with pytest.raises(IntegrityError, match="invariant average 3/2 at degree 2 "):
         invariant_dimension(bogus, 2)
+
+
+def test_element_order_not_dividing_the_group_order_raises_in_the_series():
+    # the same four elements: order 3 does not divide 4, so (1 - t^4)/(1 - t^3) is
+    # no polynomial, and the order is named as the fault before any sum is formed
+    zero = CyclotomicNumber.zero(3)
+    ident = Mat2.identity(3)
+    rot = Mat2(zeta(3), zero, zero, zeta(3, 2))
+    bogus = MatrixGroup("custom", 3, (ident, ident.neg(), rot, rot * rot))
+    with pytest.raises(IntegrityError, match="element order 3 does not divide the order 4 "):
+        molien_series(bogus)
+
+
+def test_non_integral_numerator_coefficient_raises_in_the_series():
+    # {I, -I} and two order-3 pairs that generate more than these six: every order
+    # divides 6, but the average of 1/det(1 - g t) has t-coefficient -4/6
+    zero = CyclotomicNumber.zero(3)
+    one = CyclotomicNumber.one(3)
+    ident = Mat2.identity(3)
+    rot = Mat2(zeta(3), zero, zero, zeta(3, 2))
+    other = Mat2(zero, one, -one, -one)
+    bogus = MatrixGroup("custom", 3, (ident, ident.neg(), rot, rot * rot, other, other * other))
+    assert bogus.cyclic_subgroups == {1: 1, 2: 1, 3: 2}
+    with pytest.raises(IntegrityError, match="coefficient -2/3 at degree 1 "):
+        molien_series(bogus)
 
 
 # -- the order histogram against the cyclotomic trace averages ------------------
