@@ -254,8 +254,10 @@ class _PairQueue:
                   and lcm_of(exps[key[1]], e_h) != lcm]
         for key in doomed:
             del self.live[key]
-        # M and F criteria: keep one pair per minimal lcm(g, h); the product
-        # criterion then drops the whole class if any of its pairs is coprime.
+        # M and F criteria: keep the first pair of each minimal lcm(g, h), and queue
+        # it unless coprime.  A coprime (g, h) sorts first among the pairs with its
+        # lcm lt(g) lt(h): another g' with that lcm has lt(g) | lt(g'), so either g'
+        # came after g, with a larger index, or g came later and removed g' from active.
         # lcm / h divides g, so its degree fits a field even when the lcm's may not.
         candidates = []
         for g in self.active:
@@ -263,19 +265,16 @@ class _PairQueue:
             over_h = lcm - e_h
             candidates.append((deg_h + degree(over_h), g, lcm, over_h == exps[g]))
         candidates.sort()
-        classes = []
+        kept = []
         for deg, g, lcm, coprime in candidates:
-            for cls in classes:
-                if not (lcm - cls[2]) & guards:
-                    if cls[2] == lcm and coprime:
-                        cls[3] = True
+            for k in kept:
+                if not (lcm - k) & guards:
                     break
             else:
-                classes.append([deg, g, lcm, coprime])
-        for deg, g, lcm, coprime in classes:
-            if not coprime:
-                self.live[(g, h)] = lcm
-                heapq.heappush(self.heap, (deg, g, h))
+                kept.append(lcm)
+                if not coprime:
+                    self.live[(g, h)] = lcm
+                    heapq.heappush(self.heap, (deg, g, h))
         self.active = [g for g in self.active if (exps[g] - e_h) & guards]
         self.active.append(h)
 

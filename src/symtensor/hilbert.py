@@ -23,8 +23,8 @@ Three facts keep every step free of a full re-minimalisation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
+from math import comb
 from operator import not_
 
 from . import univar
@@ -188,6 +188,8 @@ class HilbertSeries:
     den_weights: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(isinstance(c, int) for c in self.numerator):
+            raise TypeError("numerator coefficients must be ints")
         object.__setattr__(self, "numerator", tuple(univar.trim(self.numerator)))
         object.__setattr__(self, "den_weights", tuple(sorted(self.den_weights)))
         if any(w < 1 for w in self.den_weights):
@@ -220,16 +222,16 @@ class HilbertSeries:
         return tuple(coeffs)
 
     def krull_dim(self) -> int:
-        """Pole order at t=1: denominator factor count minus numerator root multiplicity."""
-        num = list(self.numerator)
+        """Pole order at t=1: denominator factor count minus numerator root multiplicity.
+
+        1 is a root of N = sum c_i t^i of multiplicity the first j with
+        sum_i c_i C(i, j) != 0, N's degree-j Taylor coefficient at 1.
+        """
+        num = self.numerator
         if not num:
             return 0
-        mult = 0
-        while sum(num) == 0:
-            num, r = univar.divmod_exact(num, [1, -1])
-            if r:
-                raise AssertionError("division by (1 - t) must be exact when 1 is a root")
-            mult += 1
+        mult = next(j for j in range(len(num))
+                    if sum(c * comb(i, j) for i, c in enumerate(num[j:], j)))
         return len(self.den_weights) - mult
 
     def canonical(self) -> "HilbertSeries":
@@ -254,39 +256,29 @@ class HilbertSeries:
             tuple(univar.mul(list(self.numerator), list(other.numerator))),
             self.den_weights + other.den_weights)
 
-    @cached_property
-    def _den_poly(self):
-        """prod_w (1 - t^w), expanded once per series (kept in the instance dict)."""
-        p = [1]
-        for w in self.den_weights:
-            p = univar.mul(p, univar.one_minus_power(w))
-        return tuple(p)
-
-    @cached_property
-    def _at_two(self):
-        """(N(2), prod_w (1 - 2^w)), evaluated once per series like ``_den_poly``."""
-        num = 0
-        for c in reversed(self.numerator):
-            num = 2 * num + c
+    def _at_power_of_two(self, k):
+        """(N(2^k), prod_w (1 - 2^(k w))) as exact ints, built by shifts."""
+        num = sum(c << k * i for i, c in enumerate(self.numerator) if c)
         den = 1
         for w in self.den_weights:
-            den *= 1 - (1 << w)
+            den -= den << k * w
         return num, den
 
     def __eq__(self, other):
-        """Equality as rational functions: N1 D2 == N2 D1 as polynomials.
+        """Equality as rational functions, P = N1 D2 - N2 D1 = 0, by one evaluation.
 
-        Equal rational functions have equal cross products at every t, so
-        unequal ones at t = 2 are rejected without multiplying out.
+        A coefficient of D = prod_w (1 - t^w) is at most 2^#W in size, so P's are
+        at most B = |N1|_1 2^#W2 + |N2|_1 2^#W1.  A nonzero such P has no root
+        x >= B + 1, where its leading term outweighs the rest (Cauchy's bound), so
+        P = 0 exactly when P(2^k) = 0 for 2^k > B + 1 (Kronecker substitution).
         """
         if not isinstance(other, HilbertSeries):
             return NotImplemented
-        (num1, den1), (num2, den2) = self._at_two, other._at_two
-        if num1 * den2 != num2 * den1:
-            return False
-        left = univar.mul(self.numerator, other._den_poly)
-        right = univar.mul(other.numerator, self._den_poly)
-        return left == right
+        bound = ((sum(map(abs, self.numerator)) << len(other.den_weights))
+                 + (sum(map(abs, other.numerator)) << len(self.den_weights)))
+        k = (bound + 1).bit_length()
+        (num1, den1), (num2, den2) = self._at_power_of_two(k), other._at_power_of_two(k)
+        return num1 * den2 == num2 * den1
 
     __hash__ = None
 
@@ -338,13 +330,14 @@ def series_from_monomial_ideal(ideal: MonomialIdeal) -> HilbertSeries:
 def series_from_expansion(coeffs, den_weights) -> HilbertSeries:
     """The series N / prod(1 - t^w) whose expansion begins with coeffs.
 
-    N is the first len(coeffs) coefficients of the expansion times the
-    denominator, so this is exact when deg N < len(coeffs).
+    N is the first len(coeffs) coefficients of the expansion times the denominator,
+    one factor 1 - t^w at a time in place, top down; exact when deg N < len(coeffs).
     """
-    den = [1]
+    num = list(coeffs)
     for w in den_weights:
-        den = univar.mul(den, univar.one_minus_power(w))
-    return HilbertSeries(tuple(univar.mul(coeffs, den)[: len(coeffs)]), tuple(den_weights))
+        for i in range(len(num) - 1, w - 1, -1):
+            num[i] -= num[i - w]
+    return HilbertSeries(tuple(num), tuple(den_weights))
 
 
 def series_from_generator_degrees(degrees, relation_degree=None) -> HilbertSeries:

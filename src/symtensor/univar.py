@@ -1,13 +1,11 @@
 """Dense univariate polynomial helpers on little-endian coefficient lists.
 
 The zero polynomial is the empty list. Coefficients are ints or Fractions and
-every routine is exact; division by a divisor with leading coefficient +-1
-stays over the integers.
+every routine is exact; division takes divisors with leading coefficient +-1
+only, so it never leaves the coefficients' ring.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def trim(p):
@@ -59,16 +57,16 @@ def one_minus_power(w):
 
 
 def divmod_exact(num, den):
-    """Long division: returns (quotient, remainder).
+    """Long division by a divisor with leading coefficient +-1: returns (quotient, remainder).
 
-    Each step multiplies by the inverse of the divisor's leading coefficient,
-    which is that coefficient itself when it is +-1.
+    That coefficient is its own inverse, so each step multiplies by it.
     """
     num, den = trim(num), trim(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    lead = den[-1]
-    inv = lead if lead in (1, -1) else 1 / Fraction(lead)
+    inv = den[-1]
+    if inv not in (1, -1):
+        raise ValueError(f"divisor's leading coefficient {inv} is not +-1")
     r = num
     dd = len(den) - 1
     if len(r) <= dd:

@@ -120,6 +120,13 @@ def test_field_axioms_on_random_samples(m):
         assert (a + b) + c == a + (b + c)
 
 
+def test_division_takes_unit_leading_coefficients_only():
+    assert univar.divmod_exact([1, 0, 0, -1], [-1, 1]) == ([-1, -1, -1], [])
+    assert univar.divmod_exact([1, 0, 0, -1], [1, 0, -1]) == ([0, 1], [1, -1])
+    with pytest.raises(ValueError, match="not \\+-1"):
+        univar.divmod_exact([1, 2, 3], [1, 2])
+
+
 # -- the (nums, den) representation against a Fraction-only reference ----------
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,7 @@ from symtensor import univar
 from symtensor.errors import IntegrityError, LimitExceeded
 from symtensor.hilbert import (HilbertSeries, MonomialIdeal, _Numerators,
                                count_standard_monomials, minimalize_monomials,
-                               series_from_generator_degrees,
+                               series_from_expansion, series_from_generator_degrees,
                                series_from_monomial_ideal)
 from symtensor.poly import Packing
 
@@ -135,6 +136,104 @@ def test_series_differing_in_one_coefficient_compare_unequal():
     # equal values at t = 2 do not make equal series: 1 and t - 1 over (1 - t)
     assert HilbertSeries((1,), (1,)) != HilbertSeries((-1, 1), (1,))
     assert HilbertSeries((1, 0, 0, 1), (2,)) != HilbertSeries((1, 4), (2,))
+
+
+def _dense_den(weights):
+    """prod_w (1 - t^w), multiplied out."""
+    p = [1]
+    for w in weights:
+        p = univar.mul(p, univar.one_minus_power(w))
+    return p
+
+
+def _dense_cross_equal(a, b):
+    """Equality by multiplying out N1 D2 and N2 D1 term by term."""
+    return (univar.mul(list(a.numerator), _dense_den(b.den_weights))
+            == univar.mul(list(b.numerator), _dense_den(a.den_weights)))
+
+
+def _random_series(rng, scale):
+    num = tuple(rng.randint(-scale, scale) for _ in range(rng.randint(0, 8)))
+    return HilbertSeries(num, tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 6))))
+
+
+def test_series_eq_agrees_with_dense_cross_multiplication():
+    rng = random.Random(31)
+    for scale in (1, 3, 1 << 70):
+        for _ in range(300):
+            a, b = _random_series(rng, scale), _random_series(rng, scale)
+            assert (a == b) == _dense_cross_equal(a, b)
+            for w in (1, rng.randint(2, 7)):
+                # equal pairs in another form, numerator and denominator times 1 - t^w
+                widened = _times_one_minus_power(a, w)
+                assert widened == a and a == widened and _dense_cross_equal(widened, a)
+                bent = list(widened.numerator) + [0]
+                bent[rng.randrange(len(bent))] += rng.choice((1, -1, scale))
+                other = HilbertSeries(tuple(bent), widened.den_weights)
+                assert other != a and not _dense_cross_equal(other, a)
+
+
+def test_series_eq_evaluates_past_the_coefficient_bound():
+    # t against the constant 2^j: B = 1 + 2^j, so an evaluation point at or below
+    # B + 1 = 2^j + 2 can be 2^j itself, where both sides agree
+    t = HilbertSeries((0, 1), ())
+    for j in range(1, 81):
+        power = HilbertSeries((1 << j,), ())
+        assert t != power and power != t
+    # the denominators' share of the bound: the cross products agree at t = 32,
+    # which exceeds |N1|_1 + |N2|_1 + 1 = 28 but not B + 1 = 14 + 13 * 2^4 + 1
+    a = HilbertSeries((-6, -1, 1, 0, 0, 6), (1, 1, 1, 1))
+    b = HilbertSeries((-6, 7), ())
+    assert a != b and b != a
+    assert not _dense_cross_equal(a, b)
+
+
+def test_fraction_numerator_is_refused():
+    with pytest.raises(TypeError, match="ints"):
+        HilbertSeries((1, Fraction(1, 2)), (1,))
+    with pytest.raises(TypeError):
+        HilbertSeries((Fraction(1),), ())
+
+
+def _krull_by_division(series):
+    """Pole order at 1, dividing N by 1 - t while its coefficients sum to 0."""
+    num = list(series.numerator)
+    if not num:
+        return 0
+    mult = 0
+    while sum(num) == 0:
+        num, r = univar.divmod_exact(num, [1, -1])
+        assert not r
+        mult += 1
+    return len(series.den_weights) - mult
+
+
+def test_krull_dim_agrees_with_division_on_planted_roots():
+    rng = random.Random(37)
+    for _ in range(200):
+        num = [rng.randint(-4, 4) for _ in range(rng.randint(1, 6))]
+        if not any(num):
+            continue
+        m = rng.randint(0, 7)
+        for _ in range(m):
+            num = univar.mul(num, [1, -1])
+        series = HilbertSeries(tuple(num), (1,) * rng.randint(m, m + 4))
+        assert series.krull_dim() == _krull_by_division(series)
+        assert series.krull_dim() <= len(series.den_weights) - m
+    assert HilbertSeries((), (1, 1)).krull_dim() == 0
+
+
+def test_series_from_expansion_agrees_with_dense_product():
+    rng = random.Random(41)
+    for _ in range(200):
+        coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(0, 12))]
+        weights = tuple(rng.randint(1, 15) for _ in range(rng.randint(0, 5)))
+        want = univar.mul(coeffs, _dense_den(weights))[: len(coeffs)]
+        series = series_from_expansion(coeffs, weights)
+        assert series.numerator == tuple(univar.trim(want))
+        assert series.den_weights == tuple(sorted(weights))
+    # every weight longer than the prefix leaves it as it is
+    assert series_from_expansion([1, 2, 3], (4, 9)).numerator == (1, 2, 3)
 
 
 def _random_ideal(rng):
