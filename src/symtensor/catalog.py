@@ -646,10 +646,15 @@ def groebner_route(presentation: IdealPresentation,
     """Run Buchberger, driven by ``bound`` when given, and convert the initial
     ideal into a Hilbert series.
 
-    The series is always the reduced basis's initial ideal's, never the bound.
+    The series is always the reduced basis's initial ideal's, never the bound:
+    the one a driven run stopped on, which is its minimal leading monomials'
+    (``GroebnerBasis.series``), or else one computed from the basis.
     """
     basis = buchberger(presentation, limits=limits, bound=bound)
-    return basis, series_from_monomial_ideal(leading_term_ideal(basis)).canonical()
+    series = basis.series
+    if series is None:
+        series = series_from_monomial_ideal(leading_term_ideal(basis))
+    return basis, series.canonical()
 
 
 def evaluate(spec: VarietySpec, *, max_degree: int = DEFAULT_MAX_DEGREE,

@@ -4,8 +4,10 @@ Pair selection is the normal strategy (minimal lcm total degree, ties broken
 by pair index).  Pairs are managed by the Gebauer-Moller update when a basis
 element is inserted: its B-criterion deletes queued pairs, and the M, F and
 product (coprime) criteria filter the new ones.  The append-only reducer set
-remembers each monomial's first divisor.  Every returned basis is the unique
-reduced basis, so repeated runs are bitwise reproducible.
+indexes its leading monomials by their last variable, so a divisor lookup
+scans only the reducers that can divide, and remembers each monomial's first
+divisor.  Every returned basis is the unique reduced basis, so repeated runs
+are bitwise reproducible.
 
 One order.  The engine works under degrevlex only.  For a homogeneous ideal
 R/I and R/in(I) have the same Hilbert function under every monomial order
@@ -18,8 +20,9 @@ Hilbert-driven runs.  Given a series B no larger than the Hilbert series of
 R/I in any degree, ``buchberger`` stops as soon as its lead ideal's series
 equals B, and drops a degree's remaining pairs once that degree's count of
 standard monomials equals B's (Traverso, "Hilbert functions and the
-Buchberger algorithm", J. Symbolic Comput. 22, 1996).  Without B it runs
-every pair the criteria keep.
+Buchberger algorithm", J. Symbolic Comput. 22, 1996).  The series it stopped
+on is returned with the basis, so no caller computes it again.  Without B it
+runs every pair the criteria keep.
 
 Packed monomials.  Inside the engine a monomial is one ``int``, its degrevlex
 key in the layout of :class:`poly.Packing`.
@@ -32,9 +35,9 @@ total degree of the pair's lcm, and all fields are repacked wider before a
 pair of degree above the capacity is reduced.  ``normal_form`` packs once, to
 the largest degree of p and of the basis, which no reduction step passes.
 
-``normal_form`` keeps the packed monic entries of the last basis it was given
-and reuses them while an equal basis comes back with fields wide enough; its
-first-divisor memo lives for one call only.
+``normal_form`` keeps the packed monic entries of the last basis it was given,
+with their divisor index, and reuses them while an equal basis comes back
+with fields wide enough; its first-divisor memo lives for one call only.
 
 Basis entries, like every ``Polynomial``, hold exact scalars as
 ``exactnum.exact`` makes them: an ``int`` when integral, else a ``Fraction``.
@@ -44,7 +47,8 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import sub
 
@@ -87,10 +91,15 @@ class IdealPresentation:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced basis: monic elements, no term divisible by another leading term."""
+    """Reduced basis: monic elements, no term divisible by another leading term.
+
+    ``series`` is the Hilbert series of R/in(I) when a Hilbert-driven run
+    stopped on it, else None; equality and hashing ignore it.
+    """
 
     ctx: VariableContext
     elements: tuple[Polynomial, ...]
+    series: HilbertSeries | None = field(default=None, compare=False)
 
 
 # -- dict-polynomial core -----------------------------------------------------
@@ -124,31 +133,52 @@ def _unpacked(ctx, pk, d):
 
 
 class _Reducers:
-    """Append-only monic reducers with their exponent vectors and a divisor memo.
+    """Append-only monic reducers with their exponent vectors and a divisor index.
 
-    ``memo`` maps a monomial to the index of its first reducer, or to ~k when
-    none of the first k reducers divides it, so a later lookup scans only the
-    reducers added since.  The reducer found is always the first in insertion
-    order whose leading monomial divides.
+    ``buckets[v + 1]`` lists in insertion order the reducers whose leading
+    monomial's last variable is v, and ``buckets[0]`` the constant ones.  A
+    divisor of m has its last variable in m's support, so ``first_divisor``
+    scans the constants' bucket and the buckets of m's support variables,
+    each up to its first divisor or an index past the best found so far, and
+    returns the smallest: the first reducer in insertion order whose leading
+    monomial divides m.  ``memo`` maps a monomial to that index, or to ~k
+    when none of the first k reducers divides it, so a later lookup bisects
+    each bucket at k and scans only the reducers added since.
     """
 
-    __slots__ = ("pk", "lts", "tails", "exps", "memo")
+    __slots__ = ("pk", "lts", "tails", "exps", "buckets", "memo")
 
-    def __init__(self, pk, lts=(), tails=(), exps=()):
+    def __init__(self, pk, entries=None):
+        """Empty reducers in the layout pk, or reducers over ``frozen()`` entries,
+        which are read-only."""
         self.pk = pk
-        self.lts = list(lts)
-        self.tails = list(tails)
-        self.exps = list(exps)
+        if entries is None:
+            entries = [], [], [], [[] for _ in range(pk.total // pk.width + 1)]
+        self.lts, self.tails, self.exps, self.buckets = entries
         self.memo = {}
 
+    def frozen(self):
+        """(lts, tails, exps, buckets) as tuples, for reducers that never grow."""
+        return (tuple(self.lts), tuple(self.tails), tuple(self.exps),
+                tuple(map(tuple, self.buckets)))
+
     def add(self, lt, tail):
+        pk = self.pk
+        e = pk.exps(lt)
+        k = len(self.lts)
         self.lts.append(lt)
         self.tails.append(tail)
-        self.exps.append(self.pk.exps(lt))
-        return len(self.lts) - 1
+        self.exps.append(e)
+        # the guard bit of variable v ends at bit (v + 1) * width
+        support = ((e | pk.guards) - pk.ones) & pk.guards
+        self.buckets[support.bit_length() // pk.width].append(k)
+        return k
 
     def repack(self, pk):
-        """Move every entry to the wider layout pk; the memo is keyed by old ints."""
+        """Move every entry to the wider layout pk; the memo is keyed by old ints.
+
+        Variable indices do not change, so neither do the buckets.
+        """
         old = self.pk
         self.pk = pk
         self.lts = [pk.pack(old.unpack(m)) for m in self.lts]
@@ -162,16 +192,33 @@ class _Reducers:
         k = self.memo.get(m, -1)
         if k >= 0:
             return k
-        exps = self.exps
-        n = len(exps)
-        if ~k < n:
-            e = self.pk.exps(m)
-            guards = self.pk.guards
-            for k in range(~k, n):
+        start, n = ~k, len(self.lts)
+        if start >= n:
+            return None
+        pk = self.pk
+        guards, width = pk.guards, pk.width
+        e = -m & pk.low
+        support = ((e | guards) - pk.ones) & guards
+        exps, buckets = self.exps, self.buckets
+        best = n
+        bucket = buckets[0]
+        while True:
+            for pos in range(bisect_left(bucket, start), len(bucket)):
+                k = bucket[pos]
+                if k >= best:
+                    break
                 if not (e - exps[k]) & guards:
-                    self.memo[m] = k
-                    return k
-            self.memo[m] = ~n
+                    best = k
+                    break
+            if not support:
+                break
+            bit = support & -support
+            support ^= bit
+            bucket = buckets[bit.bit_length() // width]
+        if best < n:
+            self.memo[m] = best
+            return best
+        self.memo[m] = ~n
         return None
 
     def reduce(self, target):
@@ -284,11 +331,11 @@ class _PairQueue:
 
 # The reducer entries of the last basis given to normal_form: one tuple
 # (basis, ctx, packing, entries) of immutable fields, with basis None when it
-# may not be matched and entries the (lts, tails, exps) tuples.  It is
-# rebound in a single assignment once the entries are complete, so a call
-# that fails leaves the previous one intact.  Polynomials are immutable, so
-# reusing it keeps normal_form a pure function of its arguments; it holds one
-# basis and no memo.
+# may not be matched and entries the reducers' ``frozen()`` tuples, divisor
+# index included.  It is rebound in a single assignment once the entries are
+# complete, so a call that fails leaves the previous one intact.  Polynomials
+# are immutable, so reusing it keeps normal_form a pure function of its
+# arguments; it holds one basis and no memo.
 _last_basis = None
 
 
@@ -313,8 +360,7 @@ def _basis_entries(basis, ctx, bound):
     red = _Reducers(Packing(ctx.nvars, bound))
     for b in polys:
         red.add(*_entry_from_poly(b, red.pk))
-    entries = (tuple(red.lts), tuple(red.tails), tuple(red.exps))
-    last = _last_basis = (basis, ctx, red.pk, entries)
+    last = _last_basis = (basis, ctx, red.pk, red.frozen())
     return last
 
 
@@ -323,12 +369,12 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
 
     Every basis entry must be a ``Polynomial`` in p's context (else TypeError or
     ValueError); zero polynomials are skipped.  The packed monic entries of
-    the last basis are kept and reused while an equal basis comes back, so
-    reducing many polynomials against one basis builds them once.  The
-    first-divisor memo is built afresh on every call.
+    the last basis and their divisor index are kept and reused while an
+    equal basis comes back, so reducing many polynomials against one basis
+    builds them once.  The first-divisor memo is built afresh on every call.
     """
     _, _, pk, entries = _basis_entries(tuple(basis), p.ctx, p.degree())
-    remainder = _Reducers(pk, *entries).reduce({pk.pack(m): c for m, c in p.terms})
+    remainder = _Reducers(pk, entries).reduce({pk.pack(m): c for m, c in p.terms})
     return _unpacked(p.ctx, pk, remainder)
 
 
@@ -369,6 +415,10 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
     pairs are dropped unreduced, and below 0 IntegrityError is raised.  A
     bound too high can also pass unnoticed and give a wrong basis, so no
     driven run checks B.  The degree cap never sees a dropped pair.
+
+    When the run stops on B, the returned basis's ``series`` is H(R/J), the
+    series of its minimal leading monomials, which equals B; otherwise it is
+    None.
     """
     limits = limits or GroebnerLimits()
     start = time.monotonic()
@@ -389,10 +439,11 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
             raise _diag(f"groebner timeout after {limits.timeout}s")
 
     def _lead_series(entries):
+        """The minimal reducers of the entries and their lead ideal's series."""
         _check_timeout()
-        lts = _minimal(red, entries).lts
-        lead = MonomialIdeal(ideal.ctx.nvars, tuple(sorted(map(red.pk.unpack, lts))))
-        return hilbert.series_from_monomial_ideal(lead)
+        minimal = _minimal(red, entries)
+        lead = MonomialIdeal(ideal.ctx.nvars, tuple(sorted(map(red.pk.unpack, minimal.lts))))
+        return minimal, hilbert.series_from_monomial_ideal(lead)
 
     def _insert(entry):
         _check_timeout()
@@ -402,8 +453,10 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
         _check_timeout()
         red.add(*_entry_from_poly(g, red.pk))
     inputs = range(len(red.lts))
-    if bound is not None and _lead_series(inputs) == bound:
-        return GroebnerBasis(ideal.ctx, _reduced_from_entries(ideal.ctx, red, inputs))
+    if bound is not None:
+        minimal, lead = _lead_series(inputs)
+        if lead == bound:
+            return GroebnerBasis(ideal.ctx, _reduced(ideal.ctx, minimal), lead)
     for h in inputs:
         _check_timeout()
         queue.update(h)
@@ -417,9 +470,9 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
         if bound is not None:
             if deg > degree:
                 degree = deg
-                lead = _lead_series(queue.active)
+                minimal, lead = _lead_series(queue.active)
                 if lead == bound:
-                    break
+                    return GroebnerBasis(ideal.ctx, _reduced(ideal.ctx, minimal), lead)
                 deficit = lead.expand(deg)[deg] - bound.expand(deg)[deg]
                 if deficit < 0:
                     raise IntegrityError(f"Hilbert bound exceeds the lead ideal's count by "
@@ -447,7 +500,7 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
             deficit -= 1  # one more degree-deg monomial in the lead ideal
             _insert(_entry_from_dict(h))
 
-    return GroebnerBasis(ideal.ctx, _reduced_from_entries(ideal.ctx, red, queue.active))
+    return GroebnerBasis(ideal.ctx, _reduced(ideal.ctx, _minimal(red, queue.active)))
 
 
 def _minimal(red, entries):
@@ -463,20 +516,18 @@ def _minimal(red, entries):
     return minimal
 
 
-def _reduced_from_entries(ctx, red, entries):
-    """The unique reduced basis from entries that form a basis.
+def _reduced(ctx, minimal):
+    """The unique reduced basis from the minimal reducers of entries that form a basis.
 
-    The minimal leading monomials are taken from the entries; each tail is
-    then reduced against the minimal set, and the reduced tail replaces the
-    old one for later elements.
+    Each tail is reduced against the minimal set, and the reduced tail
+    replaces the old one for later elements.
     """
-    minimal = _minimal(red, entries)
     out = []
     for pos, lt in enumerate(minimal.lts):
         tail = minimal.reduce(dict(minimal.tails[pos]))
         minimal.tails[pos] = tuple([(m, exact(c)) for m, c in tail.items()])
         tail[lt] = 1
-        out.append(_unpacked(ctx, red.pk, tail))
+        out.append(_unpacked(ctx, minimal.pk, tail))
     return tuple(out)
 
 

@@ -11,11 +11,11 @@ scalar enters only through ``ctx.constant(c)`` or ``scale(c)``.
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, le
-from struct import Struct
 
 from .errors import LimitExceeded, SpecParseError
 from .exactnum import exact
@@ -61,7 +61,7 @@ class Packing:
         if size is None:
             raise LimitExceeded(f"degree {bound} does not fit a 63-bit exponent field")
         code = {1: "B", 2: "H", 4: "I", 8: "Q"}[size]
-        self.fields = Struct(f"<{nvars}{code}")
+        self.fields = struct.Struct(f"<{nvars}{code}")
         self.width = 8 * size
         self.value_bits = self.width - 1
         self.cap = (1 << self.value_bits) - 1
@@ -72,8 +72,16 @@ class Packing:
         self.top = self.width * max(nvars - 1, 0)
 
     def pack_exps(self, m) -> int:
-        """E of an exponent tuple whose entries are at most ``cap``."""
-        return int.from_bytes(self.fields.pack(*m), "little")
+        """E of an exponent tuple whose entries are at most ``cap``.
+
+        A tuple the fields cannot hold, with an entry that is negative or not
+        an int or with the wrong length, raises ValueError.
+        """
+        try:
+            return int.from_bytes(self.fields.pack(*m), "little")
+        except struct.error:
+            raise ValueError(f"monomial {tuple(m)!r} is not a tuple of ints "
+                             f"in 0..{self.cap}") from None
 
     def unpack_exps(self, e) -> tuple:
         return self.fields.unpack(e.to_bytes(self.fields.size, "little"))
@@ -184,7 +192,9 @@ class Polynomial:
             if len(mono) != ctx.nvars:
                 raise ValueError("monomial length does not match context")
             cleaned[tuple(mono)] = coeff
-        terms = tuple(sorted(cleaned.items(), key=lambda t: degrevlex_key(t[0]), reverse=True))
+        # ascending (-degree, reversed exponents) is descending degrevlex_key for
+        # distinct monomials, with no list built per term
+        terms = tuple(sorted(cleaned.items(), key=lambda t: (-sum(t[0]), t[0][::-1])))
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", terms)
 

@@ -14,7 +14,7 @@ from symtensor.groebner import (GroebnerBasis, GroebnerLimits, IdealPresentation
                                 s_polynomial)
 from symtensor.hilbert import (HilbertSeries, MonomialIdeal, count_standard_monomials,
                                minimalize_monomials, series_from_monomial_ideal)
-from symtensor.poly import VariableContext, degrevlex_key, mono_divides
+from symtensor.poly import Packing, VariableContext, degrevlex_key, mono_divides
 
 ABCD = VariableContext(("a", "b", "c", "d"))
 XY = VariableContext(("x", "y"))
@@ -72,6 +72,18 @@ def test_normal_form_rejects_non_polynomial_entries():
     assert normal_form(XY.parse("x + y"), [XY.zero(), x]) == XY.parse("y")
     with pytest.raises(TypeError):
         normal_form(XY.parse("x + y"), [0, x])
+
+
+def test_exponents_outside_the_fields_raise_value_error():
+    bad = XY.poly({(-1, 2): 1})
+    with pytest.raises(ValueError, match=r"monomial \(-1, 2\)"):
+        normal_form(bad, [XY.parse("x")])
+    with pytest.raises(ValueError, match=r"monomial \(1\.5, 0\)"):
+        normal_form(XY.parse("x"), [XY.poly({(1.5, 0): 1})])
+    with pytest.raises(ValueError, match=r"monomial \(-1, 2\)"):
+        buchberger(IdealPresentation(XY, (XY.parse("x^2"), bad)))
+    # the failed calls left the kept basis usable
+    assert normal_form(XY.parse("x^2 + y"), [XY.parse("x")]) == XY.parse("y")
 
 
 def test_s_polynomial_examples():
@@ -467,6 +479,49 @@ def test_normal_form_recovers_from_a_failed_call(monkeypatch):
     assert normal_form(p, basis) == want
 
 
+# -- the first-divisor index ----------------------------------------------------------
+
+
+def _scan_first_divisor(leads, m):
+    """The first index in insertion order whose leading monomial divides m, or None."""
+    return next((k for k, lead in enumerate(leads) if mono_divides(lead, m)), None)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_first_divisor_matches_a_linear_scan(seed):
+    rng = random.Random(seed)
+    nvars = 1 + seed % 8
+    pk = Packing(nvars, 12)
+    red = groebner._Reducers(pk)
+    # a constant leading monomial first, late or never
+    unit_at = (0, rng.randint(5, 30), None)[seed % 3]
+    leads = []
+
+    def monomial(top):
+        return tuple(rng.randint(0, top) if rng.random() < 0.6 else 0 for _ in range(nvars))
+
+    # lookups repeat on one pool, so a miss leaves ~k and a later lookup resumes at k
+    pool = [monomial(4) for _ in range(40)]
+    resumed = 0
+    for step in range(36):
+        lead = (0,) * nvars if step == unit_at else monomial(3)
+        if not any(lead) and step != unit_at:
+            continue
+        red.add(pk.pack(lead), ())
+        leads.append(lead)
+        for m in pool + [monomial(4) for _ in range(5)]:
+            memo = red.memo.get(pk.pack(m), -1)
+            found = red.first_divisor(pk.pack(m))
+            assert found == _scan_first_divisor(leads, m), (seed, leads, m)
+            resumed += memo < -1 and found is not None
+    assert resumed or unit_at == 0
+    wider = Packing(nvars, 200)
+    red.repack(wider)
+    assert wider.width == 16
+    for m in pool + [monomial(150 // nvars) for _ in range(20)]:
+        assert red.first_divisor(wider.pack(m)) == _scan_first_divisor(leads, m)
+
+
 # -- packed monomials: fields wider than the first width ---------------------------
 
 
@@ -566,8 +621,14 @@ DRIVEN_CASES = [(grassmannian_ideal, grassmannian_series, (r, n))
                          ids=[f"{i.__name__}{a}" for i, _, a in DRIVEN_CASES])
 def test_driven_basis_equals_undriven(ideal, form, args):
     presentation = ideal(*args)
-    assert _digest(buchberger(presentation, bound=form(*args))) == _digest(
-        buchberger(presentation))
+    driven, undriven = buchberger(presentation, bound=form(*args)), buchberger(presentation)
+    assert _digest(driven) == _digest(undriven)
+    # the driven run returns its lead ideal's series; the undriven run has none
+    lead = series_from_monomial_ideal(leading_term_ideal(driven))
+    assert (driven.series.numerator, driven.series.den_weights) == (
+        lead.numerator, lead.den_weights)
+    assert undriven.series is None
+    assert driven == undriven and hash(driven) == hash(undriven)
 
 
 @pytest.mark.parametrize("ideal,form,args", [(quadric_ideal, quadric_series, (3,)),

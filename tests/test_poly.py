@@ -26,6 +26,19 @@ def test_compare_examples():
     assert degrevlex_key((3, 1)) == degrevlex_key((3, 1))
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_terms_are_sorted_descending_by_degrevlex_key(seed):
+    rng = random.Random(seed)
+    for nvars in range(1, 9):
+        ctx = VariableContext(tuple(f"x{i}" for i in range(nvars)))
+        # 80 draws over few total degrees, so most terms tie on degree
+        monos = {tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(80)}
+        p = ctx.poly({m: rng.choice((-2, 1, Fraction(1, 3))) for m in monos})
+        keys = [degrevlex_key(m) for m, _ in p.terms]
+        assert keys == sorted(keys, reverse=True) and len(set(keys)) == len(keys)
+        assert {m for m, _ in p.terms} == set(monos)
+
+
 def test_leading_term_examples():
     assert XY.parse("x^2 + y^2").leading_term() == (1, (2, 0))
     assert XY.parse("3*x*y - y^3").leading_term() == (-1, (0, 3))
@@ -180,6 +193,15 @@ def test_packing_width_boundaries(bound, cap):
         assert pk.unpack_exps(pk.pack_exps(m)) == m
         assert pk.unpack(pk.pack(m)) == m
         assert pk.degree(pk.pack_exps(m)) == bound
+
+
+def test_packing_refuses_exponents_outside_its_fields():
+    pk = Packing(2, 3)
+    for bad in ((-1, 2), (Fraction(3, 2), 0), (1.5, 0), (2, 1, 0)):
+        with pytest.raises(ValueError, match=r"monomial \("):
+            pk.pack_exps(bad)
+        with pytest.raises(ValueError, match=r"monomial \("):
+            pk.pack(bad)
 
 
 def test_packing_refuses_a_degree_past_63_bits():
