@@ -1,13 +1,13 @@
 """Buchberger's algorithm: reduced Groebner bases and initial ideals.
 
 Pair selection is the normal strategy (minimal lcm total degree, ties broken
-by pair index).  Pairs are managed by the Gebauer-Moller update when a basis
-element is inserted: its B-criterion deletes queued pairs, and the M, F and
-product (coprime) criteria filter the new ones.  The append-only reducer set
-indexes its leading monomials by their last variable, so a divisor lookup
-scans only the reducers that can divide, and remembers each monomial's first
-divisor.  Every returned basis is the unique reduced basis, so repeated runs
-are bitwise reproducible.
+by pair index).  Pairs follow Gebauer and Moller: the M, F and product
+(coprime) criteria filter the new pairs when a basis element is inserted, and
+the B-criterion tests a pair when it is popped.  The append-only reducer set
+indexes its leading monomials by their last variable, so a divisor lookup scans
+only the reducers that can divide, and remembers each monomial's first divisor.
+Every returned basis is the unique reduced basis, so repeated runs are bitwise
+reproducible.
 
 One order.  The engine works under degrevlex only.  For a homogeneous ideal
 R/I and R/in(I) have the same Hilbert function under every monomial order
@@ -270,37 +270,25 @@ def _spoly_dict(lcm, entry_f, entry_g):
 
 
 class _PairQueue:
-    """Critical pairs under the Gebauer-Moller update (Gebauer and Moller 1988).
+    """Critical pairs under the Gebauer-Moller criteria (Gebauer and Moller 1988).
 
     ``active`` holds the entries whose leading monomial no later entry divides;
-    only they form new pairs.  Live pairs map (i, j), i < j, to the exponent
-    vector of their lcm; heap items (degree, i, j) no longer in ``live`` are
-    skipped.  Coprime pairs never enter the heap.
-    """
+    only they form new pairs.  ``heap`` holds (degree, i, j), i < j, for each
+    queued pair; coprime pairs never enter it."""
 
-    __slots__ = ("red", "active", "live", "heap")
+    __slots__ = ("red", "active", "heap")
 
     def __init__(self, red):
         self.red = red
         self.active = []
-        self.live = {}
         self.heap = []
 
     def update(self, h):
-        """Add the pairs of the new entry h and drop the ones it makes redundant."""
-        pk = self.red.pk
+        """Add the pairs of the new entry h."""
+        pk, exps = self.red.pk, self.red.exps
         lcm_of, degree, guards = pk.lcm, pk.degree, pk.guards
-        exps = self.red.exps
         e_h = exps[h]
         deg_h = degree(e_h)
-        # B-criterion: h's leading monomial divides lcm(i, j) and both
-        # lcm(i, h) and lcm(j, h) differ from it.
-        doomed = [key for key, lcm in self.live.items()
-                  if not (lcm - e_h) & guards
-                  and lcm_of(exps[key[0]], e_h) != lcm
-                  and lcm_of(exps[key[1]], e_h) != lcm]
-        for key in doomed:
-            del self.live[key]
         # M and F criteria: keep the first pair of each minimal lcm(g, h), and queue
         # it unless coprime.  A coprime (g, h) sorts first among the pairs with its
         # lcm lt(g) lt(h): another g' with that lcm has lt(g) | lt(g'), so either g'
@@ -320,22 +308,33 @@ class _PairQueue:
             else:
                 kept.append(lcm)
                 if not coprime:
-                    self.live[(g, h)] = lcm
                     heapq.heappush(self.heap, (deg, g, h))
         self.active = [g for g in self.active if (exps[g] - e_h) & guards]
         self.active.append(h)
+
+    def redundant(self, i, j):
+        """B-criterion for (i, j): an entry h > j, inserted after the pair, has
+        lt(h) | lcm(i, j) while lcm(i, h) and lcm(j, h) both differ from it."""
+        pk, exps = self.red.pk, self.red.exps
+        lcm_of, guards = pk.lcm, pk.guards
+        e_i, e_j = exps[i], exps[j]
+        lcm = lcm_of(e_i, e_j)
+        for h in range(j + 1, len(exps)):
+            e_h = exps[h]
+            if not (lcm - e_h) & guards and lcm_of(e_i, e_h) != lcm and lcm_of(e_j, e_h) != lcm:
+                return True
+        return False
 
 
 # -- public operations ---------------------------------------------------------
 
 
 # The reducer entries of the last basis given to normal_form: one tuple
-# (basis, ctx, packing, entries) of immutable fields, with basis None when it
-# may not be matched and entries the reducers' ``frozen()`` tuples, divisor
-# index included.  It is rebound in a single assignment once the entries are
-# complete, so a call that fails leaves the previous one intact.  Polynomials
-# are immutable, so reusing it keeps normal_form a pure function of its
-# arguments; it holds one basis and no memo.
+# (basis, ctx, packing, entries) of immutable fields, entries being the
+# reducers' ``frozen()`` tuples, divisor index included.  It is rebound in a
+# single assignment once the entries are complete, so a call that fails leaves
+# the previous one intact.  Polynomials are immutable, so reusing it keeps
+# normal_form a pure function of its arguments; it holds one basis and no memo.
 _last_basis = None
 
 
@@ -464,9 +463,6 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
     while queue.heap:
         _check_timeout()
         deg, i, j = heapq.heappop(queue.heap)
-        lcm = queue.live.pop((i, j), None)
-        if lcm is None:
-            continue  # deleted by the B-criterion
         if bound is not None:
             if deg > degree:
                 degree = deg
@@ -479,22 +475,18 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
                                          f"{-deficit} in degree {deg}")
             if not deficit:
                 continue  # in(I) is reached in this degree: the pair reduces to zero
+        if queue.redundant(i, j):
+            continue
         if limits.max_degree is not None and deg > limits.max_degree:
             raise _diag(f"pair of degree {deg} above cap {limits.max_degree}")
         pairs_processed += 1
         if deg > max_degree_seen:
             max_degree_seen = deg
         # every term of the S-polynomial and its reduction has the lcm's degree
-        pk = red.pk
-        if deg > pk.cap:
-            wider = Packing(ideal.ctx.nvars, deg)
-            queue.live = {key: wider.pack_exps(pk.unpack_exps(e))
-                          for key, e in queue.live.items()}
-            red.repack(wider)
-            lcm = wider.pack_exps(pk.unpack_exps(lcm))
-            pk = wider
-        spoly = _spoly_dict(pk.key(lcm, deg), (red.lts[i], red.tails[i]),
-                            (red.lts[j], red.tails[j]))
+        if deg > red.pk.cap:
+            red.repack(Packing(ideal.ctx.nvars, deg))
+        lcm = red.pk.key(red.pk.lcm(red.exps[i], red.exps[j]), deg)
+        spoly = _spoly_dict(lcm, (red.lts[i], red.tails[i]), (red.lts[j], red.tails[j]))
         h = red.reduce(spoly)
         if h:
             deficit -= 1  # one more degree-deg monomial in the lead ideal

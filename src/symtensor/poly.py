@@ -172,6 +172,11 @@ class VariableContext:
         return Polynomial(self, {tuple(exps): 1})
 
     def poly(self, mapping) -> "Polynomial":
+        """The polynomial of {monomial: scalar}; an exponent not an int >= 0 raises ValueError."""
+        mapping = dict(mapping)
+        for mono in mapping:
+            if not all(type(e) is int and e >= 0 for e in mono):
+                raise ValueError(f"monomial {tuple(mono)!r} has an exponent that is not an int >= 0")
         return Polynomial(self, mapping)
 
     def parse(self, text: str) -> "Polynomial":
@@ -179,7 +184,10 @@ class VariableContext:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; each coefficient is an exact scalar (see ``exact``)."""
+    """Immutable sparse polynomial; each coefficient is an exact scalar (see ``exact``).
+
+    Exponents go unchecked here, which keeps the engine's conversions cheap;
+    ``ctx.poly`` and ``ctx.parse`` are the checked entry points."""
 
     __slots__ = ("ctx", "terms")
 

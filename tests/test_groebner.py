@@ -14,7 +14,7 @@ from symtensor.groebner import (GroebnerBasis, GroebnerLimits, IdealPresentation
                                 s_polynomial)
 from symtensor.hilbert import (HilbertSeries, MonomialIdeal, count_standard_monomials,
                                minimalize_monomials, series_from_monomial_ideal)
-from symtensor.poly import Packing, VariableContext, degrevlex_key, mono_divides
+from symtensor.poly import Packing, Polynomial, VariableContext, degrevlex_key, mono_divides
 
 ABCD = VariableContext(("a", "b", "c", "d"))
 XY = VariableContext(("x", "y"))
@@ -75,11 +75,12 @@ def test_normal_form_rejects_non_polynomial_entries():
 
 
 def test_exponents_outside_the_fields_raise_value_error():
-    bad = XY.poly({(-1, 2): 1})
+    # the constructor leaves exponents unchecked, so the packed layer is the last guard
+    bad = Polynomial(XY, {(-1, 2): 1})
     with pytest.raises(ValueError, match=r"monomial \(-1, 2\)"):
         normal_form(bad, [XY.parse("x")])
     with pytest.raises(ValueError, match=r"monomial \(1\.5, 0\)"):
-        normal_form(XY.parse("x"), [XY.poly({(1.5, 0): 1})])
+        normal_form(XY.parse("x"), [Polynomial(XY, {(1.5, 0): 1})])
     with pytest.raises(ValueError, match=r"monomial \(-1, 2\)"):
         buchberger(IdealPresentation(XY, (XY.parse("x^2"), bad)))
     # the failed calls left the kept basis usable
@@ -639,6 +640,30 @@ def test_inputs_that_are_a_basis_reach_no_s_polynomial(monkeypatch, ideal, form,
     monkeypatch.setattr(groebner, "_spoly_dict", lambda *a: calls.append(a) or original(*a))
     buchberger(ideal(*args), bound=form(*args))
     assert not calls
+
+
+# S-polynomials reduced (driven, undriven): the reduced bases do not depend on
+# which zero reductions the pair criteria skip, so only these counts catch a
+# wrong deletion rule
+REDUCED_PAIRS = [(grassmannian_ideal, grassmannian_series, (1, 4), 0, 188),
+                 (grassmannian_ideal, grassmannian_series, (2, 4), 71, 112),
+                 (grassmannian_ideal, grassmannian_series, (3, 4), 0, 188),
+                 (grassmannian_ideal, grassmannian_series, (1, 5), 0, 845),
+                 (grassmannian_ideal, grassmannian_series, (2, 5), 157, 691),
+                 (quadric_ideal, quadric_series, (4,), 0, 35),
+                 (quadric_ideal, quadric_series, (5,), 0, 140)]
+
+
+@pytest.mark.parametrize("ideal,form,args,driven,undriven", REDUCED_PAIRS,
+                         ids=[f"{i.__name__}{a}" for i, _, a, _, _ in REDUCED_PAIRS])
+def test_reduced_pair_counts(monkeypatch, ideal, form, args, driven, undriven):
+    calls = []
+    original = groebner._spoly_dict
+    monkeypatch.setattr(groebner, "_spoly_dict", lambda *a: calls.append(a) or original(*a))
+    buchberger(ideal(*args), bound=form(*args))
+    after_driven = len(calls)
+    buchberger(ideal(*args))
+    assert (after_driven, len(calls) - after_driven) == (driven, undriven)
 
 
 def test_bound_too_high_is_caught_only_against_the_undriven_basis():

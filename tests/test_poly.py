@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,18 @@ def test_packing_refuses_exponents_outside_its_fields():
             pk.pack_exps(bad)
         with pytest.raises(ValueError, match=r"monomial \("):
             pk.pack(bad)
+
+
+@pytest.mark.parametrize("mono", [(-1, 2), (1.5, 0)])
+def test_poly_refuses_exponents_that_are_not_natural_ints(mono):
+    with pytest.raises(ValueError, match=re.escape(f"monomial {mono!r}")):
+        XY.poly({mono: 1})
+    assert XY.poly({(1, 2): 3}) == XY.parse("3*x*y^2")
+
+
+def test_parse_refuses_a_negative_exponent():
+    with pytest.raises(SpecParseError):
+        XY.parse("x^-1")
 
 
 def test_packing_refuses_a_degree_past_63_bits():
