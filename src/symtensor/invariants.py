@@ -1,9 +1,12 @@
 """Finite subgroups of SU(2) over cyclotomic fields, and their Molien series.
 
-Groups are built by closing explicit generator matrices under multiplication,
-and cyclotomic arithmetic reads each element's order off its trace.  The
-Molien series of the invariant subalgebra of the symmetric algebra on the
-2-dimensional representation is then one closed sum over the histogram of
+Groups are built by closing explicit generator matrices under multiplication.
+A unimodular element of order k has eigenvalues z and 1/z with z a primitive
+k-th root of unity, and k divides |G|, so its trace is one of the values
+z + 1/z over the roots z of order dividing lcm(field order, |G|): one table
+lookup per distinct trace gives every element's order.  The Molien series of
+the invariant subalgebra of the symmetric algebra on the 2-dimensional
+representation is then one closed sum over the histogram of
 cyclic subgroups (R. Stanley, Bull. AMS 1979, section 2; B. Sturmfels,
 Algorithms in Invariant Theory, 1993, chapter 2).  The graded dimensions,
 integer sums of Ramanujan sums over the same histogram, are computed degree by
@@ -16,10 +19,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
+from operator import add
 
 from .errors import IntegrityError
-from .exactnum import CyclotomicNumber, cyclotomic_polynomial, euler_phi, zeta
+from .exactnum import CyclotomicNumber, _power_rows, cyclotomic_polynomial, euler_phi, zeta
 from .hilbert import HilbertSeries, series_from_generator_degrees
 
 # MolienResult.dims runs through this display window
@@ -72,17 +76,30 @@ class MatrixGroup:
 
     @cached_property
     def cyclic_subgroups(self) -> dict[int, int]:
-        """{k: N_k / phi(k)} for the N_k elements of order k.  Unit determinant
-        gives tr(g^j) = s_j with s_0 = 2, s_1 = tr(g), s_j = tr(g) s_{j-1} - s_{j-2},
-        and the order of g is the least k with s_k = 2."""
-        two = CyclotomicNumber.from_rational(self.field_order, 2)
+        """{k: N_k / phi(k)} for the N_k elements of order k, one lookup per trace.
+
+        A unimodular g of order k | |G| has eigenvalues z^a and z^-a, with z a
+        primitive M-th root of unity for M = lcm(field order, |G|), so tr g =
+        z^a + z^-a for exactly one a in 0..M/2, and k = M / gcd(a, M).  M can
+        exceed the field order: 2T lives in Q(z4), its elements of order 3 do
+        not.  Each distinct trace enters Q(z) by z_m^i -> z^(iM/m) and is looked
+        up among the z^a + z^-a; a trace not among them raises IntegrityError.
+        """
+        big = lcm(self.field_order, self.order)
+        rows, step = _power_rows(big), big // self.field_order
+        orders = {tuple(map(add, rows[a], rows[-a % big])): big // gcd(a, big)
+                  for a in range(big // 2 + 1)}
         counts = Counter()
         for trace, mult in Counter(g.trace() for g in self.elements).items():
-            prev, cur, k = two, trace, 1
-            while cur != two:
-                if k == self.order:
-                    raise IntegrityError(f"no order up to {k} for trace {trace} in {self.label}")
-                prev, cur, k = cur, trace * cur - prev, k + 1
+            key = [0] * len(rows[0])
+            for i, c in enumerate(trace.nums):
+                if c:
+                    for j, r in enumerate(rows[i * step]):
+                        key[j] += c * r
+            k = orders.get(tuple(key)) if trace.den == 1 else None
+            if k is None:
+                raise IntegrityError(f"trace {trace} in {self.label} is no z + 1/z with "
+                                     f"z^{big} = 1")
             counts[k] += mult
         for k, count in counts.items():
             if count % euler_phi(k):
@@ -205,7 +222,8 @@ def build_group(label: str, n: int | None = None) -> MatrixGroup:
 
 def _closed_unimodular(generators, field_order, expected_order, label):
     """Closure of the generators, checked for the expected order and for
-    determinant one, on which the trace recursion for element orders relies."""
+    determinant one, which makes the eigenvalues z and 1/z, so that the trace
+    lookup for element orders applies."""
     elements = _close_under_multiplication(generators, field_order, expected_order)
     if len(elements) != expected_order:
         raise IntegrityError(

@@ -31,6 +31,12 @@ def build_group_from_generators(generators, field_order, expected_order, label="
     return MatrixGroup(label, field_order, elements)
 
 
+def odd_cyclic_group(m):
+    """The cyclic group of odd order m in SU(2), generated by diag(z, 1/z)."""
+    zero = CyclotomicNumber.zero(m)
+    return build_group_from_generators((Mat2(zeta(m), zero, zero, zeta(m, m - 1)),), m, m)
+
+
 def sym_power_trace(mat, p):
     """Trace of the degree-p symmetric power from the explicit basis action.
 
@@ -135,7 +141,7 @@ def test_wrong_generators_detected():
 
 def test_custom_group_must_be_unimodular():
     # diag(i, 1) closes to order 4, but its determinant is i, so the trace
-    # recursion would find no order for trace 1 + i and lose the true counts 1, 1, 1
+    # lookup would find no order for trace 1 + i and lose the true counts 1, 1, 1
     zero = CyclotomicNumber.zero(4)
     one = CyclotomicNumber.one(4)
     with pytest.raises(IntegrityError, match="non-unimodular"):
@@ -345,20 +351,20 @@ def test_unclosed_element_set_raises_integrity_error():
 
 
 def test_failed_call_stores_no_cached_state():
-    # trace sqrt(2) does not return to 2 within |G| = 1 steps; the order table is
-    # stored only once it is computed, so a second call fails the same way
+    # trace sqrt(2) gives one element of order 8, no multiple of phi(8) = 4; the order
+    # table is stored only once it is computed, so a second call fails the same way
     z8 = zeta(8)
     zero = CyclotomicNumber.zero(8)
     rot = Mat2(z8, zero, zero, -zeta(8, 3))
     bogus = MatrixGroup("custom", 8, (rot,))
     messages = []
     for _ in range(2):
-        with pytest.raises(IntegrityError, match="no order up to 1 ") as info:
+        with pytest.raises(IntegrityError, match=r"1 elements of order 8 .* phi\(8\)") as info:
             invariant_dimension(bogus, 1)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert "cyclic_subgroups" not in vars(bogus)
-    with pytest.raises(IntegrityError, match="no order up to 1 "):
+    with pytest.raises(IntegrityError, match=r"1 elements of order 8 .* phi\(8\)"):
         molien_series(bogus)
     assert "cyclic_subgroups" not in vars(bogus)
 
@@ -368,12 +374,27 @@ def test_element_counts_must_be_multiples_of_phi():
     zero = CyclotomicNumber.zero(3)
     ident = Mat2.identity(3)
     rot = Mat2(zeta(3), zero, zero, zeta(3, 2))
-    # with |G| = 2 the recursion stops before the order 3 ...
-    with pytest.raises(IntegrityError, match="no order up to 2 "):
-        invariant_dimension(MatrixGroup("custom", 3, (ident, rot)), 0)
-    # ... and with -I added it reaches it, and the count fails the phi test
+    # the lookup runs over the roots of unity of order lcm(3, |G|) = 6, so it finds
+    # the order 3, and the count fails the phi test ...
     with pytest.raises(IntegrityError, match=r"1 elements of order 3 .* phi\(3\)"):
+        invariant_dimension(MatrixGroup("custom", 3, (ident, rot)), 0)
+    # ... and with -I added, |G| = 3 is odd: no cube root of unity z has z + 1/z = -2,
+    # so the order 2 of -I, which does not divide |G|, is refused at its trace
+    with pytest.raises(IntegrityError, match="trace -2 in custom "):
         invariant_dimension(MatrixGroup("custom", 3, (ident, ident.neg(), rot)), 0)
+
+
+def test_trace_outside_the_lookup_table_raises():
+    # diag(2, 1/2) has determinant 1 and infinite order: its trace 5/2 is no
+    # z + 1/z for a root of unity z, and the failed call stores no order table
+    zero = CyclotomicNumber.zero(4)
+    stretch = Mat2(CyclotomicNumber.from_rational(4, 2), zero, zero,
+                   CyclotomicNumber.from_rational(4, Fraction(1, 2)))
+    bogus = MatrixGroup("custom", 4, (Mat2.identity(4), stretch))
+    for _ in range(2):
+        with pytest.raises(IntegrityError, match="trace 5/2 in custom "):
+            bogus.cyclic_subgroups
+        assert "cyclic_subgroups" not in vars(bogus)
 
 
 def test_average_not_divisible_by_the_order_raises():
@@ -447,8 +468,7 @@ def test_order_histogram_equals_trace_averages_past_the_order(label, n):
 def test_order_histogram_equals_trace_averages_without_minus_identity(m):
     # with -identity, g and -g pair orders k and 2k for odd k, and the odd-d terms
     # of their Ramanujan sums cancel; odd cyclic groups have no such pairing
-    zero = CyclotomicNumber.zero(m)
-    group = build_group_from_generators((Mat2(zeta(m), zero, zero, zeta(m, m - 1)),), m, m)
+    group = odd_cyclic_group(m)
     top = m + 25
     assert _direct(group, top) == _trace_averages(group, top)
 
@@ -472,6 +492,24 @@ def test_elements_per_order_of_binary_dihedral_groups():
         want = {k: euler_phi(k) for k in range(1, 2 * n + 1) if 2 * n % k == 0}
         want[4] = want.get(4, 0) + 2 * n
         assert _elements_per_order(build_group("BD", n)) == want, n
+
+
+def _order_by_powers(g):
+    """The least k with g^k == identity, by repeated products: no trace is read."""
+    ident = Mat2.identity(g.a.order)
+    power, k = g, 1
+    while power != ident:
+        power, k = power * g, k + 1
+    return k
+
+
+@pytest.mark.parametrize("label,n", [("BD", n) for n in range(2, 13)]
+                         + [("2T", None), ("2O", None), ("2I", None)]
+                         + [("C", m) for m in (3, 5, 9, 15)])
+def test_trace_lookup_equals_orders_by_repeated_products(label, n):
+    group = odd_cyclic_group(n) if label == "C" else build_group(label, n)
+    want = Counter(_order_by_powers(g) for g in group.elements)
+    assert _elements_per_order(group) == want
 
 
 # -- the hypersurface search against the exhaustive reference -------------------
