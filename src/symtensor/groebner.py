@@ -1,13 +1,18 @@
 """Buchberger's algorithm: reduced Groebner bases and initial ideals.
 
 Pair selection is the normal strategy (minimal lcm total degree, ties broken
-by pair index).  Pairs follow Gebauer and Moller: the M, F and product
-(coprime) criteria filter the new pairs when a basis element is inserted, and
-the B-criterion tests a pair when it is popped.  The append-only reducer set
-indexes its leading monomials by their last variable, so a divisor lookup scans
-only the reducers that can divide, and remembers each monomial's first divisor.
-Every returned basis is the unique reduced basis, so repeated runs are bitwise
-reproducible.
+by pair index), and pairs are built one degree at a time.  Inserting a basis
+element only records it with its candidate partners under the least degree
+their lcms can have; when the run reaches a degree, the entries recorded
+there are sorted into candidates by lcm degree, and that degree's candidates
+become pairs.  So nothing past the degree where a Hilbert-driven run stops is
+scanned or built.  Pairs follow Gebauer and Moller: the M, F and product
+(coprime) criteria filter a degree's candidates as it is built, and the
+B-criterion tests a pair when it is popped.  The append-only reducer set
+indexes its leading monomials by their last variable, so a divisor lookup
+scans only the reducers that can divide, and remembers each monomial's first
+divisor.  Every returned basis is the unique reduced basis, so repeated runs
+are bitwise reproducible.
 
 One order.  The engine works under degrevlex only.  For a homogeneous ideal
 R/I and R/in(I) have the same Hilbert function under every monomial order
@@ -47,9 +52,12 @@ from __future__ import annotations
 
 import heapq
 import time
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from numbers import Real
 from operator import sub
 
 from . import hilbert
@@ -63,11 +71,22 @@ from .poly import Packing, Polynomial, VariableContext, mono_mul
 class GroebnerLimits:
     """Optional budgets for a single buchberger run.
 
-    ``max_degree`` caps the total degree of a reduced pair's lcm.
+    ``max_degree`` caps the total degree of a reduced pair's lcm, and
+    ``timeout`` the seconds a run may take; None sets no limit.  Any other
+    value that is not an int >= 0, or a number > 0, raises ValueError, so a
+    nan cannot switch a limit off.
     """
 
     max_degree: int | None = None
     timeout: float | None = None
+
+    def __post_init__(self):
+        cap, timeout = self.max_degree, self.timeout
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
+            raise ValueError(f"max_degree must be an int >= 0 or None, got {cap!r}")
+        if timeout is not None and (isinstance(timeout, bool) or not isinstance(timeout, Real)
+                                    or not timeout > 0):
+            raise ValueError(f"timeout must be a number of seconds > 0 or None, got {timeout!r}")
 
 
 @dataclass(frozen=True)
@@ -269,48 +288,108 @@ def _spoly_dict(lcm, entry_f, entry_g):
     return {m: c for m, c in d.items() if c}
 
 
+_NEVER = 2**32 - 1  # removed[g] while no later entry's leading monomial divides g's
+
+
 class _PairQueue:
-    """Critical pairs under the Gebauer-Moller criteria (Gebauer and Moller 1988).
+    """Critical pairs under the Gebauer-Moller criteria (Gebauer and Moller 1988),
+    built one degree at a time.
 
-    ``active`` holds the entries whose leading monomial no later entry divides;
-    only they form new pairs.  ``heap`` holds (degree, i, j), i < j, for each
-    queued pair; coprime pairs never enter it."""
+    ``removed[g]`` is the first entry whose leading monomial divides g's, so
+    the active entries, which no later entry divides, are those with
+    removed[g] = _NEVER, and the entries active when h was inserted are the
+    g < h with removed[g] >= h; only active entries form new pairs.
+    ``update(h)`` records h in ``unscanned`` under the least degree its lcms
+    with them can have.  ``build(d)`` first scans the entries recorded under
+    d, sorting each one's candidates (g, h) into ``pending``, lcm degree ->
+    [(h, the g)], then turns the degree-d candidates into pairs, which
+    ``heap`` holds as (degree, i, j), i < j, until they are popped; coprime
+    pairs never enter it.  ``kept[h]`` lists, as indices, the g whose
+    candidate passed the M and F criteria in the degrees built so far, so a
+    repacking leaves it valid.  Homogeneous input under the normal strategy
+    consumes pairs in degree order, so a degree the run never reaches is
+    never scanned or built."""
 
-    __slots__ = ("red", "active", "heap")
+    __slots__ = ("red", "removed", "heap", "unscanned", "pending", "kept")
 
     def __init__(self, red):
         self.red = red
-        self.active = []
+        self.removed = array("I")
         self.heap = []
+        self.unscanned = {}
+        self.pending = {}
+        self.kept = {}
 
     def update(self, h):
-        """Add the pairs of the new entry h."""
-        pk, exps = self.red.pk, self.red.exps
-        lcm_of, degree, guards = pk.lcm, pk.degree, pk.guards
+        """Record the new entry h and the entries it removes from the active ones.
+
+        Every lcm(g, h) has degree at least deg h, and above it unless an
+        earlier entry's leading monomial divides h's, as one may among the
+        inputs.
+        """
+        red, removed = self.red, self.removed
+        exps, guards = red.exps, red.pk.guards
         e_h = exps[h]
-        deg_h = degree(e_h)
-        # M and F criteria: keep the first pair of each minimal lcm(g, h), and queue
-        # it unless coprime.  A coprime (g, h) sorts first among the pairs with its
-        # lcm lt(g) lt(h): another g' with that lcm has lt(g) | lt(g'), so either g'
-        # came after g, with a larger index, or g came later and removed g' from active.
-        # lcm / h divides g, so its degree fits a field even when the lcm's may not.
-        candidates = []
-        for g in self.active:
-            lcm = lcm_of(exps[g], e_h)
-            over_h = lcm - e_h
-            candidates.append((deg_h + degree(over_h), g, lcm, over_h == exps[g]))
-        candidates.sort()
-        kept = []
-        for deg, g, lcm, coprime in candidates:
-            for k in kept:
-                if not (lcm - k) & guards:
-                    break
-            else:
-                kept.append(lcm)
-                if not coprime:
-                    heapq.heappush(self.heap, (deg, g, h))
-        self.active = [g for g in self.active if (exps[g] - e_h) & guards]
-        self.active.append(h)
+        least = red.pk.degree(e_h) + (red.first_divisor(red.lts[h]) == h)
+        self.unscanned.setdefault(least, []).append(h)
+        for g in [g for g in range(h) if not (exps[g] - e_h) & guards and removed[g] == _NEVER]:
+            removed[g] = h
+        removed.append(_NEVER)
+
+    def active(self):
+        """The entries whose leading monomial no later entry's divides."""
+        return [g for g, by in enumerate(self.removed) if by == _NEVER]
+
+    def due(self):
+        """The least degree with entries to scan or candidates to build, or None."""
+        return min(chain(self.unscanned, self.pending), default=None)
+
+    def build(self, deg, tick):
+        """Queue the degree-deg pairs, calling tick() before each entry's scan
+        and each entry's pairs.
+
+        M and F criteria: entry by entry, and g by g, keep the first candidate
+        of each minimal lcm(g, h) among h's candidates of degree <= deg, and
+        queue it unless coprime.  A coprime (g, h) comes first among the pairs
+        with its lcm lt(g) lt(h): another g' with that lcm has lt(g) | lt(g'),
+        so either g' came after g, with a larger index, or g came later and
+        removed g'.  The criteria compare only candidates of one h, so the
+        order of the entries does not matter.
+        """
+        pk, exps, pending = self.red.pk, self.red.exps, self.pending
+        lcm_of, degree, guards = pk.lcm, pk.degree, pk.guards
+        removed = self.removed
+        for h in self.unscanned.pop(deg, ()):
+            tick()
+            e_h = exps[h]
+            deg_h = degree(e_h)
+            by_degree = {}
+            # the entries active when h was inserted
+            for g in [g for g in range(h) if removed[g] >= h]:
+                # lcm / h divides g, so its degree fits a field even when the lcm's may not
+                d = deg_h + degree(lcm_of(exps[g], e_h) - e_h)
+                gs = by_degree.get(d)
+                if gs is None:
+                    gs = by_degree[d] = array("I")
+                gs.append(g)
+            for d, gs in by_degree.items():
+                pending.setdefault(d, []).append((h, gs))
+        for h, gs in pending.pop(deg, ()):
+            tick()
+            e_h = exps[h]
+            kept = self.kept.setdefault(h, [])
+            lcms = [lcm_of(exps[g], e_h) for g in kept]
+            for g in gs:
+                e_g = exps[g]
+                lcm = lcm_of(e_g, e_h)
+                for k in lcms:
+                    if not (lcm - k) & guards:
+                        break
+                else:
+                    lcms.append(lcm)
+                    kept.append(g)
+                    if lcm - e_h != e_g:
+                        heapq.heappush(self.heap, (deg, g, h))
 
     def redundant(self, i, j):
         """B-criterion for (i, j): an entry h > j, inserted after the pair, has
@@ -403,17 +482,21 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
     Raises LimitExceeded (with the S-pairs reduced and the degree reached)
     when the configured degree cap or timeout is hit before completion.  The
     timeout is checked before every inserted basis element, popped pair and
-    lead-ideal series; the degree cap applies to the pairs that are reduced.
+    lead-ideal series, and before each entry's scan and each entry's pairs
+    while a degree is built; the degree cap applies to the pairs that are
+    reduced.
 
     ``bound``, a series B with B <= H(R/I) in every degree, drives the run
     (Traverso 1996).  The lead ideal J of the elements so far has
     H(R/J) >= H(R/I) >= B, so H(R/J) = B forces J = in(I), and the run stops
-    there, before any pair when the inputs are a basis.  At the first pair of
-    degree d the deficit H(R/J)(d) - B(d) counts the nonzero reductions left
-    in degree d, each adding one leading monomial; at 0 the degree's other
-    pairs are dropped unreduced, and below 0 IntegrityError is raised.  A
-    bound too high can also pass unnoticed and give a wrong basis, so no
-    driven run checks B.  The degree cap never sees a dropped pair.
+    there, before any pair when the inputs are a basis.  The test runs when a
+    degree d comes due, before it is scanned and built, and J's series is
+    computed again only when an element was inserted since the last test.
+    Then the deficit H(R/J)(d) - B(d) counts the nonzero reductions left in
+    degree d, each adding one leading monomial; at 0 the degree's pairs are
+    dropped unreduced, and below 0 IntegrityError is raised.  A bound too
+    high can also pass unnoticed and give a wrong basis, so no driven run
+    checks B.  The degree cap never sees a dropped pair.
 
     When the run stops on B, the returned basis's ``series`` is H(R/J), the
     series of its minimal leading monomials, which equals B; otherwise it is
@@ -456,25 +539,33 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
         minimal, lead = _lead_series(inputs)
         if lead == bound:
             return GroebnerBasis(ideal.ctx, _reduced(ideal.ctx, minimal), lead)
+    compared = len(red.lts)  # the entries behind the last lead series
     for h in inputs:
         _check_timeout()
         queue.update(h)
     degree = deficit = 0
-    while queue.heap:
+    while queue.heap or queue.unscanned or queue.pending:
         _check_timeout()
-        deg, i, j = heapq.heappop(queue.heap)
-        if bound is not None:
-            if deg > degree:
-                degree = deg
-                minimal, lead = _lead_series(queue.active)
-                if lead == bound:
-                    return GroebnerBasis(ideal.ctx, _reduced(ideal.ctx, minimal), lead)
-                deficit = lead.expand(deg)[deg] - bound.expand(deg)[deg]
+        due = queue.due()
+        if due is not None and (not queue.heap or due <= queue.heap[0][0]):
+            # no pair below degree due is left: the stop rule runs before the
+            # degree is scanned and built, so the degree the run stops at never is
+            if bound is not None and due > degree:
+                degree = due
+                if len(red.lts) > compared:
+                    compared = len(red.lts)
+                    minimal, lead = _lead_series(queue.active())
+                    if lead == bound:
+                        return GroebnerBasis(ideal.ctx, _reduced(ideal.ctx, minimal), lead)
+                deficit = lead.expand(due)[due] - bound.expand(due)[due]
                 if deficit < 0:
                     raise IntegrityError(f"Hilbert bound exceeds the lead ideal's count by "
-                                         f"{-deficit} in degree {deg}")
-            if not deficit:
-                continue  # in(I) is reached in this degree: the pair reduces to zero
+                                         f"{-deficit} in degree {due}")
+            queue.build(due, _check_timeout)
+            continue
+        deg, i, j = heapq.heappop(queue.heap)
+        if bound is not None and not deficit:
+            continue  # in(I) is reached in this degree: the pair reduces to zero
         if queue.redundant(i, j):
             continue
         if limits.max_degree is not None and deg > limits.max_degree:
@@ -492,7 +583,7 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
             deficit -= 1  # one more degree-deg monomial in the lead ideal
             _insert(_entry_from_dict(h))
 
-    return GroebnerBasis(ideal.ctx, _reduced(ideal.ctx, _minimal(red, queue.active)))
+    return GroebnerBasis(ideal.ctx, _reduced(ideal.ctx, _minimal(red, queue.active())))
 
 
 def _minimal(red, entries):

@@ -2,6 +2,7 @@ import hashlib
 import heapq
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -249,6 +250,40 @@ def test_timeout_checked_per_inserted_element():
     with pytest.raises(LimitExceeded) as info:
         buchberger(_ideal(XY, "x^2", "y^2"), limits=GroebnerLimits(timeout=1e-9))
     assert info.value.pairs_processed == 0
+
+
+def test_timeout_checked_while_a_degree_is_built(monkeypatch):
+    # the clock runs out at the start of the first build, so only a check
+    # inside the build can fire before the build returns
+    clock = [0.0]
+    monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    real_build = groebner._PairQueue.build
+
+    def expiring(queue, deg, tick):
+        clock[0] = 10.0
+        real_build(queue, deg, tick)
+        raise AssertionError("the build ran to its end past the timeout")
+
+    monkeypatch.setattr(groebner._PairQueue, "build", expiring)
+    with pytest.raises(LimitExceeded) as info:
+        buchberger(grassmannian_ideal(2, 4), limits=GroebnerLimits(timeout=1.0))
+    assert info.value.pairs_processed == 0 and info.value.elapsed == 10.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"timeout": float("nan")}, {"timeout": 0}, {"timeout": -1.0}, {"timeout": "3"},
+    {"timeout": True}, {"max_degree": float("nan")}, {"max_degree": "3"},
+    {"max_degree": -1}, {"max_degree": 2.0}, {"max_degree": True},
+], ids=repr)
+def test_limits_refuse_values_that_would_switch_a_limit_off(kwargs):
+    with pytest.raises(ValueError):
+        GroebnerLimits(**kwargs)
+
+
+def test_limits_accept_every_budget_they_can_apply():
+    assert GroebnerLimits(max_degree=0, timeout=float("inf")) == GroebnerLimits(0, float("inf"))
+    assert GroebnerLimits(max_degree=12, timeout=300) == GroebnerLimits(12, 300.0)
+    assert GroebnerLimits() == GroebnerLimits(None, None)
 
 
 # -- differential check of the pair criteria ------------------------------------
@@ -696,3 +731,128 @@ def test_degree_cap_counts_only_reduced_pairs_of_a_driven_run():
         buchberger(presentation, limits=limits)
     driven = buchberger(presentation, limits=limits, bound=quadric_series(3))
     assert _digest(driven) == _digest(buchberger(presentation))
+
+
+# -- pairs built by degree against the eager update ------------------------------
+
+
+class _EagerQueue(groebner._PairQueue):
+    """Reference pair queue: the M and F criteria run over all of h's candidates
+    when h is inserted, and the survivors wait until the engine builds their
+    degree.  ``survivors`` holds every pair the eager update would have queued."""
+
+    def __init__(self, red):
+        super().__init__(red)
+        self.survivors = set()
+
+    def update(self, h):
+        pk, exps = self.red.pk, self.red.exps
+        lcm_of, degree, guards = pk.lcm, pk.degree, pk.guards
+        e_h = exps[h]
+        deg_h = degree(e_h)
+        active = self.active()
+        candidates = []
+        for g in active:
+            lcm = lcm_of(exps[g], e_h)
+            over_h = lcm - e_h
+            candidates.append((deg_h + degree(over_h), g, lcm, over_h == exps[g]))
+        candidates.sort()
+        kept = []
+        for deg, g, lcm, coprime in candidates:
+            for k in kept:
+                if not (lcm - k) & guards:
+                    break
+            else:
+                kept.append(lcm)
+                if not coprime:
+                    self.pending.setdefault(deg, []).append((deg, g, h))
+                    self.survivors.add((deg, g, h))
+        for g in active:
+            if not (exps[g] - e_h) & guards:
+                self.removed[g] = h
+        self.removed.append(groebner._NEVER)
+
+    def build(self, deg, tick):
+        for pair in self.pending.pop(deg):
+            heapq.heappush(self.heap, pair)
+
+
+def _pair_run(monkeypatch, presentation, bound=None, reference=False):
+    """(pairs queued, pairs popped in order, basis digest, pair queue) of one
+    run; with ``reference``, the pairs queued are the eager update's survivors."""
+    pushed, popped, queues = set(), [], []
+    queue_class = _EagerQueue if reference else groebner._PairQueue
+
+    def push(heap, item):
+        if type(item) is tuple:
+            pushed.add(item)
+        heapq.heappush(heap, item)
+
+    def pop(heap):
+        item = heapq.heappop(heap)
+        if type(item) is tuple:
+            popped.append(item)
+        return item
+
+    def make(red):
+        queues.append(queue_class(red))
+        return queues[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "heapq",
+                      SimpleNamespace(heapify=heapq.heapify, heappush=push, heappop=pop))
+        patch.setattr(groebner, "_PairQueue", make)
+        gb = buchberger(presentation, bound=bound)
+    return (queues[0].survivors if reference else pushed), popped, _digest(gb), queues[0]
+
+
+def _check_against_eager(monkeypatch, presentation, bound):
+    """The engine pops the reference's pairs in the reference's order; undriven
+    it queues the same pairs, driven a subset.  Returns the pairs it queued and
+    its pair queue."""
+    pushed, popped, digest, queue = _pair_run(monkeypatch, presentation, bound)
+    eager = _pair_run(monkeypatch, presentation, bound, reference=True)
+    assert (popped, digest) == eager[1:3]
+    if bound is None:
+        assert pushed == eager[0]
+    else:
+        assert pushed <= eager[0]
+    return pushed, queue
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pairs_by_degree_match_the_eager_update(monkeypatch, seed):
+    presentation = _random_ideal(seed)
+    _check_against_eager(monkeypatch, presentation, None)
+    exact = series_from_monomial_ideal(leading_term_ideal(buchberger(presentation)))
+    _check_against_eager(monkeypatch, presentation, exact)
+
+
+def test_pairs_by_degree_match_the_eager_update_across_a_repacking(monkeypatch):
+    # the inputs fit 8-bit fields, but the lcm x^100*y^60 of the first two does
+    # not; the third's candidate with the first (degree 110) is built before the
+    # widening at 160 and with the second (degree 165) after it, where the M
+    # criterion must find the first's lcm x^100*y^5*z^5 in the 16-bit layout
+    presentation = _ideal(XYZ, "x^100 - y^100", "x^60*y^60", "x^100*y^5*z^5 - x^90*y^5*z^15")
+    widths, real_build = [], groebner._PairQueue.build
+
+    def recording(queue, deg, tick):
+        widths.append((deg, queue.red.pk.width))
+        real_build(queue, deg, tick)
+
+    monkeypatch.setattr(groebner._PairQueue, "build", recording)
+    _check_against_eager(monkeypatch, presentation, None)
+    assert (110, 8) in widths and (165, 16) in widths
+    exact = series_from_monomial_ideal(leading_term_ideal(buchberger(presentation)))
+    _check_against_eager(monkeypatch, presentation, exact)
+
+
+@pytest.mark.parametrize("driven", [False, True], ids=["undriven", "driven"])
+def test_pairs_by_degree_match_the_eager_update_on_gr_2_5(monkeypatch, driven):
+    pushed, queue = _check_against_eager(monkeypatch, grassmannian_ideal(2, 5),
+                                         grassmannian_series(2, 5) if driven else None)
+    # the eager update queued 757 pairs, driven or not; a driven run builds
+    # degree 3 and stops when degree 4 comes due, before the entries whose
+    # lcms start at degree 4 are scanned
+    assert len(pushed) == (193 if driven else 757)
+    assert min(queue.unscanned, default=None) == (4 if driven else None)
