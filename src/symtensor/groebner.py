@@ -2,17 +2,17 @@
 
 Pair selection is the normal strategy (minimal lcm total degree, ties broken
 by pair index), and pairs are built one degree at a time.  Inserting a basis
-element only records it with its candidate partners under the least degree
-their lcms can have; when the run reaches a degree, the entries recorded
-there are sorted into candidates by lcm degree, and that degree's candidates
-become pairs.  So nothing past the degree where a Hilbert-driven run stops is
-scanned or built.  Pairs follow Gebauer and Moller: the M, F and product
-(coprime) criteria filter a degree's candidates as it is built, and the
-B-criterion tests a pair when it is popped.  The append-only reducer set
-indexes its leading monomials by their last variable, so a divisor lookup
-scans only the reducers that can divide, and remembers each monomial's first
-divisor.  Every returned basis is the unique reduced basis, so repeated runs
-are bitwise reproducible.
+element only files it, unscanned, in one map by degree, under the least
+degree its lcms can have; when the run reaches a degree, each entry filed
+there is scanned, its candidates of that degree become pairs, and the rest
+are filed under their own degrees.  So nothing past the degree where a
+Hilbert-driven run stops is scanned or built.  Pairs follow Gebauer and
+Moller: the M, F and product (coprime) criteria filter a degree's candidates
+as it is built, and the B-criterion tests a pair when it is popped.  The
+append-only reducer set indexes its leading monomials by their last variable,
+so a divisor lookup scans only the reducers that can divide, and remembers
+each monomial's first divisor.  Every returned basis is the unique reduced
+basis, so repeated runs are bitwise reproducible.
 
 One order.  The engine works under degrevlex only.  For a homogeneous ideal
 R/I and R/in(I) have the same Hilbert function under every monomial order
@@ -40,9 +40,10 @@ total degree of the pair's lcm, and all fields are repacked wider before a
 pair of degree above the capacity is reduced.  ``normal_form`` packs once, to
 the largest degree of p and of the basis, which no reduction step passes.
 
-``normal_form`` keeps the packed monic entries of the last basis it was given,
-with their divisor index, and reuses them while an equal basis comes back
-with fields wide enough; its first-divisor memo lives for one call only.
+``normal_form`` keeps the reducer set of the last basis it was given, with its
+divisor index and first-divisor memo, and reuses it while an equal basis
+comes back with fields wide enough; the set never grows, so the memo stays
+true across calls.
 
 Basis entries, like every ``Polynomial``, hold exact scalars as
 ``exactnum.exact`` makes them: an ``int`` when integral, else a ``Fraction``.
@@ -56,7 +57,6 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from numbers import Real
 from operator import sub
 
@@ -167,19 +167,12 @@ class _Reducers:
 
     __slots__ = ("pk", "lts", "tails", "exps", "buckets", "memo")
 
-    def __init__(self, pk, entries=None):
-        """Empty reducers in the layout pk, or reducers over ``frozen()`` entries,
-        which are read-only."""
+    def __init__(self, pk):
+        """Empty reducers in the layout pk."""
         self.pk = pk
-        if entries is None:
-            entries = [], [], [], [[] for _ in range(pk.total // pk.width + 1)]
-        self.lts, self.tails, self.exps, self.buckets = entries
+        self.lts, self.tails, self.exps = [], [], []
+        self.buckets = [[] for _ in range(pk.total // pk.width + 1)]
         self.memo = {}
-
-    def frozen(self):
-        """(lts, tails, exps, buckets) as tuples, for reducers that never grow."""
-        return (tuple(self.lts), tuple(self.tails), tuple(self.exps),
-                tuple(map(tuple, self.buckets)))
 
     def add(self, lt, tail):
         pk = self.pk
@@ -299,24 +292,23 @@ class _PairQueue:
     the active entries, which no later entry divides, are those with
     removed[g] = _NEVER, and the entries active when h was inserted are the
     g < h with removed[g] >= h; only active entries form new pairs.
-    ``update(h)`` records h in ``unscanned`` under the least degree its lcms
-    with them can have.  ``build(d)`` first scans the entries recorded under
-    d, sorting each one's candidates (g, h) into ``pending``, lcm degree ->
-    [(h, the g)], then turns the degree-d candidates into pairs, which
-    ``heap`` holds as (degree, i, j), i < j, until they are popped; coprime
-    pairs never enter it.  ``kept[h]`` lists, as indices, the g whose
-    candidate passed the M and F criteria in the degrees built so far, so a
-    repacking leaves it valid.  Homogeneous input under the normal strategy
-    consumes pairs in degree order, so a degree the run never reaches is
-    never scanned or built."""
+    ``pending`` maps a degree to records (h, gs): the g whose candidate
+    (g, h) has an lcm of that degree, or gs = None while h is unscanned,
+    filed by ``update(h)`` under the least degree its lcms can have.
+    ``build(d)`` turns the degree-d candidates into pairs, which ``heap``
+    holds as (degree, i, j), i < j, until they are popped; coprime pairs
+    never enter it.  ``kept[h]`` lists, as indices, the g whose candidate
+    passed the M and F criteria in the degrees built so far, so a repacking
+    leaves it valid.  Homogeneous input under the normal strategy consumes
+    pairs in degree order, so a degree the run never reaches is never
+    scanned or built."""
 
-    __slots__ = ("red", "removed", "heap", "unscanned", "pending", "kept")
+    __slots__ = ("red", "removed", "heap", "pending", "kept")
 
     def __init__(self, red):
         self.red = red
         self.removed = array("I")
         self.heap = []
-        self.unscanned = {}
         self.pending = {}
         self.kept = {}
 
@@ -331,7 +323,7 @@ class _PairQueue:
         exps, guards = red.exps, red.pk.guards
         e_h = exps[h]
         least = red.pk.degree(e_h) + (red.first_divisor(red.lts[h]) == h)
-        self.unscanned.setdefault(least, []).append(h)
+        self.pending.setdefault(least, []).append((h, None))
         for g in [g for g in range(h) if not (exps[g] - e_h) & guards and removed[g] == _NEVER]:
             removed[g] = h
         removed.append(_NEVER)
@@ -340,43 +332,40 @@ class _PairQueue:
         """The entries whose leading monomial no later entry's divides."""
         return [g for g, by in enumerate(self.removed) if by == _NEVER]
 
-    def due(self):
-        """The least degree with entries to scan or candidates to build, or None."""
-        return min(chain(self.unscanned, self.pending), default=None)
-
     def build(self, deg, tick):
-        """Queue the degree-deg pairs, calling tick() before each entry's scan
-        and each entry's pairs.
+        """Queue the degree-deg pairs, calling tick() before each record.
 
-        M and F criteria: entry by entry, and g by g, keep the first candidate
-        of each minimal lcm(g, h) among h's candidates of degree <= deg, and
-        queue it unless coprime.  A coprime (g, h) comes first among the pairs
-        with its lcm lt(g) lt(h): another g' with that lcm has lt(g) | lt(g'),
-        so either g' came after g, with a larger index, or g came later and
-        removed g'.  The criteria compare only candidates of one h, so the
-        order of the entries does not matter.
+        An unscanned h, filed under its least degree deg, is scanned here: its
+        degree-deg candidates go on to the criteria, and the rest are filed
+        under their own degrees.  M and F criteria: entry by entry, and g by
+        g, keep the first candidate of each minimal lcm(g, h) among h's
+        candidates of degree <= deg, and queue it unless coprime.  A coprime
+        (g, h) comes first among the pairs with its lcm lt(g) lt(h): another
+        g' with that lcm has lt(g) | lt(g'), so either g' came after g, with a
+        larger index, or g came later and removed g'.  The criteria compare
+        only candidates of one h, so the order of the entries does not
+        matter.
         """
         pk, exps, pending = self.red.pk, self.red.exps, self.pending
         lcm_of, degree, guards = pk.lcm, pk.degree, pk.guards
         removed = self.removed
-        for h in self.unscanned.pop(deg, ()):
-            tick()
-            e_h = exps[h]
-            deg_h = degree(e_h)
-            by_degree = {}
-            # the entries active when h was inserted
-            for g in [g for g in range(h) if removed[g] >= h]:
-                # lcm / h divides g, so its degree fits a field even when the lcm's may not
-                d = deg_h + degree(lcm_of(exps[g], e_h) - e_h)
-                gs = by_degree.get(d)
-                if gs is None:
-                    gs = by_degree[d] = array("I")
-                gs.append(g)
-            for d, gs in by_degree.items():
-                pending.setdefault(d, []).append((h, gs))
         for h, gs in pending.pop(deg, ()):
             tick()
             e_h = exps[h]
+            if gs is None:
+                deg_h = degree(e_h)
+                by_degree = {}
+                # the entries active when h was inserted
+                for g in [g for g in range(h) if removed[g] >= h]:
+                    # lcm / h divides g, so its degree fits a field even when the lcm's may not
+                    d = deg_h + degree(lcm_of(exps[g], e_h) - e_h)
+                    later = by_degree.get(d)
+                    if later is None:
+                        later = by_degree[d] = array("I")
+                    later.append(g)
+                gs = by_degree.pop(deg, ())
+                for d, later in by_degree.items():
+                    pending.setdefault(d, []).append((h, later))
             kept = self.kept.setdefault(h, [])
             lcms = [lcm_of(exps[g], e_h) for g in kept]
             for g in gs:
@@ -408,24 +397,25 @@ class _PairQueue:
 # -- public operations ---------------------------------------------------------
 
 
-# The reducer entries of the last basis given to normal_form: one tuple
-# (basis, ctx, packing, entries) of immutable fields, entries being the
-# reducers' ``frozen()`` tuples, divisor index included.  It is rebound in a
-# single assignment once the entries are complete, so a call that fails leaves
-# the previous one intact.  Polynomials are immutable, so reusing it keeps
-# normal_form a pure function of its arguments; it holds one basis and no memo.
+# The reducers of the last basis given to normal_form: one tuple (basis, ctx,
+# reducers).  The reducers never grow once built, so each entry of their
+# first-divisor memo stays true for as long as they are kept, and a call that
+# fails can leave the memo incomplete but never wrong.  The tuple is rebound in
+# a single assignment once the reducers are complete, so a call that fails
+# while building them leaves the previous one intact.  Polynomials are
+# immutable, so reusing it keeps normal_form a pure function of its arguments.
 _last_basis = None
 
 
-def _basis_entries(basis, ctx, bound):
-    """(basis, ctx, packing, entries) of a basis tuple, reusing the last one.
+def _basis_reducers(basis, ctx, bound):
+    """The reducers of a basis tuple, reusing the last basis's.
 
-    The packing holds total degree ``bound`` and every basis element's.
+    Their packing holds total degree ``bound`` and every basis element's.
     """
     global _last_basis
     last = _last_basis
-    if last is not None and last[0] == basis and last[1] == ctx and last[2].cap >= bound:
-        return last
+    if last is not None and last[0] == basis and last[1] == ctx and last[2].pk.cap >= bound:
+        return last[2]
     polys = []
     for b in basis:
         if not isinstance(b, Polynomial):
@@ -438,22 +428,23 @@ def _basis_entries(basis, ctx, bound):
     red = _Reducers(Packing(ctx.nvars, bound))
     for b in polys:
         red.add(*_entry_from_poly(b, red.pk))
-    last = _last_basis = (basis, ctx, red.pk, red.frozen())
-    return last
+    _last_basis = (basis, ctx, red)
+    return red
 
 
 def normal_form(p: Polynomial, basis) -> Polynomial:
     """Remainder of p modulo the basis: no term divisible by any basis leading term.
 
     Every basis entry must be a ``Polynomial`` in p's context (else TypeError or
-    ValueError); zero polynomials are skipped.  The packed monic entries of
-    the last basis and their divisor index are kept and reused while an
-    equal basis comes back, so reducing many polynomials against one basis
-    builds them once.  The first-divisor memo is built afresh on every call.
+    ValueError); zero polynomials are skipped.  The reducers of the last
+    basis, packed monic entries with their divisor index and first-divisor
+    memo, are kept and reused while an equal basis comes back with fields
+    wide enough, so reducing many polynomials against one basis builds them
+    once and looks up each monomial's first divisor once.
     """
-    _, _, pk, entries = _basis_entries(tuple(basis), p.ctx, p.degree())
-    remainder = _Reducers(pk, entries).reduce({pk.pack(m): c for m, c in p.terms})
-    return _unpacked(p.ctx, pk, remainder)
+    red = _basis_reducers(tuple(basis), p.ctx, p.degree())
+    pk = red.pk
+    return _unpacked(p.ctx, pk, red.reduce({pk.pack(m): c for m, c in p.terms}))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -482,7 +473,7 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
     Raises LimitExceeded (with the S-pairs reduced and the degree reached)
     when the configured degree cap or timeout is hit before completion.  The
     timeout is checked before every inserted basis element, popped pair and
-    lead-ideal series, and before each entry's scan and each entry's pairs
+    lead-ideal series, and before each record of the pair queue's degree map
     while a degree is built; the degree cap applies to the pairs that are
     reduced.
 
@@ -536,6 +527,9 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
         red.add(*_entry_from_poly(g, red.pk))
     inputs = range(len(red.lts))
     if bound is not None:
+        # tested before the inputs' updates, whose removal scans are quadratic in
+        # the inputs, so inputs that already form a basis (Q(5), Q(6), Gr(1,5))
+        # skip them; left to the loop's first test, the same stop came slower
         minimal, lead = _lead_series(inputs)
         if lead == bound:
             return GroebnerBasis(ideal.ctx, _reduced(ideal.ctx, minimal), lead)
@@ -543,15 +537,16 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
     for h in inputs:
         _check_timeout()
         queue.update(h)
-    degree = deficit = 0
-    while queue.heap or queue.unscanned or queue.pending:
+    deficit = 0
+    while queue.heap or queue.pending:
         _check_timeout()
-        due = queue.due()
+        due = min(queue.pending, default=None)
         if due is not None and (not queue.heap or due <= queue.heap[0][0]):
-            # no pair below degree due is left: the stop rule runs before the
-            # degree is scanned and built, so the degree the run stops at never is
-            if bound is not None and due > degree:
-                degree = due
+            # no pair below degree due is left, and every entry inserted from
+            # here on files its record above it, so each degree comes due once;
+            # the stop rule runs before the degree is scanned and built, so the
+            # degree the run stops at never is
+            if bound is not None:
                 if len(red.lts) > compared:
                     compared = len(red.lts)
                     minimal, lead = _lead_series(queue.active())

@@ -612,10 +612,49 @@ def test_normal_form_widens_a_cached_layout():
     line = [XY.parse("x - y")]
     assert normal_form(XY.parse("x^2"), line) == XY.parse("y^2")
     assert normal_form(XY.parse("x^300 + y"), line) == XY.parse("y^300 + y")
-    assert groebner._last_basis[2].cap >= 300
+    assert groebner._last_basis[2].pk.cap >= 300
     chain = [XYZ.parse("x - y"), XYZ.parse("y - z")]
     assert normal_form(XYZ.parse("x*y"), chain) == XYZ.parse("z^2")
     assert normal_form(XYZ.parse("x^200*y^100 + x*z"), chain) == XYZ.parse("z^300 + z^2")
+
+
+def test_a_failed_call_leaves_the_kept_reducers_true(monkeypatch):
+    # the kept reducers never grow, so a call that fails once reduction has
+    # filled their memo leaves every memo entry true
+    elements = buchberger(_ideal(XYZ, "x^2 - y*z", "x*y - z^2")).elements
+    a, b = XYZ.parse("x + 2*y - z"), XYZ.parse("3*x - y + z")
+    probes = [a * a * a * a * a, a * a * a * b * b * b, b * b * b * b * b * b * b]
+    normal_form(probes[0], elements)
+    kept = groebner._last_basis
+    red = kept[2]
+    filled = len(red.memo)
+    calls, real_unpack = [], Packing.unpack
+
+    def failing_once(packing, m):
+        calls.append(m)
+        if len(calls) == 1:
+            raise RuntimeError("injected")
+        return real_unpack(packing, m)
+
+    monkeypatch.setattr(Packing, "unpack", failing_once)
+    with pytest.raises(RuntimeError):
+        normal_form(probes[1], elements)
+    monkeypatch.undo()
+    assert groebner._last_basis is kept and len(red.memo) > filled
+    leads = [g.leading_monomial() for g in elements]
+    for m, k in red.memo.items():
+        m = red.pk.unpack(m)
+        assert _scan_first_divisor(leads, m) == (k if k >= 0 else None)
+    for p in probes:
+        assert normal_form(p, elements) == _fresh_normal_form(p, elements)
+    assert groebner._last_basis is kept
+    # past the field capacity a new set is built, with a memo of this call's
+    # degree-300 lookups alone
+    wide = XYZ.parse("x^300 + x^2*y^298")
+    assert normal_form(wide, elements) == _fresh_normal_form(wide, elements)
+    red = groebner._last_basis[2]
+    assert red is not kept[2] and red.pk.cap >= 300 and red.memo
+    assert all(sum(red.pk.unpack(m)) == 300 for m in red.memo)
 
 
 def test_s_polynomial_with_large_exponents():
@@ -855,4 +894,9 @@ def test_pairs_by_degree_match_the_eager_update_on_gr_2_5(monkeypatch, driven):
     # degree 3 and stops when degree 4 comes due, before the entries whose
     # lcms start at degree 4 are scanned
     assert len(pushed) == (193 if driven else 757)
-    assert min(queue.unscanned, default=None) == (4 if driven else None)
+    # records (h, None) are the unscanned entries; degree 4 also holds the
+    # candidates that the degree-3 scans filed there
+    unscanned = {d for d, records in queue.pending.items()
+                 if any(gs is None for _, gs in records)}
+    least = 4 if driven else None
+    assert min(queue.pending, default=None) == min(unscanned, default=None) == least
