@@ -18,6 +18,17 @@ Three facts keep every step free of a full re-minimalisation:
   can newly divide one without x, so only those pairs are tested.
 * When the generators fall into groups with pairwise disjoint supports, N is
   the product of the groups' numerators, each memoised on its own.
+
+Each numerator is carried as the int N(2^k) (Kronecker substitution): t^e is
+a shift by k e bits and a sum or product one int operation.  Evaluation is a
+ring homomorphism, so only the final N(2^k) is decoded, as balanced base-2^k
+digits, which are N's coefficients once every |c_j| < 2^(k-1).  For G
+generators in n variables of lcm degree D, k = 2 + min(G, n + bits(C)) with
+C = C(n+D-1, n-1) is enough, by two bounds.  Taylor's resolution gives
+N = sum over generator subsets S of (-1)^|S| t^deg lcm(S), so |N|_1 <= 2^G
+and deg N <= D.  H(d) is at most C(n+d-1, n-1), the count of degree-d
+monomials, so N = (1 - t)^n H gives |c_j| <= 2^n C < 2^(n + bits(C)) for
+every j <= deg N <= D.
 """
 
 from __future__ import annotations
@@ -120,14 +131,15 @@ def _components(gens, supports):
 
 
 class _Numerators:
-    """Memoised numerators over (1 - t)^n of quotients by monomial ideals.
+    """Memoised numerators N(2^k) over (1 - t)^n of quotients by monomial ideals.
 
     A state is the increasing tuple of minimal generators packed by ``pk``, so
     equal ideals share one memo entry, and the unit monomial, 0, comes first.
     """
 
-    def __init__(self, pk):
+    def __init__(self, pk, k):
         self.pk = pk
+        self.k = k
         self.memo = {}
 
     def _colon_by_power(self, gens, column, var, exp, same):
@@ -150,18 +162,18 @@ class _Numerators:
             return cached
         pk = self.pk
         if not gens:
-            result = [1]
+            result = 1
         elif gens[0] == 0:
-            result = []  # the unit ideal, whose quotient is zero
+            result = 0  # the unit ideal, whose quotient is zero
         elif len(gens) == 1:
-            result = univar.one_minus_power(pk.degree(gens[0]))
+            result = 1 - (1 << self.k * pk.degree(gens[0]))
         else:
             supports = pk.supports(gens)
             groups = _components(gens, supports)
             if len(groups) > 1:
                 result = self.numerator(groups[0])
                 for group in groups[1:]:
-                    result = univar.mul(result, self.numerator(group))
+                    result *= self.numerator(group)
             else:
                 counts = pk.counts(supports)
                 var = counts.index(max(counts))
@@ -172,7 +184,7 @@ class _Numerators:
                 same = tuple(compress(gens, map(not_, column)))
                 base = self.numerator(same)
                 colon = self.numerator(self._colon_by_power(gens, column, var, exp, same))
-                result = univar.add(base, univar.shift(univar.sub(colon, base), exp))
+                result = base + ((colon - base) << self.k * exp)
         self.memo[gens] = result
         return result
 
@@ -311,6 +323,13 @@ class HilbertSeries:
 # -- constructors ----------------------------------------------------------------
 
 
+def _digit_width(ideal: MonomialIdeal) -> int:
+    """The k at which N(2^k) decodes to N, by the bounds in the module docstring."""
+    top = sum(map(max, zip(*ideal.gens)))
+    monomials = comb(ideal.nvars + top - 1, ideal.nvars - 1) if ideal.nvars else 1
+    return 2 + min(len(ideal.gens), ideal.nvars + monomials.bit_length())
+
+
 def series_from_monomial_ideal(ideal: MonomialIdeal) -> HilbertSeries:
     """Series of the quotient by a monomial ideal, over (1 - t)^n.
 
@@ -318,13 +337,20 @@ def series_from_monomial_ideal(ideal: MonomialIdeal) -> HilbertSeries:
     deeper than Python's recursion limit raises LimitExceeded.
     """
     pk = Packing(ideal.nvars, max(map(sum, ideal.gens), default=0))
+    k = _digit_width(ideal)
     try:
-        num = _Numerators(pk).numerator(tuple(sorted(map(pk.pack_exps, ideal.gens))))
+        value = _Numerators(pk, k).numerator(tuple(sorted(map(pk.pack_exps, ideal.gens))))
     except RecursionError:
         raise LimitExceeded(
             f"numerator recursion deeper than the recursion limit for "
             f"{len(ideal.gens)} generators in {ideal.nvars} variables") from None
-    return HilbertSeries(tuple(num), (1,) * ideal.nvars)
+    # N's coefficients are the balanced base-2^k digits of N(2^k), of which there are
+    # at most bits // k + 1; adding 2^(k-1) to each turns them into plain k-bit fields,
+    # read off one binary string in linear time
+    size, half = value.bit_length() // k + 1, 1 << (k - 1)
+    fields = format(value + int(("1" + "0" * (k - 1)) * size, 2), "b").zfill(k * size)
+    digits = [int(fields[i - k:i], 2) - half for i in range(k * size, 0, -k)]
+    return HilbertSeries(tuple(digits), (1,) * ideal.nvars)
 
 
 def series_from_expansion(coeffs, den_weights) -> HilbertSeries:

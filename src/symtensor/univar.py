@@ -16,23 +16,6 @@ def trim(p):
     return list(p[:n])
 
 
-def add(p, q):
-    out = [0] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return trim(out)
-
-
-def neg(p):
-    return [-c for c in p]
-
-
-def sub(p, q):
-    return add(p, neg(q))
-
-
 def mul(p, q):
     p, q = trim(p), trim(q)
     if not p or not q:
@@ -43,12 +26,6 @@ def mul(p, q):
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return trim(out)
-
-
-def shift(p, k):
-    """Multiply by t**k."""
-    p = trim(p)
-    return [0] * k + p if p else []
 
 
 def one_minus_power(w):

@@ -683,8 +683,10 @@ def _shifted(series, k, sign):
     den = [1]
     for w in series.den_weights:
         den = univar.mul(den, univar.one_minus_power(w))
-    term = [sign * c for c in univar.shift(den, k)]
-    return HilbertSeries(tuple(univar.add(series.numerator, term)), series.den_weights)
+    num = list(series.numerator) + [0] * (k + len(den) - len(series.numerator))
+    for i, c in enumerate(den):
+        num[i + k] += sign * c
+    return HilbertSeries(tuple(num), series.den_weights)
 
 
 DRIVEN_CASES = [(grassmannian_ideal, grassmannian_series, (r, n))

@@ -1,12 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from symtensor import univar
 from symtensor.errors import IntegrityError, LimitExceeded
-from symtensor.hilbert import (HilbertSeries, MonomialIdeal, _Numerators,
+from symtensor.hilbert import (HilbertSeries, MonomialIdeal, _digit_width, _Numerators,
                                count_standard_monomials, minimalize_monomials,
                                series_from_expansion, series_from_generator_degrees,
                                series_from_monomial_ideal)
@@ -363,8 +364,10 @@ def _reference_numerator(gens, memo):
         pivot = tuple(exp if v == var else 0 for v in range(nv))
         left = minimalize_monomials(gens + (pivot,))
         right = _reference_colon_by_power(gens, var, exp)
-        result = univar.add(_reference_numerator(left, memo),
-                            univar.shift(_reference_numerator(right, memo), exp))
+        base, colon = _reference_numerator(left, memo), _reference_numerator(right, memo)
+        result = base + [0] * (exp + len(colon) - len(base))
+        for i, c in enumerate(colon):
+            result[i + exp] += c
     memo[gens] = result
     return result
 
@@ -468,8 +471,10 @@ def test_numerator_matches_reference_recursion():
         # minimal generators, in fields wide enough for the largest degree
         pk = Packing(nvars, max(map(sum, ideal.gens), default=0))
         caps.add(pk.cap)
-        numerators = _Numerators(pk)
-        numerators.numerator(tuple(sorted(map(pk.pack_exps, ideal.gens))))
+        # the int kernel evaluates the numerator at t = 2^k exactly, whatever k is
+        numerators = _Numerators(pk, 64)
+        value = numerators.numerator(tuple(sorted(map(pk.pack_exps, ideal.gens))))
+        assert value == sum(c << 64 * j for j, c in enumerate(want)), f"{gens} at 2^64"
         for state in numerators.memo:
             assert state == tuple(sorted(set(state))), f"state {state}"
             unpacked = sorted(map(pk.unpack_exps, state))
@@ -480,6 +485,35 @@ def test_numerator_matches_reference_recursion():
         copy = MonomialIdeal.from_generators(nvars, _permuted(gens, perm))
         assert series_from_monomial_ideal(copy).numerator == want, f"{gens} under {perm}"
     assert {127, 2 ** 15 - 1} <= caps
+
+
+def test_width_at_the_taylor_bound():
+    # 60 coprime linear forms: N = (1 - t)^60, whose largest coefficient
+    # C(60, 30) needs 57 bits; G = 60 is the smaller bound
+    n = 60
+    variables = [tuple(int(v == u) for v in range(n)) for u in range(n)]
+    ideal = MonomialIdeal.from_generators(n, variables)
+    assert _digit_width(ideal) == 2 + n
+    assert series_from_monomial_ideal(ideal).numerator == tuple(
+        (-1) ** j * comb(n, j) for j in range(n + 1))
+
+
+def test_width_at_the_monomial_count_bound():
+    # all degree-m monomials in x, y: G = m + 1 generators, N = 1 - (m+1) t^m
+    # + m t^(m+1), and lcm degree 2m gives k = 2 + 2 + bits(C(2m + 1, 1)) = 12
+    m = 80
+    ideal = MonomialIdeal.from_generators(2, [(i, m - i) for i in range(m + 1)])
+    assert _digit_width(ideal) == 12
+    assert series_from_monomial_ideal(ideal).numerator == (1,) + (0,) * (m - 1) + (-(m + 1), m)
+
+
+def test_high_degree_numerator_decodes():
+    # <x^e, y^e>: N = (1 - t^e)^2 has 2e + 1 digits of k = 4 bits to read back
+    e = 50000
+    ideal = MonomialIdeal.from_generators(2, [(e, 0), (0, e)])
+    assert _digit_width(ideal) == 4
+    gap = (0,) * (e - 1)
+    assert series_from_monomial_ideal(ideal).numerator == (1,) + gap + (-2,) + gap + (1,)
 
 
 def test_deep_staircase_recursion():

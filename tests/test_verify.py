@@ -65,8 +65,10 @@ def test_series_wrong_past_degree_eight_fails(spec, check_name):
     den = [1]
     for w in series.den_weights:
         den = univar.mul(den, univar.one_minus_power(w))
-    wrong = HilbertSeries(tuple(univar.add(series.numerator, univar.shift(den, 9))),
-                          series.den_weights)
+    num = list(series.numerator) + [0] * (9 + len(den) - len(series.numerator))
+    for i, c in enumerate(den):
+        num[i + 9] += c
+    wrong = HilbertSeries(tuple(num), series.den_weights)
     assert wrong.expand(8) == series.expand(8)
     assert wrong.expand(9) != series.expand(9)
     ctx.routes[spec] = (presentation, basis, wrong)
