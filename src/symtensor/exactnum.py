@@ -17,8 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from . import univar
-
 
 def exact(value):
     """An int or a Fraction as an exact scalar.
@@ -40,26 +38,50 @@ def euler_phi(m: int) -> int:
     return len(cyclotomic_polynomial(m)) - 1
 
 
+def mobius(m: int) -> int:
+    """Moebius mu(m), the sum of the primitive m-th roots of unity; by trial
+    division, 0 when a square divides m, else -1 to the number of prime factors."""
+    if m < 1:
+        raise ValueError("order must be positive")
+    mu, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if m > 1 else mu
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients of the m-th cyclotomic polynomial, little-endian.
 
-    Computed as (x**m - 1) divided by the product of all lower-order
-    cyclotomic polynomials at divisors of m; monic of degree phi(m).
+    Computed as prod_{d | m} (1 - x**d)**mu(m/d), which is -Phi_1 for m = 1.  The
+    factors with mu = 1 are multiplied in place, top down, into a list as long
+    as their product; those with mu = -1 are then divided out in place, bottom
+    up, as power series, which is exact because Phi_m's degree phi(m) is below
+    that length.  Monic of degree phi(m).
     """
     if m < 1:
         raise ValueError("order must be positive")
     if m == 1:
         return (-1, 1)
-    num = [-1] + [0] * (m - 1) + [1]
-    den = [1]
-    for d in range(1, m):
-        if m % d == 0:
-            den = univar.mul(den, list(cyclotomic_polynomial(d)))
-    q, r = univar.divmod_exact(num, den)
-    if r:
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    ups = [d for d in divisors if mobius(m // d) == 1]
+    downs = [d for d in divisors if mobius(m // d) == -1]
+    coeffs = [1] + [0] * sum(ups)
+    for d in ups:
+        for i in range(len(coeffs) - 1, d - 1, -1):
+            coeffs[i] -= coeffs[i - d]
+    for d in downs:
+        for i in range(d, len(coeffs)):
+            coeffs[i] += coeffs[i - d]
+    degree = sum(ups) - sum(downs)
+    if any(coeffs[degree + 1:]):
         raise AssertionError(f"cyclotomic division left a remainder for m={m}")
-    return tuple(q)
+    return tuple(coeffs[: degree + 1])
 
 
 @lru_cache(maxsize=None)

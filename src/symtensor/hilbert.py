@@ -38,7 +38,6 @@ from itertools import compress
 from math import comb
 from operator import not_
 
-from . import univar
 from .errors import IntegrityError, LimitExceeded
 from .poly import Packing, mono_divides
 
@@ -189,6 +188,48 @@ class _Numerators:
         return result
 
 
+# -- coefficient tuples -----------------------------------------------------------
+
+
+def _trim(coeffs):
+    """The coefficients without trailing zeros, so each polynomial has one tuple."""
+    n = len(coeffs)
+    while n and coeffs[n - 1] == 0:
+        n -= 1
+    return tuple(coeffs[:n])
+
+
+def _decode(value, k):
+    """N's coefficients from N(2^k) when every |c_j| < 2^(k-1): its balanced base-2^k digits.
+
+    There are at most bits // k + 1 of them; adding 2^(k-1) to each turns them
+    into plain k-bit fields, read off one binary string in linear time.
+    """
+    size, half = value.bit_length() // k + 1, 1 << (k - 1)
+    fields = format(value + int(("1" + "0" * (k - 1)) * size, 2), "b").zfill(k * size)
+    return [int(fields[i - k:i], 2) - half for i in range(k * size, 0, -k)]
+
+
+def _render(coeffs):
+    """Readable form like '1 - 3*t^2 + 2*t^3' of trimmed coefficients; zero renders as '0'."""
+    parts = []
+    for e, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        elif e == 1:
+            body = "t" if mag == 1 else f"{mag}*t"
+        else:
+            body = f"t^{e}" if mag == 1 else f"{mag}*t^{e}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
+
+
 # -- the series type ------------------------------------------------------------
 
 
@@ -202,7 +243,7 @@ class HilbertSeries:
     def __post_init__(self):
         if not all(isinstance(c, int) for c in self.numerator):
             raise TypeError("numerator coefficients must be ints")
-        object.__setattr__(self, "numerator", tuple(univar.trim(self.numerator)))
+        object.__setattr__(self, "numerator", _trim(self.numerator))
         object.__setattr__(self, "den_weights", tuple(sorted(self.den_weights)))
         if any(w < 1 for w in self.den_weights):
             raise ValueError("denominator weights must be positive")
@@ -247,15 +288,22 @@ class HilbertSeries:
         return len(self.den_weights) - mult
 
     def canonical(self) -> "HilbertSeries":
-        """Cancel common (1 - t^w) factors greedily, largest weight first."""
+        """Cancel common (1 - t^w) factors greedily, largest weight first.
+
+        N / (1 - t^w) is the series q_i = n_i + q_(i-w), built in place bottom up
+        over N's length; the division is exact when q's top w entries vanish, so
+        a zero numerator cancels every factor.
+        """
         num = list(self.numerator)
         den = list(self.den_weights)
         for w in sorted(set(den), reverse=True):
             while w in den:
-                q, r = univar.divmod_exact(num, univar.one_minus_power(w))
-                if r:
+                q = num[:]
+                for i in range(w, len(q)):
+                    q[i] += q[i - w]
+                if any(q[max(len(q) - w, 0):]):
                     break
-                num = q
+                num = q[: len(q) - w]
                 den.remove(w)
         return HilbertSeries(tuple(num), tuple(den))
 
@@ -264,9 +312,10 @@ class HilbertSeries:
     def __mul__(self, other):
         if not isinstance(other, HilbertSeries):
             return NotImplemented
-        return HilbertSeries(
-            tuple(univar.mul(list(self.numerator), list(other.numerator))),
-            self.den_weights + other.den_weights)
+        # every coefficient of N1 N2 is at most |N1|_1 |N2|_1 < 2^(k-1) in size
+        k = (sum(map(abs, self.numerator)) * sum(map(abs, other.numerator))).bit_length() + 1
+        product = self._at_power_of_two(k)[0] * other._at_power_of_two(k)[0]
+        return HilbertSeries(_decode(product, k), self.den_weights + other.den_weights)
 
     def _at_power_of_two(self, k):
         """(N(2^k), prod_w (1 - 2^(k w))) as exact ints, built by shifts."""
@@ -297,7 +346,7 @@ class HilbertSeries:
     # -- display -------------------------------------------------------------
 
     def render(self) -> str:
-        num = univar.render(list(self.numerator))
+        num = _render(self.numerator)
         if not self.den_weights:
             return num
         groups = []
@@ -344,13 +393,7 @@ def series_from_monomial_ideal(ideal: MonomialIdeal) -> HilbertSeries:
         raise LimitExceeded(
             f"numerator recursion deeper than the recursion limit for "
             f"{len(ideal.gens)} generators in {ideal.nvars} variables") from None
-    # N's coefficients are the balanced base-2^k digits of N(2^k), of which there are
-    # at most bits // k + 1; adding 2^(k-1) to each turns them into plain k-bit fields,
-    # read off one binary string in linear time
-    size, half = value.bit_length() // k + 1, 1 << (k - 1)
-    fields = format(value + int(("1" + "0" * (k - 1)) * size, 2), "b").zfill(k * size)
-    digits = [int(fields[i - k:i], 2) - half for i in range(k * size, 0, -k)]
-    return HilbertSeries(tuple(digits), (1,) * ideal.nvars)
+    return HilbertSeries(_decode(value, k), (1,) * ideal.nvars)
 
 
 def series_from_expansion(coeffs, den_weights) -> HilbertSeries:
@@ -377,5 +420,5 @@ def series_from_generator_degrees(degrees, relation_degree=None) -> HilbertSerie
         e = int(relation_degree)
         if e < 1:
             raise ValueError("relation degree must be positive")
-        num = tuple(univar.one_minus_power(e))
+        num = (1,) + (0,) * (e - 1) + (-1,)
     return HilbertSeries(num, degrees)

@@ -23,7 +23,7 @@ from math import gcd, lcm
 from operator import add
 
 from .errors import IntegrityError
-from .exactnum import CyclotomicNumber, _power_rows, cyclotomic_polynomial, euler_phi, zeta
+from .exactnum import CyclotomicNumber, _power_rows, euler_phi, mobius, zeta
 from .hilbert import HilbertSeries, series_from_generator_degrees
 
 # MolienResult.dims runs through this display window
@@ -235,12 +235,6 @@ def _closed_unimodular(generators, field_order, expected_order, label):
     return elements
 
 
-def _mobius(m: int) -> int:
-    """mu(m), the sum of the primitive m-th roots of unity: minus the subleading
-    coefficient of the m-th cyclotomic polynomial."""
-    return -cyclotomic_polynomial(m)[-2]
-
-
 def _multiples(d: int, p: int) -> int:
     """#{m in p, p - 2, ..., -p : d | m}: the j*d, |j| <= p // d, of p's parity."""
     q = p // d
@@ -255,12 +249,11 @@ def invariant_dimension(group: MatrixGroup, p: int) -> int:
     The generators of a cyclic subgroup of order k have eigenvalues z, 1/z with z
     running once over the primitive k-th roots of unity, so their degree-p traces
     add up to the Ramanujan sums sum_{d | k, d | m} mu(k/d) * d over m = p, p - 2,
-    ..., -p.  mu(k/d), the sum of the primitive (k/d)-th roots, is minus the
-    subleading coefficient of that cyclotomic polynomial.
+    ..., -p, where mu(k/d) is the sum of the primitive (k/d)-th roots of unity.
     """
     if p < 0:
         raise ValueError("degree must be >= 0")
-    total = sum(count * sum(_mobius(k // d) * d * _multiples(d, p)
+    total = sum(count * sum(mobius(k // d) * d * _multiples(d, p)
                             for d in range(1, k + 1) if k % d == 0)
                 for k, count in group.cyclic_subgroups.items())
     value, rest = divmod(total, group.order)
@@ -334,7 +327,7 @@ def molien_series(group: MatrixGroup) -> MolienResult:
                                  f"of {group.label}")
         for d in range(1, k + 1):
             if k % d == 0:
-                weights[d] += count * _mobius(k // d) * d
+                weights[d] += count * mobius(k // d) * d
     # (1 + t^d)(1 + t^d + ... + t^(N-d)) is 1 + 2t^d + ... + 2t^(N-d) + t^N
     total = [0] * (order + 1)
     for d, weight in weights.items():

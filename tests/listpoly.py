@@ -1,11 +1,13 @@
-"""Dense univariate polynomial helpers on little-endian coefficient lists.
+"""Dense univariate polynomials as little-endian coefficient lists, for the tests.
 
-The zero polynomial is the empty list. Coefficients are ints or Fractions and
-every routine is exact; division takes divisors with leading coefficient +-1
-only, so it never leaves the coefficients' ring.
+An arithmetic kept apart from the package's (which works in place or on
+Kronecker ints), so the tests compare two independent constructions.  The zero
+polynomial is the empty list.  Coefficients are ints or Fractions and every
+routine is exact; division takes divisors with leading coefficient +-1 only, so
+it never leaves the coefficients' ring.
 """
 
-from __future__ import annotations
+from functools import lru_cache
 
 
 def trim(p):
@@ -59,24 +61,15 @@ def divmod_exact(num, den):
     return trim(q), trim(r)
 
 
-def render(p):
-    """Readable form like '1 - 3*t^2 + 2*t^3'; zero renders as '0'."""
-    p = trim(p)
-    if not p:
-        return "0"
-    parts = []
-    for e, c in enumerate(p):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        elif e == 1:
-            body = "t" if mag == 1 else f"{mag}*t"
-        else:
-            body = f"t^{e}" if mag == 1 else f"{mag}*t^{e}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(m):
+    """Phi_m as a tuple: x**m - 1 divided by the product of Phi_d over the divisors d < m."""
+    if m == 1:
+        return (-1, 1)
+    den = [1]
+    for d in range(1, m):
+        if m % d == 0:
+            den = mul(den, list(cyclotomic_by_division(d)))
+    q, r = divmod_exact([-1] + [0] * (m - 1) + [1], den)
+    assert not r, f"cyclotomic division left a remainder for m={m}"
+    return tuple(q)

@@ -4,9 +4,9 @@ from math import gcd
 
 import pytest
 
-from symtensor import univar
+import listpoly
 from symtensor.exactnum import (CyclotomicNumber, cyclotomic_polynomial, euler_phi,
-                                exact, zeta)
+                                exact, mobius, zeta)
 
 
 def test_rational_is_reduced_with_positive_denominator():
@@ -26,11 +26,10 @@ def test_cyclotomic_polynomial_small_orders():
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 12, 20])
 def test_cyclotomic_product_identity(m):
     # prod_{d | m} Phi_d(x) == x^m - 1
-    from symtensor import univar
     prod = [1]
     for d in range(1, m + 1):
         if m % d == 0:
-            prod = univar.mul(prod, list(cyclotomic_polynomial(d)))
+            prod = listpoly.mul(prod, list(cyclotomic_polynomial(d)))
     want = [-1] + [0] * (m - 1) + [1]
     assert prod == want
     # the degree is the totient, counted here without the package
@@ -120,11 +119,24 @@ def test_field_axioms_on_random_samples(m):
         assert (a + b) + c == a + (b + c)
 
 
+def test_cyclotomic_polynomial_agrees_with_division_through_300():
+    for m in range(1, 301):
+        assert cyclotomic_polynomial(m) == listpoly.cyclotomic_by_division(m), m
+
+
+def test_mobius_is_minus_the_subleading_coefficient():
+    assert [mobius(m) for m in (1, 2, 4, 6, 12, 30, 49, 210)] == [1, -1, 0, 1, 0, -1, 0, 1]
+    for m in range(1, 301):
+        assert mobius(m) == -cyclotomic_polynomial(m)[-2] == -listpoly.cyclotomic_by_division(m)[-2]
+    with pytest.raises(ValueError):
+        mobius(0)
+
+
 def test_division_takes_unit_leading_coefficients_only():
-    assert univar.divmod_exact([1, 0, 0, -1], [-1, 1]) == ([-1, -1, -1], [])
-    assert univar.divmod_exact([1, 0, 0, -1], [1, 0, -1]) == ([0, 1], [1, -1])
+    assert listpoly.divmod_exact([1, 0, 0, -1], [-1, 1]) == ([-1, -1, -1], [])
+    assert listpoly.divmod_exact([1, 0, 0, -1], [1, 0, -1]) == ([0, 1], [1, -1])
     with pytest.raises(ValueError, match="not \\+-1"):
-        univar.divmod_exact([1, 2, 3], [1, 2])
+        listpoly.divmod_exact([1, 2, 3], [1, 2])
 
 
 # -- the (nums, den) representation against a Fraction-only reference ----------
@@ -132,8 +144,8 @@ def test_division_takes_unit_leading_coefficients_only():
 
 def _reference_reduce(m, poly):
     """Fraction coefficients of poly mod Phi_m, padded to phi(m) entries."""
-    _, rem = univar.divmod_exact([Fraction(c) for c in poly],
-                                 list(cyclotomic_polynomial(m)))
+    _, rem = listpoly.divmod_exact([Fraction(c) for c in poly],
+                                   list(cyclotomic_polynomial(m)))
     return tuple(rem) + (Fraction(0),) * (euler_phi(m) - len(rem))
 
 

@@ -6,7 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from symtensor import groebner, univar
+import listpoly
+from symtensor import groebner
 from symtensor.catalog import (grassmannian_ideal, grassmannian_series, ideal_presentation_for,
                                parse_spec, quadric_ideal, quadric_series)
 from symtensor.errors import IntegrityError, LimitExceeded
@@ -682,7 +683,7 @@ def _shifted(series, k, sign):
     """series + sign * t^k as a rational function over the same denominator."""
     den = [1]
     for w in series.den_weights:
-        den = univar.mul(den, univar.one_minus_power(w))
+        den = listpoly.mul(den, listpoly.one_minus_power(w))
     num = list(series.numerator) + [0] * (k + len(den) - len(series.numerator))
     for i, c in enumerate(den):
         num[i + k] += sign * c

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from symtensor import univar
+import listpoly
 from symtensor.errors import IntegrityError, LimitExceeded
 from symtensor.hilbert import (HilbertSeries, MonomialIdeal, _digit_width, _Numerators,
                                count_standard_monomials, minimalize_monomials,
@@ -105,7 +105,7 @@ def test_series_eq_examples():
 
 def _times_one_minus_power(series, w):
     """The same rational function with numerator and denominator times (1 - t^w)."""
-    num = univar.mul(list(series.numerator), univar.one_minus_power(w))
+    num = listpoly.mul(list(series.numerator), listpoly.one_minus_power(w))
     return HilbertSeries(tuple(num), series.den_weights + (w,))
 
 
@@ -143,14 +143,14 @@ def _dense_den(weights):
     """prod_w (1 - t^w), multiplied out."""
     p = [1]
     for w in weights:
-        p = univar.mul(p, univar.one_minus_power(w))
+        p = listpoly.mul(p, listpoly.one_minus_power(w))
     return p
 
 
 def _dense_cross_equal(a, b):
     """Equality by multiplying out N1 D2 and N2 D1 term by term."""
-    return (univar.mul(list(a.numerator), _dense_den(b.den_weights))
-            == univar.mul(list(b.numerator), _dense_den(a.den_weights)))
+    return (listpoly.mul(list(a.numerator), _dense_den(b.den_weights))
+            == listpoly.mul(list(b.numerator), _dense_den(a.den_weights)))
 
 
 def _random_series(rng, scale):
@@ -203,7 +203,7 @@ def _krull_by_division(series):
         return 0
     mult = 0
     while sum(num) == 0:
-        num, r = univar.divmod_exact(num, [1, -1])
+        num, r = listpoly.divmod_exact(num, [1, -1])
         assert not r
         mult += 1
     return len(series.den_weights) - mult
@@ -217,7 +217,7 @@ def test_krull_dim_agrees_with_division_on_planted_roots():
             continue
         m = rng.randint(0, 7)
         for _ in range(m):
-            num = univar.mul(num, [1, -1])
+            num = listpoly.mul(num, [1, -1])
         series = HilbertSeries(tuple(num), (1,) * rng.randint(m, m + 4))
         assert series.krull_dim() == _krull_by_division(series)
         assert series.krull_dim() <= len(series.den_weights) - m
@@ -229,9 +229,9 @@ def test_series_from_expansion_agrees_with_dense_product():
     for _ in range(200):
         coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(0, 12))]
         weights = tuple(rng.randint(1, 15) for _ in range(rng.randint(0, 5)))
-        want = univar.mul(coeffs, _dense_den(weights))[: len(coeffs)]
+        want = listpoly.mul(coeffs, _dense_den(weights))[: len(coeffs)]
         series = series_from_expansion(coeffs, weights)
-        assert series.numerator == tuple(univar.trim(want))
+        assert series.numerator == tuple(listpoly.trim(want))
         assert series.den_weights == tuple(sorted(weights))
     # every weight longer than the prefix leaves it as it is
     assert series_from_expansion([1, 2, 3], (4, 9)).numerator == (1, 2, 3)
@@ -308,6 +308,59 @@ def test_canonical_form():
     assert s == c
 
 
+def test_canonical_form_edge_cases():
+    # the zero series cancels every factor and renders as 0, not as 0 over them
+    zero = HilbertSeries((), (1, 1, 2)).canonical()
+    assert zero.numerator == () and zero.den_weights == ()
+    assert zero.render() == "0"
+    # a numerator shorter than the weight is left as it is
+    short = HilbertSeries((1, -1), (2,)).canonical()
+    assert short.numerator == (1, -1) and short.den_weights == (2,)
+    # 1 - t^3 cancels the weight 3, and 1 is left over the weight 1
+    cube = HilbertSeries((1, 0, 0, -1), (3, 1)).canonical()
+    assert cube.numerator == (1,) and cube.den_weights == (1,)
+    assert cube.render() == "(1) / ((1 - t))"
+
+
+def _reference_canonical(series):
+    """Greedy cancellation, largest weight first, by long division."""
+    num, den = list(series.numerator), list(series.den_weights)
+    for w in sorted(set(den), reverse=True):
+        while w in den:
+            q, r = listpoly.divmod_exact(num, listpoly.one_minus_power(w))
+            if r:
+                break
+            num = q
+            den.remove(w)
+    return tuple(num), tuple(sorted(den))
+
+
+def test_canonical_form_agrees_with_long_division():
+    rng = random.Random(43)
+    for _ in range(300):
+        series = _random_series(rng, rng.choice((1, 3, 1 << 70)))
+        for w in rng.sample(range(1, 6), rng.randint(0, 3)):
+            series = _times_one_minus_power(series, w)
+        c = series.canonical()
+        assert (c.numerator, c.den_weights) == _reference_canonical(series)
+        assert c == series
+
+
+def test_series_product_agrees_with_list_product():
+    rng = random.Random(47)
+    big = 1 << 200
+    zero, one = HilbertSeries((), (2,)), HilbertSeries.one()
+    for _ in range(200):
+        a, b = (HilbertSeries(tuple(rng.randint(-big, big) for _ in range(rng.randint(0, 12))),
+                              tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 3))))
+                for _ in range(2))
+        for x, y in ((a, b), (a, zero), (zero, b), (a, one), (one, b)):
+            prod = x * y
+            assert prod.numerator == tuple(listpoly.mul(list(x.numerator), list(y.numerator)))
+            assert prod.den_weights == tuple(sorted(x.den_weights + y.den_weights))
+    assert (zero * zero).numerator == () and (one * one).numerator == (1,)
+
+
 def test_render_and_json():
     s = HilbertSeries(tuple([1] + [0] * 11 + [-1]), (4, 4, 6))
     assert s.render() == "(1 - t^12) / ((1 - t^4)^2 (1 - t^6))"
@@ -351,7 +404,7 @@ def _reference_numerator(gens, memo):
     elif _reference_supports_disjoint(gens):
         result = [1]
         for g in gens:
-            result = univar.mul(result, univar.one_minus_power(sum(g)))
+            result = listpoly.mul(result, listpoly.one_minus_power(sum(g)))
     else:
         nv = len(gens[0])
         counts = [0] * nv
@@ -373,7 +426,7 @@ def _reference_numerator(gens, memo):
 
 
 def _reference_series_numerator(nvars, gens):
-    return tuple(univar.trim(_reference_numerator(MonomialIdeal.from_generators(nvars, gens).gens, {})))
+    return tuple(listpoly.trim(_reference_numerator(MonomialIdeal.from_generators(nvars, gens).gens, {})))
 
 
 def _random_gens(rng, nvars, count, max_degree):

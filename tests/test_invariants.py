@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from symtensor import univar
+import listpoly
 from symtensor.errors import IntegrityError
 from symtensor.exactnum import CyclotomicNumber, euler_phi, zeta
 from symtensor.hilbert import HilbertSeries, series_from_generator_degrees
@@ -287,8 +287,8 @@ def test_closure_of_other_generating_sets_equals_reference(generators, field_ord
 def _fit(group, period):
     """P/((1 - t^period)(1 - t^2)) with P fixed by the averages through degree period."""
     dims = [invariant_dimension(group, p) for p in range(period + 1)]
-    den = univar.mul(univar.one_minus_power(period), univar.one_minus_power(2))
-    return HilbertSeries(tuple(univar.mul(dims, den)[: period + 1]), (2, period))
+    den = listpoly.mul(listpoly.one_minus_power(period), listpoly.one_minus_power(2))
+    return HilbertSeries(tuple(listpoly.mul(dims, den)[: period + 1]), (2, period))
 
 
 def _direct(group, top):

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from symtensor import catalog, cli, univar, verify
+import listpoly
+from symtensor import catalog, cli, verify
 from symtensor.groebner import GroebnerLimits
 from symtensor.hilbert import HilbertSeries
 from symtensor.verify import CheckResult, VerifyConfig, VerifyContext
@@ -64,7 +65,7 @@ def test_series_wrong_past_degree_eight_fails(spec, check_name):
     presentation, basis, series = ctx.route(spec)
     den = [1]
     for w in series.den_weights:
-        den = univar.mul(den, univar.one_minus_power(w))
+        den = listpoly.mul(den, listpoly.one_minus_power(w))
     num = list(series.numerator) + [0] * (9 + len(den) - len(series.numerator))
     for i, c in enumerate(den):
         num[i + 9] += c
