@@ -17,6 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .errors import IntegrityError
+
 
 def exact(value):
     """An int or a Fraction as an exact scalar.
@@ -80,7 +82,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
             coeffs[i] += coeffs[i - d]
     degree = sum(ups) - sum(downs)
     if any(coeffs[degree + 1:]):
-        raise AssertionError(f"cyclotomic division left a remainder for m={m}")
+        raise IntegrityError(f"cyclotomic division left a remainder for m={m}")
     return tuple(coeffs[: degree + 1])
 
 

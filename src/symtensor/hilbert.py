@@ -39,7 +39,7 @@ from math import comb
 from operator import not_
 
 from .errors import IntegrityError, LimitExceeded
-from .poly import Packing, mono_divides
+from .poly import Packing, mono_divides, render_terms
 
 # -- monomial ideals ----------------------------------------------------------
 
@@ -210,26 +210,6 @@ def _decode(value, k):
     return [int(fields[i - k:i], 2) - half for i in range(k * size, 0, -k)]
 
 
-def _render(coeffs):
-    """Readable form like '1 - 3*t^2 + 2*t^3' of trimmed coefficients; zero renders as '0'."""
-    parts = []
-    for e, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        elif e == 1:
-            body = "t" if mag == 1 else f"{mag}*t"
-        else:
-            body = f"t^{e}" if mag == 1 else f"{mag}*t^{e}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts) if parts else "0"
-
-
 # -- the series type ------------------------------------------------------------
 
 
@@ -346,7 +326,8 @@ class HilbertSeries:
     # -- display -------------------------------------------------------------
 
     def render(self) -> str:
-        num = _render(self.numerator)
+        num = render_terms((c, ["t" if e == 1 else f"t^{e}"] if e else [])
+                           for e, c in enumerate(self.numerator) if c)
         if not self.den_weights:
             return num
         groups = []

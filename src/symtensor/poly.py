@@ -5,7 +5,9 @@ polynomials keep their terms sorted descending under :func:`degrevlex_key` so
 equal values have identical representations, and their leading term is the
 first.  Arithmetic and ``==`` are between polynomials of one context; a
 scalar enters only through ``ctx.constant(c)`` or ``scale(c)``.
-``render(lex=True)`` lists the terms in lex order for display.
+``render(lex=True)`` lists the terms in lex order for display.  The module
+owns the polynomial text format: :func:`render_terms` writes it, for
+``HilbertSeries`` numerators too, and one grammar reads it in ``ctx.parse``.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ class VariableContext:
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
         for name in self.names:
-            if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name):
+            if not _NAME_RE.fullmatch(name):
                 raise ValueError(f"bad variable name {name!r}")
 
     @cached_property
@@ -296,124 +298,71 @@ class Polynomial:
         Terms come in degrevlex order, or in lex order when ``lex`` is set:
         distinct exponent tuples compare lexicographically, earlier names first.
         """
-        if not self.terms:
-            return "0"
         terms = sorted(self.terms, reverse=True) if lex else self.terms
-        parts = []
-        for mono, coeff in terms:
-            factors = []
-            for name, e in zip(self.ctx.names, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+        names = self.ctx.names
+        return render_terms((coeff, [name if e == 1 else f"{name}^{e}"
+                                     for name, e in zip(names, mono) if e])
+                            for mono, coeff in terms)
 
     def __repr__(self):
         return f"<poly {self.render()}>"
 
 
-# -- text parsing -------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[\^*/+-]))")
+# -- text format ----------------------------------------------------------------
 
 
-def _tokenize(text: str):
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise SpecParseError(f"bad polynomial syntax near {rest[:20]!r}")
-        if m.group("num") is not None:
-            tokens.append(("num", int(m.group("num"))))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
+def render_terms(terms) -> str:
+    """Text of (coefficient, factor texts) pairs, in the order given.
+
+    The first term carries its sign, the others are joined by " + " or " - ",
+    a magnitude of 1 is dropped before factors, and no terms render as "0".
+    """
+    parts = []
+    for coeff, factors in terms:
+        mag = abs(coeff)
+        body = "*".join(factors if mag == 1 and factors else [str(mag), *factors])
+        if parts:
+            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
         else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    return tokens
+            parts.append(body if coeff > 0 else f"-{body}")
+    return " ".join(parts) or "0"
+
+
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
+_FACTOR = rf"(\d+)(?:\s*/\s*(\d+))?|({_NAME})(?:\s*\^\s*(\d+))?"
+_FACTOR_RE = re.compile(_FACTOR)
+# a run of signs, then factors with an optional '*' between them; the separator
+# \s*(?:\*\s*)? splits a run of spaces one way only, so a refusal takes linear time
+_TERM_RE = re.compile(rf"\s*((?:[+-]\s*)*)((?:{_FACTOR})(?:\s*(?:\*\s*)?(?:{_FACTOR}))*)\s*")
 
 
 def _parse_polynomial(ctx: VariableContext, text: str) -> Polynomial:
-    """Parse the term syntax: '*' optional, coefficients integer or a/b."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise SpecParseError("empty polynomial text")
-    acc: dict = {}
-    i = 0
-    n = len(tokens)
+    """Read the text format: terms of factors a, a/b, name or name^e, '*' optional.
 
-    def term_done(coeff, exps):
+    Every term after the first starts with a sign, and the parity of its '-'
+    signs gives the term's sign.
+    """
+    acc, pos = {}, 0
+    while True:
+        term = _TERM_RE.match(text, pos)
+        if term is None or pos and not term.group(1):
+            raise SpecParseError(f"bad polynomial syntax near {text[pos:].strip()[:20]!r}")
+        coeff, exps = (-1) ** term.group(1).count("-"), [0] * ctx.nvars
+        for num, den, name, power in _FACTOR_RE.findall(term.group(2)):
+            if name:
+                idx = ctx._index.get(name)
+                if idx is None:
+                    raise SpecParseError(f"unknown variable {name!r}")
+                exps[idx] += int(power or 1)
+            elif not den:
+                coeff *= int(num)
+            elif int(den):
+                coeff *= Fraction(int(num), int(den))
+            else:
+                raise SpecParseError("zero denominator in polynomial text")
         mono = tuple(exps)
         acc[mono] = acc.get(mono, 0) + coeff
-
-    while i < n:
-        sign = 1
-        while i < n and tokens[i] == ("op", "+") or i < n and tokens[i] == ("op", "-"):
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= n:
-            raise SpecParseError("dangling sign in polynomial text")
-        coeff = sign
-        exps = [0] * ctx.nvars
-        saw_factor = False
-        while i < n:
-            kind, value = tokens[i]
-            if kind == "num":
-                numerator = value
-                i += 1
-                if i < n and tokens[i] == ("op", "/"):
-                    i += 1
-                    if i >= n or tokens[i][0] != "num":
-                        raise SpecParseError("expected denominator after '/'")
-                    if not tokens[i][1]:
-                        raise SpecParseError("zero denominator in polynomial text")
-                    coeff *= Fraction(numerator, tokens[i][1])
-                    i += 1
-                else:
-                    coeff *= numerator
-                saw_factor = True
-            elif kind == "name":
-                idx = ctx._index.get(value)
-                if idx is None:
-                    raise SpecParseError(f"unknown variable {value!r}")
-                power = 1
-                i += 1
-                if i < n and tokens[i] == ("op", "^"):
-                    i += 1
-                    if i >= n or tokens[i][0] != "num":
-                        raise SpecParseError("expected integer exponent after '^'")
-                    power = tokens[i][1]
-                    i += 1
-                exps[idx] += power
-                saw_factor = True
-            else:
-                break
-            if i < n and tokens[i] == ("op", "*"):
-                i += 1
-                if i >= n or tokens[i][0] == "op" and tokens[i][1] in "+-*/^":
-                    raise SpecParseError("dangling '*' in polynomial text")
-        if not saw_factor:
-            raise SpecParseError("empty term in polynomial text")
-        term_done(coeff, exps)
-        if i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            continue
-        if i < n:
-            raise SpecParseError(f"unexpected token {tokens[i][1]!r}")
-    return Polynomial(ctx, acc)
+        pos = term.end()
+        if pos == len(text):
+            return Polynomial(ctx, acc)

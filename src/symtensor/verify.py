@@ -1,8 +1,10 @@
 """End-to-end verification suite: cross-route identities, oracles, and bounds.
 
 Each check returns a CheckResult; the CLI prints one line per check and tests
-assert on the same objects.  Groebner bases are computed once per run and
-shared, with their cost attributed to the first check that needs them.
+assert on the same objects.  A check fails by raising IntegrityError, which
+``python -O`` leaves in place, unlike an assert statement.  Groebner bases are
+computed once per run and shared, with their cost attributed to the first check
+that needs them.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def _check(name):
                                    f"limit: {exc} (pairs={exc.pairs_processed}, "
                                    f"degree={exc.max_degree_reached})",
                                    time.monotonic() - start)
-            except (AssertionError, IntegrityError) as exc:
+            except IntegrityError as exc:
                 return CheckResult(name, FAIL, f"{type(exc).__name__}: {exc}",
                                    time.monotonic() - start)
             return CheckResult(name, status, detail, time.monotonic() - start)
@@ -99,8 +101,9 @@ def _check_projective_two_route(ctx):
     for n in (2, 3):
         _, _, series = ctx.route(f"Gr(1,{n})")
         want = catalog.projective_space_series(n - 1)
-        assert series == want, \
-            f"Gr(1,{n}) series {series.render()} != Pn({n - 1}) {want.render()}"
+        if series != want:
+            raise IntegrityError(
+                f"Gr(1,{n}) series {series.render()} != Pn({n - 1}) {want.render()}")
         details.append(f"Gr(1,{n}) = Pn({n - 1}) = {want.render()}")
     return PASS, "; ".join(details) + " as rational functions"
 
@@ -109,13 +112,14 @@ def _check_projective_two_route(ctx):
 def _check_quadric_coincidences(ctx):
     _, _, q1 = ctx.route("Q(1)")
     want1 = HilbertSeries((1, 1), (1, 1))
-    assert q1 == want1, f"Q(1) series {q1.render()} != {want1.render()}"
+    if q1 != want1:
+        raise IntegrityError(f"Q(1) series {q1.render()} != {want1.render()}")
     _, _, q2 = ctx.route("Q(2)")
     line = catalog.projective_space_series(1)
     kunneth = line * line
     ctx.record_series("Pn(1)*Pn(1)", kunneth)
-    assert q2 == kunneth, \
-        f"Q(2) series {q2.render()} != product of lines {kunneth.render()}"
+    if q2 != kunneth:
+        raise IntegrityError(f"Q(2) series {q2.render()} != product of lines {kunneth.render()}")
     return PASS, (f"Q(1) = {want1.render()}; Q(2) = Pn(1)*Pn(1) = {kunneth.render()} "
                   "as rational functions")
 
@@ -126,7 +130,8 @@ def _check_homogeneous_bigness(ctx):
     for n in (1, 2, 3):
         _, _, series = ctx.route(f"Q({n})")
         krull = series.krull_dim()
-        assert krull == 2 * n, f"Q({n}) krull {krull} != {2 * n}"
+        if krull != 2 * n:
+            raise IntegrityError(f"Q({n}) krull {krull} != {2 * n}")
         details.append(f"Q({n}):{krull}")
     return PASS, "krull = 2*dim for " + ", ".join(details)
 
@@ -135,7 +140,8 @@ def _check_homogeneous_bigness(ctx):
 def _check_grassmannian_bigness(ctx):
     _, _, series = ctx.route("Gr(2,4)")
     krull = series.krull_dim()
-    assert krull == 8, f"Gr(2,4) krull {krull} != 8"
+    if krull != 8:
+        raise IntegrityError(f"Gr(2,4) krull {krull} != 8")
     return PASS, f"Gr(2,4) krull dimension {krull} == 8"
 
 
@@ -144,7 +150,8 @@ def _check_hitchin_bridge(ctx):
     left, right = (catalog.evaluate(catalog.parse_spec(text)).series
                    for text in ("Hitchin(g=2,r=2,d=1,fixed)", "2Q(3)"))
     ctx.record_series("Hitchin(2,2,1,fixed)", left)
-    assert left == right, f"{left.render()} != {right.render()}"
+    if left != right:
+        raise IntegrityError(f"{left.render()} != {right.render()}")
     return PASS, f"genus-2 rank-2 fixed-determinant series equals {right.render()}"
 
 
@@ -154,21 +161,23 @@ def _check_klein_molien(ctx):
     for n in (2, 3):
         report = catalog.ruled_klein("BD", n)
         ctx.recorded_groups.append((report.group, report.molien.series))
-        assert report.match is True, f"BD_{n} does not match its stated row"
+        if report.match is not True:
+            raise IntegrityError(f"BD_{n} does not match its stated row")
         ctx.record_series(f"Klein(BD,{n})", report.molien.series)
         details.append(f"BD_{n} matches its D_{n} row as a rational function")
     report_2i = catalog.ruled_klein("2I")
     ctx.recorded_groups.append((report_2i.group, report_2i.molien.series))
-    assert report_2i.match is True, \
-        "icosahedral computation must match the A5 row"
-    assert report_2i.molien.matched == (12, 20, 30, 60), report_2i.molien.matched
+    if report_2i.match is not True:
+        raise IntegrityError("icosahedral computation must match the A5 row")
+    if report_2i.molien.matched != (12, 20, 30, 60):
+        raise IntegrityError(f"2I recovered {report_2i.molien.matched}, not (12, 20, 30, 60)")
     ctx.record_series("Klein(2I)", report_2i.molien.series)
     details.append("2I matches the A5 row as a rational function")
     for label in ("2T", "2O"):
         report = catalog.ruled_klein(label)
         ctx.recorded_groups.append((report.group, report.molien.series))
-        assert report.molien.matched is not None, \
-            f"{label}: no hypersurface form recovered"
+        if report.molien.matched is None:
+            raise IntegrityError(f"{label}: no hypersurface form recovered")
         ctx.record_series(f"Klein({label})", report.molien.series)
         if report.match is None:
             stated_result = f"stated {report.row.name} row is not weighted-homogeneous"
@@ -202,7 +211,8 @@ def _check_monomial_oracle(ctx):
         ctx.record_series(f"random-monomial-{checked}", series)
         got = series.expand(depth)
         want = tuple(count_standard_monomials(ideal, d) for d in range(depth + 1))
-        assert got == want, f"ideal {ideal.gens} in {nvars} vars: {got} != {want}"
+        if got != want:
+            raise IntegrityError(f"ideal {ideal.gens} in {nvars} vars: {got} != {want}")
         checked += 1
     return PASS, (f"{checked} seeded random ideals agree with brute-force counts "
                   f"through degree {depth}")
@@ -218,12 +228,14 @@ def _check_groebner_contract(ctx):
         elements = basis.elements
         for g in presentation.generators:
             nf = normal_form(g, elements)
-            assert nf.is_zero, f"{text}: input generator {g.render()} has nonzero NF"
+            if not nf.is_zero:
+                raise IntegrityError(f"{text}: input generator {g.render()} has nonzero NF")
         for i in range(len(elements)):
             for j in range(i + 1, len(elements)):
                 spair = s_polynomial(elements[i], elements[j])
                 nf = normal_form(spair, elements)
-                assert nf.is_zero, f"{text}: S-pair ({i},{j}) does not reduce to zero"
+                if not nf.is_zero:
+                    raise IntegrityError(f"{text}: S-pair ({i},{j}) does not reduce to zero")
                 total_pairs += 1
     return PASS, (f"{total_pairs} S-pairs and all input generators reduce to zero "
                   f"across {len(routes)} bases")
@@ -237,14 +249,16 @@ def _check_dimension_bounds(ctx):
         series = catalog.evaluate(spec).series
         ctx.record_series(f"Ab({n})", series)
         report = catalog.check_dimension_bounds(spec, series)
-        assert report.liu_equality is True, f"Ab({n}) should meet the kappa bound exactly"
+        if report.liu_equality is not True:
+            raise IntegrityError(f"Ab({n}) should meet the kappa bound exactly")
         reports.append(f"Ab({n}):{report.krull}<=({report.dim_x}-0)")
     for n in (1, 2, 3):
         spec = catalog.parse_spec(f"Pn({n})")
         series = catalog.projective_space_series(n)
         ctx.record_series(f"Pn({n})", series)
         report = catalog.check_dimension_bounds(spec, series)
-        assert report.homogeneous_equality is True
+        if report.homogeneous_equality is not True:
+            raise IntegrityError(f"Pn({n}) should meet the homogeneous bound exactly")
         reports.append(f"Pn({n}):{report.krull}=2*{report.dim_x}")
     for n in (1, 2, 3):
         spec = catalog.parse_spec(f"2Q({n})")
@@ -282,7 +296,9 @@ def _check_integrity(ctx):
         top = group.order + 24
         want = series.expand(top)
         got = tuple(invariant_dimension(group, p) for p in range(top + 1))
-        assert got == want, f"{group!r}: averages {got} != series {want} through degree {top}"
+        if got != want:
+            raise IntegrityError(
+                f"{group!r}: averages {got} != series {want} through degree {top}")
         averages += len(got)
     return PASS, (f"{len(ctx.recorded_series)} series re-expanded through degree {depth} "
                   f"with no negative coefficients; {averages} direct invariant averages "
@@ -298,9 +314,12 @@ def _check_closed_form_oracle(ctx):
         spec = catalog.parse_spec(text)
         _, _, series = ctx.route(text)
         want = catalog.FAMILIES[spec.kind].closed_form(spec)
-        assert series == want, f"{text}: series {series.render()} != closed form {want.render()}"
+        if series != want:
+            raise IntegrityError(
+                f"{text}: series {series.render()} != closed form {want.render()}")
     q4, gr24 = ctx.route("Q(4)")[2], ctx.route("Gr(2,4)")[2]
-    assert q4 == gr24, f"Q(4) series {q4.render()} != Gr(2,4) {gr24.render()}"
+    if q4 != gr24:
+        raise IntegrityError(f"Q(4) series {q4.render()} != Gr(2,4) {gr24.render()}")
     return PASS, (f"undriven series equal the closed forms for {', '.join(texts)}; "
                   "Q(4) = Gr(2,4) as rational functions")
 

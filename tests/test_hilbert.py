@@ -11,7 +11,7 @@ from symtensor.hilbert import (HilbertSeries, MonomialIdeal, _digit_width, _Nume
                                count_standard_monomials, minimalize_monomials,
                                series_from_expansion, series_from_generator_degrees,
                                series_from_monomial_ideal)
-from symtensor.poly import Packing
+from symtensor.poly import Packing, VariableContext
 
 
 def test_minimalization():
@@ -359,6 +359,17 @@ def test_series_product_agrees_with_list_product():
             assert prod.numerator == tuple(listpoly.mul(list(x.numerator), list(y.numerator)))
             assert prod.den_weights == tuple(sorted(x.den_weights + y.den_weights))
     assert (zero * zero).numerator == () and (one * one).numerator == (1,)
+
+
+def test_numerator_text_parses_back():
+    # random numerators of about 200 bits and both signs, units among them, and zero
+    ctx = VariableContext(("t",))
+    rng = random.Random(32)
+    numerators = [()] + [tuple(rng.choice((0, 1, -1, rng.randrange(-2 ** 200, 2 ** 200)))
+                               for _ in range(rng.randint(1, 12))) for _ in range(300)]
+    for num in numerators:
+        series = HilbertSeries(num, ())
+        assert ctx.parse(series.render()) == ctx.poly({(e,): c for e, c in enumerate(num)})
 
 
 def test_render_and_json():

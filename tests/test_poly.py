@@ -1,13 +1,15 @@
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
+import tokenparse
 from symtensor.catalog import klein_row
 from symtensor.errors import LimitExceeded, SpecParseError
 from symtensor.poly import (Packing, Polynomial, VariableContext, degrevlex_key, mono_divides,
-                            mono_mul)
+                            mono_mul, render_terms)
 
 XY = VariableContext(("x", "y"))
 ABCD = VariableContext(("a", "b", "c", "d"))
@@ -215,6 +217,57 @@ def test_poly_refuses_exponents_that_are_not_natural_ints(mono):
 def test_parse_refuses_a_negative_exponent():
     with pytest.raises(SpecParseError):
         XY.parse("x^-1")
+
+
+def test_parser_agrees_with_the_token_parser():
+    # both accept with equal polynomials or both refuse, on valid and invalid strings alike
+    rng = random.Random(32)
+    texts = [tokenparse.random_text(rng) for _ in range(20_000)]
+    accepted, differ = tokenparse.compare(VariableContext(tokenparse.NAMES), texts)
+    assert not differ, differ[:5]
+    assert 0.1 * len(texts) < accepted < 0.5 * len(texts)
+
+
+@pytest.mark.parametrize("text,want", [("x" + " " * 100_000 + "!", None),
+                                       ("x" + " " * 100_000 + "* y", "x*y"),
+                                       ("-" * 100_000 + "x", "x")])
+def test_parse_time_stays_linear(text, want):
+    start = time.perf_counter()
+    if want is None:
+        with pytest.raises(SpecParseError, match="bad polynomial syntax near '!'"):
+            XY.parse(text)
+    else:
+        assert XY.parse(text) == XY.parse(want)
+    assert time.perf_counter() - start < 1
+
+
+def test_parse_names_its_two_causes():
+    with pytest.raises(SpecParseError, match="unknown variable 'z'"):
+        XY.parse("x + 2*z")
+    with pytest.raises(SpecParseError, match="zero denominator"):
+        XY.parse("x + 1/00*y")
+    with pytest.raises(SpecParseError, match=re.escape("bad polynomial syntax near '* * y'")):
+        XY.parse("x * * y")
+
+
+@pytest.mark.parametrize("name", ["x_1", "p12", "X", "a_B_9"])
+def test_context_accepts_the_names_the_parser_reads_as_one(name):
+    ctx = VariableContext((name, "y"))
+    assert ctx.parse(name) == ctx.variable(name)
+    assert ctx.parse(f"2*{name}^3*y") == ctx.poly({(3, 1): 2})
+
+
+@pytest.mark.parametrize("name", ["_x", "1x", "x-y", "x y", "x^2", "", "é"])
+def test_context_refuses_what_the_parser_does_not_read_as_one_name(name):
+    with pytest.raises(ValueError, match="bad variable name"):
+        VariableContext((name,))
+
+
+def test_render_terms_rules():
+    assert render_terms([]) == "0"
+    assert render_terms([(-1, []), (1, ["a"]), (-1, ["b", "c^2"])]) == "-1 + a - b*c^2"
+    assert render_terms([(Fraction(-3, 2), ["x"]), (7, [])]) == "-3/2*x + 7"
+    assert render_terms([(1, ["z"]), (1, ["a"])]) == "z + a"
 
 
 def test_packing_refuses_a_degree_past_63_bits():

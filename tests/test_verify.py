@@ -1,9 +1,14 @@
+import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import listpoly
+import symtensor
 from symtensor import catalog, cli, verify
 from symtensor.groebner import GroebnerLimits
 from symtensor.hilbert import HilbertSeries
@@ -75,3 +80,28 @@ def test_series_wrong_past_degree_eight_fails(spec, check_name):
     ctx.routes[spec] = (presentation, basis, wrong)
     check = next(c for c in verify._CHECKS if c.check_name == check_name)
     assert check(ctx).status == verify.FAIL
+
+
+def test_wrong_identity_fails_under_python_O():
+    # -O strips assert statements, so a check that fails through one would pass here
+    code = """
+from symtensor import catalog, verify
+from symtensor.hilbert import HilbertSeries
+catalog.projective_space_series = lambda n: HilbertSeries((1, 7), (1, 1))
+check = next(c for c in verify._CHECKS if c.check_name == "projective-space-two-route")
+result = check(verify.VerifyContext(verify.VerifyConfig()))
+print(__debug__, result.status, result.detail.split(":")[0])
+"""
+    paths = (str(Path(symtensor.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", verify.FAIL, "IntegrityError"]
+
+
+def test_package_has_no_assert_statements():
+    package = Path(symtensor.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert not found
