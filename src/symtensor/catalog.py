@@ -221,7 +221,7 @@ FAMILIES: dict[str, Family] = {
                 "degree d >= 3 and dimension n >= 2 for a hypersurface"),
                (lambda s: s.reason == "hypersurface" or (s.d is None and s.n is None),
                 "no d or n except for a hypersurface")),
-        closed_form=lambda s: HilbertSeries.one(),
+        closed_form=lambda s: HilbertSeries((1,), ()),
         provenance=lambda s: TRIVIAL_REASONS[s.reason],
         flags=lambda s: ("constant-algebra",) + (
             ("claimed-vanishing-includes-degree-zero",) if s.reason == "hypersurface" else ())),

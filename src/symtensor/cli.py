@@ -191,9 +191,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LimitExceeded as exc:
-        print(f"limit exceeded: {exc} (pairs processed: {exc.pairs_processed}, "
-              f"max degree reached: {exc.max_degree_reached}, "
-              f"elapsed: {exc.elapsed:.2f}s)", file=sys.stderr)
+        print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)

@@ -114,10 +114,12 @@ class CyclotomicNumber:
     ``nums`` of integer numerators on the power basis over one common
     denominator ``den >= 1``, normalised so that gcd(den, *nums) == 1 and
     zero has den == 1.  Two values compare equal iff they share the order and
-    this canonical data.  ``+``, ``-`` and ``==`` stay within one field; ``*``
-    also scales by an int or a Fraction on either side, and a rational enters
-    the field through :meth:`from_rational`.  :attr:`coeffs` is the read-only
-    view of the same value as one rational per basis element.
+    this canonical data.  A value comes in through ``CyclotomicNumber(m,
+    coeffs)``, :meth:`zero`, :meth:`one` or :func:`zeta`.  ``+``, ``-`` and
+    ``==`` stay within one field; ``*`` also scales by an int or a Fraction on
+    either side, so a rational q enters the field as ``one(m) * q``.
+    :attr:`coeffs` is the read-only view of the same value as one rational per
+    basis element.
     """
 
     __slots__ = ("order", "nums", "den")
@@ -136,11 +138,6 @@ class CyclotomicNumber:
         raise AttributeError("CyclotomicNumber is immutable")
 
     @classmethod
-    def from_rational(cls, order: int, value) -> "CyclotomicNumber":
-        q = exact(value)
-        return _make(order, (q.numerator,) + (0,) * (euler_phi(order) - 1), q.denominator)
-
-    @classmethod
     def zero(cls, order: int) -> "CyclotomicNumber":
         return _make(order, (0,) * euler_phi(order), 1)
 
@@ -157,10 +154,6 @@ class CyclotomicNumber:
         if den == 1:
             return self.nums
         return tuple([exact(Fraction(n, den)) for n in self.nums])
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.nums)
 
     def to_rational(self):
         """The value as an exact scalar when the element is rational, else None."""

@@ -470,12 +470,12 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
                bound: HilbertSeries | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of a homogeneous ideal.
 
-    Raises LimitExceeded (with the S-pairs reduced and the degree reached)
-    when the configured degree cap or timeout is hit before completion.  The
-    timeout is checked before every inserted basis element, popped pair and
-    lead-ideal series, and before each record of the pair queue's degree map
-    while a degree is built; the degree cap applies to the pairs that are
-    reduced.
+    Raises LimitExceeded, whose message and fields give the S-pairs reduced,
+    the degree reached and the time elapsed, when the configured degree cap
+    or timeout is hit before completion.  The timeout is checked before every
+    inserted basis element, popped pair and lead-ideal series, and before each
+    record of the pair queue's degree map while a degree is built; the degree
+    cap applies to the pairs that are reduced.
 
     ``bound``, a series B with B <= H(R/I) in every degree, drives the run
     (Traverso 1996).  The lead ideal J of the elements so far has
@@ -502,10 +502,11 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
     max_degree_seen = 0
 
     def _diag(msg):
-        return LimitExceeded(msg, pairs_processed=pairs_processed,
-                             max_degree_reached=max_degree_seen,
-                             basis_size=len(red.lts),
-                             elapsed=time.monotonic() - start)
+        elapsed = time.monotonic() - start
+        return LimitExceeded(f"{msg} (pairs processed: {pairs_processed}, max degree reached: "
+                             f"{max_degree_seen}, elapsed: {elapsed:.2f}s)",
+                             pairs_processed=pairs_processed, max_degree_reached=max_degree_seen,
+                             basis_size=len(red.lts), elapsed=elapsed)
 
     def _check_timeout():
         if limits.timeout is not None and time.monotonic() - start > limits.timeout:

@@ -228,10 +228,6 @@ class HilbertSeries:
         if any(w < 1 for w in self.den_weights):
             raise ValueError("denominator weights must be positive")
 
-    @classmethod
-    def one(cls) -> "HilbertSeries":
-        return cls((1,), ())
-
     # -- evaluation ---------------------------------------------------------
 
     def expand(self, max_degree: int):

@@ -3,8 +3,10 @@
 Monomials are exponent tuples tied to an ordered :class:`VariableContext`;
 polynomials keep their terms sorted descending under :func:`degrevlex_key` so
 equal values have identical representations, and their leading term is the
-first.  Arithmetic and ``==`` are between polynomials of one context; a
-scalar enters only through ``ctx.constant(c)`` or ``scale(c)``.
+first.  A polynomial comes in through ``ctx.poly({monomial: scalar})`` or
+``ctx.parse(text)``, and its terms are (monomial, coefficient) pairs.
+Arithmetic and ``==`` are between polynomials of one context; a scalar enters
+only through ``scale(c)`` or as the constant term of ``ctx.poly``.
 ``render(lex=True)`` lists the terms in lex order for display.  The module
 owns the polynomial text format: :func:`render_terms` writes it, for
 ``HilbertSeries`` numerators too, and one grammar reads it in ``ctx.parse``.
@@ -156,23 +158,6 @@ class VariableContext:
     def nvars(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError(f"unknown variable {name!r}") from None
-
-    def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
-
-    def constant(self, c) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.nvars: c})
-
-    def variable(self, name: str) -> "Polynomial":
-        exps = [0] * self.nvars
-        exps[self.index(name)] = 1
-        return Polynomial(self, {tuple(exps): 1})
-
     def poly(self, mapping) -> "Polynomial":
         """The polynomial of {monomial: scalar}; an exponent not an int >= 0 raises ValueError."""
         mapping = dict(mapping)
@@ -222,15 +207,11 @@ class Polynomial:
         # terms are sorted by degrevlex, which compares total degree first
         return sum(self.terms[0][0]) if self.terms else -1
 
-    def leading_term(self):
-        """(coefficient, monomial) of the maximal term under degrevlex."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        m, c = self.terms[0]
-        return c, m
-
     def leading_monomial(self):
-        return self.leading_term()[1]
+        """The maximal monomial under degrevlex, the first of ``terms``."""
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading monomial")
+        return self.terms[0][0]
 
     def is_homogeneous(self) -> bool:
         """Whether all terms share one total degree; the zero polynomial counts."""
@@ -277,10 +258,6 @@ class Polynomial:
     def scale(self, c) -> "Polynomial":
         c = exact(c)
         return Polynomial(self.ctx, {m: cc * c for m, cc in self.terms})
-
-    def monic(self) -> "Polynomial":
-        lc, _ = self.leading_term()
-        return self.scale(Fraction(1) / lc)
 
     # -- comparison / display --------------------------------------------------
 
@@ -337,6 +314,14 @@ _FACTOR_RE = re.compile(_FACTOR)
 _TERM_RE = re.compile(rf"\s*((?:[+-]\s*)*)((?:{_FACTOR})(?:\s*(?:\*\s*)?(?:{_FACTOR}))*)\s*")
 
 
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # only a run of more digits than the interpreter converts
+        raise SpecParseError(f"number {digits[:12]}... of {len(digits)} digits "
+                             "is too long to read") from None
+
+
 def _parse_polynomial(ctx: VariableContext, text: str) -> Polynomial:
     """Read the text format: terms of factors a, a/b, name or name^e, '*' optional.
 
@@ -354,11 +339,11 @@ def _parse_polynomial(ctx: VariableContext, text: str) -> Polynomial:
                 idx = ctx._index.get(name)
                 if idx is None:
                     raise SpecParseError(f"unknown variable {name!r}")
-                exps[idx] += int(power or 1)
+                exps[idx] += _int(power or "1")
             elif not den:
-                coeff *= int(num)
-            elif int(den):
-                coeff *= Fraction(int(num), int(den))
+                coeff *= _int(num)
+            elif _int(den):
+                coeff *= Fraction(_int(num), _int(den))
             else:
                 raise SpecParseError("zero denominator in polynomial text")
         mono = tuple(exps)

@@ -18,14 +18,15 @@ from .errors import (EXIT_CHECK_FAILED, EXIT_LIMIT, EXIT_OK, IntegrityError,
                      LimitExceeded)
 from .groebner import GroebnerLimits, normal_form, s_polynomial
 from .hilbert import (HilbertSeries, MonomialIdeal, count_standard_monomials,
-                      series_from_monomial_ideal)
-from .invariants import build_group, invariant_dimension, molien_series
+                      series_from_expansion, series_from_monomial_ideal)
+from .invariants import invariant_dimension
 
 PASS = "pass"
 FAIL = "fail"
 LIMIT = "limit"        # work cut short by a budget
 
 ORACLE_DEPTH = 8       # degrees the monomial-ideal oracle counts by brute force
+KLEIN_GROUPS = (("BD", 2), ("BD", 3), ("2T", None), ("2O", None), ("2I", None))
 
 
 @dataclass
@@ -43,13 +44,12 @@ class VerifyConfig:
 
 
 class VerifyContext:
-    """Caches Groebner routes and records artifacts for the integrity sweep."""
+    """Caches Groebner routes and records series for the integrity sweep."""
 
     def __init__(self, config: VerifyConfig):
         self.config = config
         self.routes: dict[str, tuple] = {}  # spec text -> (presentation, basis, series)
         self.recorded_series: list = []
-        self.recorded_groups: list = []   # (group, its exact Molien series)
 
     def route(self, text: str):
         """(presentation, basis, series) for a Groebner-backed spec, cached.
@@ -79,10 +79,7 @@ def _check(name):
             try:
                 status, detail = fn(ctx)
             except LimitExceeded as exc:
-                return CheckResult(name, LIMIT,
-                                   f"limit: {exc} (pairs={exc.pairs_processed}, "
-                                   f"degree={exc.max_degree_reached})",
-                                   time.monotonic() - start)
+                return CheckResult(name, LIMIT, f"limit: {exc}", time.monotonic() - start)
             except IntegrityError as exc:
                 return CheckResult(name, FAIL, f"{type(exc).__name__}: {exc}",
                                    time.monotonic() - start)
@@ -157,38 +154,32 @@ def _check_hitchin_bridge(ctx):
 
 @_check("klein-molien")
 def _check_klein_molien(ctx):
-    details = []
-    for n in (2, 3):
-        report = catalog.ruled_klein("BD", n)
-        ctx.recorded_groups.append((report.group, report.molien.series))
-        if report.match is not True:
-            raise IntegrityError(f"BD_{n} does not match its stated row")
-        ctx.record_series(f"Klein(BD,{n})", report.molien.series)
-        details.append(f"BD_{n} matches its D_{n} row as a rational function")
-    report_2i = catalog.ruled_klein("2I")
-    ctx.recorded_groups.append((report_2i.group, report_2i.molien.series))
-    if report_2i.match is not True:
-        raise IntegrityError("icosahedral computation must match the A5 row")
-    if report_2i.molien.matched != (12, 20, 30, 60):
-        raise IntegrityError(f"2I recovered {report_2i.molien.matched}, not (12, 20, 30, 60)")
-    ctx.record_series("Klein(2I)", report_2i.molien.series)
-    details.append("2I matches the A5 row as a rational function")
-    for label in ("2T", "2O"):
-        report = catalog.ruled_klein(label)
-        ctx.recorded_groups.append((report.group, report.molien.series))
-        if report.molien.matched is None:
-            raise IntegrityError(f"{label}: no hypersurface form recovered")
-        ctx.record_series(f"Klein({label})", report.molien.series)
-        if report.match is None:
-            stated_result = f"stated {report.row.name} row is not weighted-homogeneous"
+    # BD_n and 2I must match their stated rows; 2T and 2O report the rows they match
+    exact, recovered = [], []
+    for label, n in KLEIN_GROUPS:
+        report = catalog.ruled_klein(label, n)
+        name = f"BD_{n}" if n else label
+        if label in ("2T", "2O"):
+            if report.molien.matched is None:
+                raise IntegrityError(f"{label}: no hypersurface form recovered")
+            if report.match is None:
+                stated_result = f"stated {report.row.name} row is not weighted-homogeneous"
+            else:
+                stated_result = ("matches stated row" if report.match
+                                 else "differs from stated row")
+            matches = "+".join(report.matching_rows) if report.matching_rows else "none"
+            recovered.append(
+                f"{label}: recovered (d1,d2,d3,e)={report.molien.matched}; {stated_result}; "
+                f"table rows matched: {matches}")
         else:
-            stated_result = ("matches stated row" if report.match
-                             else "differs from stated row")
-        matches = "+".join(report.matching_rows) if report.matching_rows else "none"
-        details.append(
-            f"{label}: recovered (d1,d2,d3,e)={report.molien.matched}; {stated_result}; "
-            f"table rows matched: {matches}")
-    return PASS, "; ".join(details)
+            if report.match is not True:
+                raise IntegrityError(f"{name} does not match its stated {report.row.name} row")
+            if label == "2I" and report.molien.matched != (12, 20, 30, 60):
+                raise IntegrityError(f"2I recovered {report.molien.matched}, not (12, 20, 30, 60)")
+            exact.append(f"{name} matches {'its' if n else 'the'} {report.row.name} row "
+                         "as a rational function")
+        ctx.record_series(f"Klein({label}{',' + str(n) if n else ''})", report.molien.series)
+    return PASS, "; ".join(exact + recovered)
 
 
 @_check("monomial-ideal-oracle")
@@ -271,7 +262,7 @@ def _check_dimension_bounds(ctx):
         spec = catalog.parse_spec(text)
         report = catalog.check_dimension_bounds(spec, series)
         reports.append(f"{text}:{report.krull}<={report.upper}")
-    for label, n in (("BD", 2), ("BD", 3), ("2T", None), ("2O", None), ("2I", None)):
+    for label, n in KLEIN_GROUPS:
         spec = catalog.VarietySpec(kind="Klein", group=label, n=n)
         report = catalog.ruled_klein(label, n)
         catalog.check_dimension_bounds(spec, report.molien.series)
@@ -285,24 +276,21 @@ def _check_integrity(ctx):
     depth = max(catalog.DEFAULT_MAX_DEGREE, ctx.config.max_degree)
     for _, series in ctx.recorded_series:
         series.expand(depth)  # raises IntegrityError on any negative coefficient
-    groups = ctx.recorded_groups
-    if not groups:  # the klein check failed before recording any
-        group = build_group("BD", 2)
-        groups = [(group, molien_series(group).series)]
     averages = 0
-    for group, series in groups:
-        # the series is a closed sum over the order histogram; the averages are
-        # taken degree by degree, through |G| (which fixes the series) and 24 past it
-        top = group.order + 24
-        want = series.expand(top)
-        got = tuple(invariant_dimension(group, p) for p in range(top + 1))
-        if got != want:
-            raise IntegrityError(
-                f"{group!r}: averages {got} != series {want} through degree {top}")
-        averages += len(got)
+    for label, n in KLEIN_GROUPS:
+        # every term 1/det(1 - tg) of the Molien sum is N_g/((1 - t^2)(1 - t^|G|))
+        # with deg N_g <= |G|, so the averages through degree |G| fix the series
+        report = catalog.ruled_klein(label, n)
+        order = report.group.order
+        dims = [invariant_dimension(report.group, p) for p in range(order + 1)]
+        fit = series_from_expansion(dims, (2, order))
+        if fit != report.molien.series:
+            raise IntegrityError(f"{report.group!r}: the averages fit {fit.render()}, not the "
+                                 f"Molien series {report.molien.series.render()}")
+        averages += len(dims)
     return PASS, (f"{len(ctx.recorded_series)} series re-expanded through degree {depth} "
                   f"with no negative coefficients; {averages} direct invariant averages "
-                  "through degree |G| + 24 agree with the exact Molien series")
+                  "through degree |G| fit the exact Molien series as rational functions")
 
 
 @_check("closed-form-oracle")

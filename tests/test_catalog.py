@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -83,7 +84,7 @@ def _cofactor_det(rows):
     size = len(rows)
     if size == 1:
         return rows[0][0]
-    total = rows[0][0].ctx.zero()
+    total = rows[0][0].ctx.poly({})
     for j in range(size):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         term = rows[0][j] * _cofactor_det(minor)
@@ -94,21 +95,21 @@ def _cofactor_det(rows):
 def _reference_grassmannian_generators(r, n):
     """grassmannian_ideal's generators built by Polynomial arithmetic and cofactors."""
     ctx = grassmannian_ideal(r, n).ctx
-    u = [[ctx.variable(f"u{i}{j}") for j in range(1, n + 1)] for i in range(1, n + 1)]
+    u = [[ctx.parse(f"u{i}{j}") for j in range(1, n + 1)] for i in range(1, n + 1)]
     gens = []
     for i in range(n):
         for j in range(n):
-            gens.append(sum((u[i][k] * u[k][j] for k in range(n)), ctx.zero()))
+            gens.append(sum((u[i][k] * u[k][j] for k in range(n)), ctx.poly({})))
     for k in range(1, n + 1):
         gens.append(sum((_cofactor_det([[u[i][j] for j in subset] for i in subset])
-                         for subset in itertools.combinations(range(n), k)), ctx.zero()))
+                         for subset in itertools.combinations(range(n), k)), ctx.poly({})))
     m = min(r, n - r)
     for rows in itertools.combinations(range(n), m + 1):
         for cols in itertools.combinations(range(n), m + 1):
             gens.append(_cofactor_det([[u[i][j] for j in cols] for i in rows]))
     out, seen = [], set()
     for g in gens:  # keep the first of the generators equal up to scale
-        key = g.monic().terms
+        key = g.scale(Fraction(1) / g.terms[0][1]).terms
         if key not in seen:
             seen.add(key)
             out.append(g)

@@ -1,10 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from symtensor import catalog, cli, verify
 from symtensor.errors import IntegrityError
+from symtensor.hilbert import MonomialIdeal, series_from_monomial_ideal
 
 # one spec of every family; the expected outputs are tests/data/catalog_table.{json,csv,md}
 TABLE_SPECS = ("Pn(2)", "Gr(2,4)", "Gr(1,4)", "Q(3)", "2Q(3)", "Ab(2)",
@@ -205,6 +207,20 @@ def test_limit_exceeded_exits_3(capsys):
     code, _, err = run_cli(capsys, "series", "Gr(2,4)", "--timeout", "0.000001")
     assert code == 3
     assert "limit exceeded" in err
+
+
+def test_limit_message_shows_progress_only_from_buchberger(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, "series", "Gr(2,4)", "--timeout", "0.000001")
+    assert code == 3
+    assert re.fullmatch(r"limit exceeded: groebner timeout after 1e-06s \(pairs processed: "
+                        r"\d+, max degree reached: \d+, elapsed: \d+\.\d\ds\)\n", err)
+    # a numerator recursion limit has no pair progress to show
+    deep = MonomialIdeal.from_generators(2, [(k, 1000 - k) for k in range(1001)])
+    monkeypatch.setattr(catalog, "evaluate", lambda *a, **k: series_from_monomial_ideal(deep))
+    code, _, err = run_cli(capsys, "series", "Ab(1)")
+    assert code == 3
+    assert err == ("limit exceeded: numerator recursion deeper than the recursion limit for "
+                   "1001 generators in 2 variables\n")
 
 
 def test_integrity_error_exits_4(capsys, monkeypatch):

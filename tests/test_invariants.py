@@ -127,9 +127,9 @@ def test_invalid_labels():
 
 def test_wrong_generators_detected():
     # a non-unit-determinant generator cannot close to a finite unimodular group
-    two = CyclotomicNumber.from_rational(4, 2)
     zero = CyclotomicNumber.zero(4)
     one = CyclotomicNumber.one(4)
+    two = one * 2
     infinite = Mat2(two, zero, zero, one)
     with pytest.raises(IntegrityError, match="exceeded twice"):
         build_group_from_generators((infinite,), 4, 8)
@@ -388,8 +388,8 @@ def test_trace_outside_the_lookup_table_raises():
     # diag(2, 1/2) has determinant 1 and infinite order: its trace 5/2 is no
     # z + 1/z for a root of unity z, and the failed call stores no order table
     zero = CyclotomicNumber.zero(4)
-    stretch = Mat2(CyclotomicNumber.from_rational(4, 2), zero, zero,
-                   CyclotomicNumber.from_rational(4, Fraction(1, 2)))
+    one = CyclotomicNumber.one(4)
+    stretch = Mat2(one * 2, zero, zero, one * Fraction(1, 2))
     bogus = MatrixGroup("custom", 4, (Mat2.identity(4), stretch))
     for _ in range(2):
         with pytest.raises(IntegrityError, match="trace 5/2 in custom "):

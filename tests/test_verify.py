@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import listpoly
 import symtensor
 from symtensor import catalog, cli, verify
 from symtensor.groebner import GroebnerLimits
-from symtensor.hilbert import HilbertSeries
+from symtensor.hilbert import HilbertSeries, MonomialIdeal, series_from_monomial_ideal
 from symtensor.verify import CheckResult, VerifyConfig, VerifyContext
 
 
@@ -52,7 +53,6 @@ def test_default_run_is_green():
     assert by_name["klein-molien"].status == verify.PASS
     # integrity sweep must have seen real artifacts
     assert len(ctx.recorded_series) > 20
-    assert len(ctx.recorded_groups) >= 5
 
 
 def test_default_output_matches_golden(capsys):
@@ -62,24 +62,68 @@ def test_default_output_matches_golden(capsys):
     assert out == (Path(__file__).parent / "data" / "verify.txt").read_text()
 
 
-@pytest.mark.parametrize("spec,check_name", [("Gr(1,3)", "projective-space-two-route"),
-                                             ("Q(2)", "quadric-coincidences")])
-def test_series_wrong_past_degree_eight_fails(spec, check_name):
-    # numerator N + t^9 D over the denominator D adds t^9: equal through degree 8 only
-    ctx = VerifyContext(VerifyConfig())
-    presentation, basis, series = ctx.route(spec)
+def _plus_power(series, k):
+    """The series plus t^k: numerator N + t^k D over the same denominator D."""
     den = [1]
     for w in series.den_weights:
         den = listpoly.mul(den, listpoly.one_minus_power(w))
-    num = list(series.numerator) + [0] * (9 + len(den) - len(series.numerator))
+    num = list(series.numerator) + [0] * (k + len(den) - len(series.numerator))
     for i, c in enumerate(den):
-        num[i + 9] += c
-    wrong = HilbertSeries(tuple(num), series.den_weights)
+        num[i + k] += c
+    return HilbertSeries(tuple(num), series.den_weights)
+
+
+def _check(name):
+    return next(c for c in verify._CHECKS if c.check_name == name)
+
+
+@pytest.mark.parametrize("spec,check_name", [("Gr(1,3)", "projective-space-two-route"),
+                                             ("Q(2)", "quadric-coincidences")])
+def test_series_wrong_past_degree_eight_fails(spec, check_name):
+    # t^9 added: equal through degree 8 only
+    ctx = VerifyContext(VerifyConfig())
+    presentation, basis, series = ctx.route(spec)
+    wrong = _plus_power(series, 9)
     assert wrong.expand(8) == series.expand(8)
     assert wrong.expand(9) != series.expand(9)
     ctx.routes[spec] = (presentation, basis, wrong)
-    check = next(c for c in verify._CHECKS if c.check_name == check_name)
-    assert check(ctx).status == verify.FAIL
+    assert _check(check_name)(ctx).status == verify.FAIL
+
+
+def test_integrity_fails_a_molien_series_wrong_past_degree_g(monkeypatch):
+    # t^(|G| + 30) added to BD(2)'s reported series: the averages through |G| fit the
+    # true series, so the identity fails however far past |G| the error lies
+    real = catalog.ruled_klein
+
+    def wrong_bd2(label, n=None):
+        report = real(label, n)
+        if (label, n) != ("BD", 2):
+            return report
+        series = _plus_power(report.molien.series, report.group.order + 30)
+        return dataclasses.replace(report, molien=dataclasses.replace(report.molien,
+                                                                      series=series))
+
+    monkeypatch.setattr(catalog, "ruled_klein", wrong_bd2)
+    ctx = VerifyContext(VerifyConfig())
+    assert _check("klein-molien")(ctx).status == verify.PASS
+    result = _check("integrity")(ctx)
+    assert result.status == verify.FAIL and "Molien series" in result.detail
+
+
+def test_limit_detail_shows_progress_only_from_buchberger(monkeypatch):
+    tiny = VerifyConfig(limits=GroebnerLimits(catalog.DEFAULT_GB_MAX_DEGREE, timeout=1e-9))
+    result = _check("projective-space-two-route")(VerifyContext(tiny))
+    assert result.status == verify.LIMIT
+    assert re.fullmatch(r"limit: groebner timeout after 1e-09s \(pairs processed: \d+, "
+                        r"max degree reached: \d+, elapsed: \d+\.\d\ds\)", result.detail)
+    # a numerator recursion limit has no pair progress to show
+    deep = MonomialIdeal.from_generators(2, [(k, 1000 - k) for k in range(1001)])
+    monkeypatch.setattr(verify, "series_from_monomial_ideal",
+                        lambda ideal: series_from_monomial_ideal(deep))
+    result = _check("monomial-ideal-oracle")(VerifyContext(VerifyConfig()))
+    assert (result.status, result.detail) == (
+        verify.LIMIT, "limit: numerator recursion deeper than the recursion limit for "
+                      "1001 generators in 2 variables")
 
 
 def test_wrong_identity_fails_under_python_O():
