@@ -24,10 +24,8 @@ from .groebner import (GroebnerBasis, GroebnerLimits, IdealPresentation,
                        buchberger, leading_term_ideal)
 from .hilbert import (HilbertSeries, series_from_expansion, series_from_generator_degrees,
                       series_from_monomial_ideal)
-from .invariants import GROUP_LABELS, MolienResult, build_group, molien_series
+from .invariants import MolienResult, build_group, molien_series
 from .poly import Polynomial, VariableContext
-
-NEG_INFINITY = float("-inf")
 
 DEFAULT_MAX_DEGREE = 8        # expansion depth D
 DEFAULT_TIMEOUT = 300.0       # seconds per Groebner run
@@ -89,10 +87,6 @@ class VarietySpec:
         """Dimension of the underlying variety, or None when not modeled."""
         return FAMILIES[self.kind].dim_x(self)
 
-    def kappa(self):
-        """Kodaira dimension when known: 0, -infinity, or None for unknown."""
-        return FAMILIES[self.kind].kappa
-
     def text(self) -> str:
         """The spec in the grammar ``parse_spec`` reads back to an equal spec."""
         family = FAMILIES[self.kind]
@@ -130,8 +124,8 @@ class Family(NamedTuple):
     fixed: bool = False                  # the bare word "fixed" sets fixed_det
     rules: tuple = ()                    # (predicate on the spec, what it needs)
     dim_x: Callable[[VarietySpec], int | None] = lambda spec: None
-    kappa: float | None = None
-    homogeneous: bool = False            # krull dimension 2*dim expected
+    kappa: int | None = None             # Kodaira dimension where it bounds krull by dim - kappa
+    homogeneous: bool = False            # krull dimension must be 2*dim
     closed_form: Callable[[VarietySpec], HilbertSeries] | None = None
     provenance: Callable[[VarietySpec], str] | None = None
     ideal: Callable[[VarietySpec], IdealPresentation] | None = None
@@ -157,20 +151,20 @@ def _total(values):
 FAMILIES: dict[str, Family] = {
     "Pn": Family(
         positional=("n",), rules=(_at_least("n", 1),),
-        dim_x=lambda s: s.n, kappa=NEG_INFINITY, homogeneous=True,
+        dim_x=lambda s: s.n, homogeneous=True,
         closed_form=lambda s: projective_space_series(s.n),
         provenance=lambda s: "closed form: squared-binomial differences (incidence divisor)"),
     "Gr": Family(
         positional=("r", "n"),
         rules=(_at_least("r", 1), _at_least("n", 2), (lambda s: s.r < s.n, "r <= n-1")),
-        dim_x=lambda s: s.r * (s.n - s.r), kappa=NEG_INFINITY, homogeneous=True,
+        dim_x=lambda s: s.r * (s.n - s.r), homogeneous=True,
         closed_form=lambda s: grassmannian_series(s.r, s.n),
         provenance=lambda s: _grassmannian_provenance(s.r, s.n),
         ideal=lambda s: grassmannian_ideal(s.r, s.n), cap=GRASSMANNIAN_CAP,
         flags=lambda s: ("radicality-assumed",) if min(s.r, s.n - s.r) >= 2 else ()),
     "Q": Family(
         positional=("n",), rules=(_at_least("n", 1),),
-        dim_x=lambda s: s.n, kappa=NEG_INFINITY, homogeneous=True,
+        dim_x=lambda s: s.n, homogeneous=True,
         closed_form=lambda s: quadric_series(s.n),
         provenance=lambda s: (f"Hilbert-driven by Hodge's standard-monomial series of "
                               f"Gr(2,{s.n + 2}) cut by the quadric, a nonzerodivisor"),
@@ -205,10 +199,11 @@ FAMILIES: dict[str, Family] = {
                          else "codim-condition-unverified")),
     "Klein": Family(
         positional=("group", "n"),
-        rules=((lambda s: s.group in GROUP_LABELS, "a group BD, 2T, 2O or 2I"),
+        rules=((lambda s: s.group == "BD" or s.group in _EXCEPTIONAL_ROWS,
+                "a group BD, 2T, 2O or 2I"),
                (lambda s: s.group != "BD" or (s.n is not None and s.n >= 2), "n >= 2 for BD"),
                (lambda s: s.group == "BD" or s.n is None, "no n for 2T, 2O or 2I")),
-        dim_x=lambda s: 2, kappa=NEG_INFINITY),
+        dim_x=lambda s: 2),
     "Prod": Family(
         positional=("components",),
         rules=((lambda s: len(s.components) == 2, "two components"),),
@@ -231,7 +226,14 @@ FAMILIES: dict[str, Family] = {
 # -- spec grammar -----------------------------------------------------------------
 
 _SPEC_RE = re.compile(r"\s*([A-Za-z0-9]+)\s*(?:\((.*)\))?\s*", re.DOTALL)
+_DIGITS_RE = re.compile(r"[+-]?\d+")
 _INT_FIELDS = ("n", "r", "g", "d", "s")
+_MAX_NESTING = 32  # parentheses a spec may nest, so evaluating and printing it stay shallow
+
+
+def _echo(text: str) -> str:
+    """``text`` quoted for a refusal, cut to a short prefix."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... of {len(text)} characters"
 
 
 def parse_spec(text: str) -> VarietySpec:
@@ -241,20 +243,22 @@ def parse_spec(text: str) -> VarietySpec:
     Trivial(hypersurface,d=3,n=2)."""
     m = _SPEC_RE.fullmatch(text)
     if m is None:
-        raise SpecParseError(f"expected a spec name and an optional (...) tail, got {text!r}")
+        raise SpecParseError(f"expected a spec name and an optional (...) tail, got {_echo(text)}")
     name, tail = m.groups()
     args: list = []
     if tail is not None and tail.strip():
         depth, start = 0, 0
         for i, ch in enumerate(tail):
             depth += (ch == "(") - (ch == ")")
-            if depth < 0:
+            if not 0 <= depth < _MAX_NESTING:
                 break
             if ch == "," and not depth:
                 args.append(tail[start:i].strip())
                 start = i + 1
+        if depth >= _MAX_NESTING:
+            raise SpecParseError(f"parentheses nested deeper than {_MAX_NESTING} in {_echo(text)}")
         if depth:
-            raise SpecParseError(f"unbalanced parentheses in {text!r}")
+            raise SpecParseError(f"unbalanced parentheses in {_echo(text)}")
         args.append(tail[start:].strip())
     if name == "Prod":
         return VarietySpec(kind="Prod", components=tuple(map(parse_spec, args)))
@@ -265,7 +269,7 @@ def _spec_from_name_args(name: str, args: list) -> VarietySpec:
     """Fill the family's positional fields in order, then its name=value fields."""
     family = FAMILIES.get(name)
     if family is None:
-        raise SpecParseError(f"unknown spec name {name!r}")
+        raise SpecParseError(f"unknown spec name {_echo(name)}")
     slots = iter(family.positional)
     values: dict = {}
     for arg in args:
@@ -277,12 +281,15 @@ def _spec_from_name_args(name: str, args: list) -> VarietySpec:
         elif key not in family.keywords:
             key = None
         if key is None or key in values:
-            raise SpecParseError(f"{name} argument {arg!r} is unknown or repeated")
+            raise SpecParseError(f"{name} argument {_echo(arg)} is unknown or repeated")
         if key in _INT_FIELDS:
             try:
                 value = int(value)
-            except ValueError:
-                raise SpecParseError(f"{key} must be an integer, got {value!r}") from None
+            except ValueError:  # a run of digits fails only past the int-string limit
+                raise SpecParseError(
+                    f"{key}: number {value[:12]}... of {len(value)} digits is too long to read"
+                    if _DIGITS_RE.fullmatch(value)
+                    else f"{key} must be an integer, got {_echo(value)}") from None
         values[key] = value
     return VarietySpec(kind=name, **values)
 
@@ -577,41 +584,24 @@ def ruled_klein(group_label: str, n: int | None = None) -> RuledKleinReport:
 # -- dimension-bound checks ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    krull: int
-    dim_x: int
-    upper: int
-    homogeneous_equality: bool | None
-    liu_bound: int | None
-    liu_equality: bool | None
-
-
-def check_dimension_bounds(spec: VarietySpec, series: HilbertSeries) -> BoundsReport:
-    """Assert 0 <= krull <= 2*dim and the kappa bound where kappa is known."""
+def check_dimension_bounds(spec: VarietySpec, series: HilbertSeries) -> int:
+    """The Krull dimension of ``series``, which must lie in [0, 2*dim], equal 2*dim
+    for a homogeneous family and be at most dim - kappa where the family has kappa;
+    a violation raises IntegrityError."""
     dim_x = spec.dim_x()
     if dim_x is None:
         raise ValueError(f"spec {spec.text()} has no modeled dimension")
     krull = series.krull_dim()
-    upper = 2 * dim_x
-    if krull < 0 or krull > upper:
-        raise IntegrityError(
-            f"{spec.text()}: krull dimension {krull} outside [0, {upper}]")
-    homogeneous_equality = None
-    if FAMILIES[spec.kind].homogeneous:
-        homogeneous_equality = (krull == upper)
-    kappa = spec.kappa()
-    liu_bound = None
-    liu_equality = None
-    if kappa is not None and kappa != NEG_INFINITY:
-        liu_bound = dim_x - int(kappa)
-        if krull > liu_bound:
-            raise IntegrityError(
-                f"{spec.text()}: krull dimension {krull} exceeds dim - kappa = {liu_bound}")
-        liu_equality = (krull == liu_bound)
-    return BoundsReport(krull=krull, dim_x=dim_x, upper=upper,
-                        homogeneous_equality=homogeneous_equality,
-                        liu_bound=liu_bound, liu_equality=liu_equality)
+    family = FAMILIES[spec.kind]
+    if not 0 <= krull <= 2 * dim_x:
+        raise IntegrityError(f"{spec.text()}: krull dimension {krull} outside [0, {2 * dim_x}]")
+    if family.homogeneous and krull != 2 * dim_x:
+        raise IntegrityError(f"{spec.text()}: krull dimension {krull} != 2*dim = {2 * dim_x} "
+                             "for a homogeneous variety")
+    if family.kappa is not None and krull > dim_x - family.kappa:
+        raise IntegrityError(f"{spec.text()}: krull dimension {krull} exceeds "
+                             f"dim - kappa = {dim_x - family.kappa}")
+    return krull
 
 
 # -- evaluation -----------------------------------------------------------------------

@@ -167,8 +167,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = verify.VerifyConfig(max_degree=args.max_degree, limits=_limits(args))
-    results, _ = verify.run_verification(config)
+    results, _ = verify.run_verification(max_degree=args.max_degree, limits=_limits(args))
     for r in results:
         tag = {verify.PASS: "PASS", verify.FAIL: "FAIL", verify.LIMIT: "LIMIT"}[r.status]
         print(f"[{tag}] {r.name} ({r.elapsed:.2f}s): {r.detail}")

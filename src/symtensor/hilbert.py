@@ -81,9 +81,6 @@ class MonomialIdeal:
         every = cls(nvars, tuple(sorted(set(map(tuple, gens)))))
         return cls(nvars, minimalize_monomials(every.gens))
 
-    def contains_monomial(self, mono) -> bool:
-        return any(mono_divides(g, mono) for g in self.gens)
-
 
 def _compositions(total, parts):
     if parts == 0:
@@ -104,7 +101,7 @@ def count_standard_monomials(ideal: MonomialIdeal, degree: int) -> int:
     Enumerates all compositions, so intended for small variable counts only.
     """
     return sum(1 for m in _compositions(degree, ideal.nvars)
-               if not ideal.contains_monomial(m))
+               if not any(mono_divides(g, m) for g in ideal.gens))
 
 
 # -- numerator recursion -------------------------------------------------------

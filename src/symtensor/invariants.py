@@ -28,7 +28,6 @@ from .hilbert import HilbertSeries, series_from_generator_degrees
 
 # MolienResult.dims runs through this display window
 DEFAULT_WINDOW = {"BD": 64, "2T": 64, "2O": 64, "2I": 124}
-GROUP_LABELS = ("BD", "2T", "2O", "2I")
 
 
 @dataclass(frozen=True)

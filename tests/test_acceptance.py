@@ -12,9 +12,8 @@ from symtensor.groebner import GroebnerLimits
 
 @pytest.fixture(scope="module")
 def suite():
-    config = verify.VerifyConfig(max_degree=8,
-                                 limits=GroebnerLimits(max_degree=12, timeout=300.0))
-    results, ctx = verify.run_verification(config)
+    results, ctx = verify.run_verification(
+        max_degree=8, limits=GroebnerLimits(max_degree=12, timeout=300.0))
     return {r.name: r for r in results}, results, ctx
 
 

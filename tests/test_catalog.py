@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -336,16 +339,38 @@ def test_ruled_klein_icosahedral_matches():
 
 
 def test_check_dimension_bounds():
-    report = check_dimension_bounds(parse_spec("2Q(3)"), served("2Q(3)").series)
-    assert report.krull == 3 and report.upper == 6
-    ab = check_dimension_bounds(parse_spec("Ab(2)"), served("Ab(2)").series)
-    assert ab.liu_bound == 2 and ab.liu_equality is True
+    assert check_dimension_bounds(parse_spec("2Q(3)"), served("2Q(3)").series) == 3
+    assert check_dimension_bounds(parse_spec("Ab(2)"), served("Ab(2)").series) == 2
     _, q3 = groebner_route(quadric_ideal(3))
-    quad = check_dimension_bounds(parse_spec("Q(3)"), q3)
-    assert quad.homogeneous_equality is True
+    assert check_dimension_bounds(parse_spec("Q(3)"), q3) == 6
     bad = served("Ab(3)").series     # krull 3 > 2 = dim of Ab(2): violates kappa bound
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="dim - kappa = 2"):
         check_dimension_bounds(parse_spec("Ab(2)"), bad)
+    with pytest.raises(IntegrityError, match=r"outside \[0, 2\]"):
+        check_dimension_bounds(parse_spec("2Q(1)"), projective_space_series(2))
+    with pytest.raises(ValueError, match="no modeled dimension"):
+        check_dimension_bounds(parse_spec("Trivial(general_type)"), HilbertSeries((1,), ()))
+
+
+def test_check_dimension_bounds_refuses_a_homogeneous_spec_below_two_dim():
+    # krull 4 lies inside Q(3)'s [0, 6]; only the homogeneous equality refuses it
+    four = projective_space_series(2)
+    assert four.krull_dim() == 4
+    with pytest.raises(IntegrityError, match=r"krull dimension 4 != 2\*dim = 6"):
+        check_dimension_bounds(parse_spec("Q(3)"), four)
+
+
+DATA = Path(__file__).parent / "data"
+GOLDEN_SPECS = tuple(dict.fromkeys(
+    [row["spec"] for row in json.loads((DATA / "catalog_table.json").read_text())]
+    + [line[len("spec: "):] for line in (DATA / "series_text.txt").read_text().splitlines()
+       if line.startswith("spec: ")]))
+
+
+@pytest.mark.parametrize("text", [t for t in GOLDEN_SPECS if parse_spec(t).dim_x() is not None])
+def test_golden_specs_meet_their_dimension_bounds(text):
+    report = served(text)
+    assert check_dimension_bounds(report.spec, report.series) == report.krull
 
 
 # -- spec grammar -------------------------------------------------------------------------
@@ -378,6 +403,28 @@ def test_parse_round_trip(text):
 def test_parse_rejects(bad):
     with pytest.raises(SpecParseError):
         parse_spec(bad)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-string limit is set")
+def test_parse_refuses_spec_integers_past_the_int_string_limit():
+    limit = sys.get_int_max_str_digits()
+    digits = "1" * limit
+    assert parse_spec(f"Pn({digits})").n == int(digits)
+    for text, field in ((f"Pn({digits}1)", "n"), (f"Hitchin(g=2,r=2,d={digits}1)", "d")):
+        with pytest.raises(SpecParseError,
+                           match=rf"^{field}: number 1+\.\.\. of {limit + 1} digits is too long"):
+            parse_spec(text)
+
+
+@pytest.mark.parametrize("bad", ["!" * 100_000, "a" * 100_000, "Pn(" * 50_000,
+                                 "Pn(" + "(" * 20 + ")" * 50_000, "Pn(" + "x" * 100_000 + ")",
+                                 "Pn(n=1," + "x" * 100_000 + ")", "Pn(1)" + "x" * 100_000],
+                         ids=["junk", "long-name", "no-close", "unbalanced", "long-integer-field",
+                              "long-argument", "long-trailer"])
+def test_parse_refusals_echo_a_short_prefix(bad):
+    with pytest.raises(SpecParseError) as refusal:
+        parse_spec(bad)
+    assert len(str(refusal.value)) < 120
 
 
 # one spec per family, and for every spec field a value unlike its default

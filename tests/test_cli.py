@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,43 @@ def test_parse_error_exits_2(capsys):
     assert "error" in err
 
 
+def nested_prod(depth):
+    """Prod(Prod(..Pn(1)..,Pn(1)),Pn(1)) with ``depth`` levels of parentheses."""
+    text = "Pn(1)"
+    for _ in range(depth - 1):
+        text = f"Prod({text},Pn(1))"
+    return text
+
+
+def test_series_of_a_spec_nested_to_the_bound_renders_as_text_and_json(capsys):
+    text = nested_prod(32)
+    code, out, _ = run_cli(capsys, "series", text)
+    assert code == 0
+    assert out.startswith(f"spec: {text}\n") and "krull dim: 64\n" in out
+    code, out, _ = run_cli(capsys, "series", text, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["spec"] == text and payload["krull_dim"] == 64
+
+
+@pytest.mark.parametrize("spec,message", [(nested_prod(33), "nested deeper than 32"),
+                                          (nested_prod(199), "nested deeper than 32"),
+                                          ("#" * 100_000, "optional (...) tail")],
+                         ids=["depth-33", "depth-199", "junk"])
+def test_deep_or_junk_specs_exit_2_with_a_short_message(capsys, spec, message):
+    code, _, err = run_cli(capsys, "series", spec)
+    assert code == 2
+    assert err.startswith("error: ") and message in err and len(err) < 300
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-string limit is set")
+def test_spec_integer_past_the_int_string_limit_exits_2_naming_the_field(capsys):
+    digits = sys.get_int_max_str_digits() + 1
+    code, _, err = run_cli(capsys, "series", "Pn(" + "1" * digits + ")")
+    assert code == 2
+    assert err == f"error: n: number 111111111111... of {digits} digits is too long to read\n"
+
+
 def test_cap_violation_exits_2(capsys):
     code, _, err = run_cli(capsys, "series", "Q(4)")
     assert code == 2
@@ -234,7 +272,7 @@ def test_integrity_error_exits_4(capsys, monkeypatch):
 
 def test_verify_fail_exits_1(capsys, monkeypatch):
     fake = [verify.CheckResult("fake-check", verify.FAIL, "boom", 0.0)]
-    monkeypatch.setattr(verify, "run_verification", lambda config: (fake, None))
+    monkeypatch.setattr(verify, "run_verification", lambda **kwargs: (fake, None))
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     assert "[FAIL] fake-check" in out

@@ -13,7 +13,7 @@ import symtensor
 from symtensor import catalog, cli, verify
 from symtensor.groebner import GroebnerLimits
 from symtensor.hilbert import HilbertSeries, MonomialIdeal, series_from_monomial_ideal
-from symtensor.verify import CheckResult, VerifyConfig, VerifyContext
+from symtensor.verify import CheckResult, VerifyContext
 
 
 def test_exit_code_semantics():
@@ -28,8 +28,8 @@ def test_exit_code_semantics():
 
 
 def test_tiny_timeout_marks_heavy_checks_limited():
-    config = VerifyConfig(limits=GroebnerLimits(catalog.DEFAULT_GB_MAX_DEGREE, timeout=1e-9))
-    results, _ = verify.run_verification(config)
+    results, _ = verify.run_verification(
+        limits=GroebnerLimits(catalog.DEFAULT_GB_MAX_DEGREE, timeout=1e-9))
     by_name = {r.name: r for r in results}
     assert by_name["projective-space-two-route"].status == verify.LIMIT
     assert by_name["quadric-coincidences"].status == verify.LIMIT
@@ -81,13 +81,27 @@ def _check(name):
                                              ("Q(2)", "quadric-coincidences")])
 def test_series_wrong_past_degree_eight_fails(spec, check_name):
     # t^9 added: equal through degree 8 only
-    ctx = VerifyContext(VerifyConfig())
+    ctx = VerifyContext()
     presentation, basis, series = ctx.route(spec)
     wrong = _plus_power(series, 9)
     assert wrong.expand(8) == series.expand(8)
     assert wrong.expand(9) != series.expand(9)
     ctx.routes[spec] = (presentation, basis, wrong)
     assert _check(check_name)(ctx).status == verify.FAIL
+
+
+@pytest.mark.parametrize("check_name,spec,wrong,message", [
+    ("homogeneous-bigness-quadrics", "Q(2)", 1, "Q(2): krull dimension 2 != 2*dim = 4"),
+    ("grassmannian-2-4-bigness", "Gr(2,4)", 3, "Gr(2,4): krull dimension 6 != 2*dim = 8"),
+    ("dimension-bounds", "Gr(2,4)", 3, "Gr(2,4): krull dimension 6 != 2*dim = 8")],
+    ids=["quadrics", "grassmannian", "dimension-bounds"])
+def test_homogeneous_route_below_two_dim_fails(check_name, spec, wrong, message):
+    # the series of Pn(wrong) has krull dimension 2*wrong, inside [0, 2*dim] but below it
+    ctx = VerifyContext()
+    presentation, basis, _ = ctx.route(spec)
+    ctx.routes[spec] = (presentation, basis, catalog.projective_space_series(wrong))
+    result = _check(check_name)(ctx)
+    assert result.status == verify.FAIL and message in result.detail
 
 
 def test_integrity_fails_a_molien_series_wrong_past_degree_g(monkeypatch):
@@ -104,15 +118,15 @@ def test_integrity_fails_a_molien_series_wrong_past_degree_g(monkeypatch):
                                                                       series=series))
 
     monkeypatch.setattr(catalog, "ruled_klein", wrong_bd2)
-    ctx = VerifyContext(VerifyConfig())
+    ctx = VerifyContext()
     assert _check("klein-molien")(ctx).status == verify.PASS
     result = _check("integrity")(ctx)
     assert result.status == verify.FAIL and "Molien series" in result.detail
 
 
 def test_limit_detail_shows_progress_only_from_buchberger(monkeypatch):
-    tiny = VerifyConfig(limits=GroebnerLimits(catalog.DEFAULT_GB_MAX_DEGREE, timeout=1e-9))
-    result = _check("projective-space-two-route")(VerifyContext(tiny))
+    tiny = GroebnerLimits(catalog.DEFAULT_GB_MAX_DEGREE, timeout=1e-9)
+    result = _check("projective-space-two-route")(VerifyContext(limits=tiny))
     assert result.status == verify.LIMIT
     assert re.fullmatch(r"limit: groebner timeout after 1e-09s \(pairs processed: \d+, "
                         r"max degree reached: \d+, elapsed: \d+\.\d\ds\)", result.detail)
@@ -120,7 +134,7 @@ def test_limit_detail_shows_progress_only_from_buchberger(monkeypatch):
     deep = MonomialIdeal.from_generators(2, [(k, 1000 - k) for k in range(1001)])
     monkeypatch.setattr(verify, "series_from_monomial_ideal",
                         lambda ideal: series_from_monomial_ideal(deep))
-    result = _check("monomial-ideal-oracle")(VerifyContext(VerifyConfig()))
+    result = _check("monomial-ideal-oracle")(VerifyContext())
     assert (result.status, result.detail) == (
         verify.LIMIT, "limit: numerator recursion deeper than the recursion limit for "
                       "1001 generators in 2 variables")
@@ -133,7 +147,7 @@ from symtensor import catalog, verify
 from symtensor.hilbert import HilbertSeries
 catalog.projective_space_series = lambda n: HilbertSeries((1, 7), (1, 1))
 check = next(c for c in verify._CHECKS if c.check_name == "projective-space-two-route")
-result = check(verify.VerifyContext(verify.VerifyConfig()))
+result = check(verify.VerifyContext())
 print(__debug__, result.status, result.detail.split(":")[0])
 """
     paths = (str(Path(symtensor.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
