@@ -19,6 +19,21 @@ Three facts keep every step free of a full re-minimalisation:
 * When the generators fall into groups with pairwise disjoint supports, N is
   the product of the groups' numerators, each memoised on its own.
 
+Two or three generators end the recursion with Taylor's sum (below), written
+out in 4 or 8 terms.  An lcm's degree can pass the fields' cap, which every
+generator's fits, and read off its fields it would wrap, so deg lcm(a, b) is
+taken as deg a + deg(lcm(a, b) - a): lcm(a, b) - a divides b and fits.  So a
+pivot state is connected and has at least four generators.  In I : p the
+generators with x to exactly e drop x, and such a drop d divides a generator s
+without x exactly when s - d sets no guard bit.  No drop is the unit monomial:
+p would then be a generator, by minimality the only one with x, and share no
+variable with the others.  A drop x_j^a divides s when s_j >= a, so one
+threshold T, holding the least such a in field j and the guard bit 2^w in the
+fields of no such drop, tests all of them at once: no field of
+(s + guards) - T borrows from the next, and it keeps a guard bit exactly when
+one of these drops divides s.  The drops in two or more variables are tested
+one at a time, each on what the last left.
+
 Each numerator is carried as the int N(2^k) (Kronecker substitution): t^e is
 a shift by k e bits and a sum or product one int operation.  Evaluation is a
 ring homomorphism, so only the final N(2^k) is decoded, as balanced base-2^k
@@ -144,13 +159,43 @@ class _Numerators:
         ``column`` holds the exponents of x_var, and ``same`` the generators
         without it.  The others all have x_var to at least exp, so the only
         divisibility that lowering them creates is a lowered generator without
-        x_var dividing one of ``same``.
+        x_var, a drop, dividing one of ``same``; the module docstring gives the
+        threshold test.
         """
-        power, guards = self.pk.power(var, exp), self.pk.guards
+        pk = self.pk
+        power, guards, ones = pk.power(var, exp), pk.guards, pk.ones
         moved = [g - power for g, e in zip(gens, column) if e]
-        drops = [g - power for g, e in zip(gens, column) if e == exp]
-        kept = [s for s in same if all((s - d) & guards for d in drops)]
-        return tuple(sorted(kept + moved))
+        # the drops ascend with gens, so the first x_j^a seen for each j has the least a
+        threshold, wide = guards, []
+        for d in (g - power for g, e in zip(gens, column) if e == exp):
+            support = ((d | guards) - ones) & guards
+            if support & (support - 1):
+                wide.append(d)
+            elif threshold & support:
+                threshold += d - support
+        kept = same
+        if threshold != guards:
+            kept = [s for s in kept if not ((s | guards) - threshold) & guards]
+        for d in wide:
+            kept = [s for s in kept if (s - d) & guards]
+        return tuple(sorted([*kept, *moved]))
+
+    def _taylor(self, gens):
+        """N(2^k) of two or three generators: (-1)^|S| t^deg lcm(S) summed over subsets S."""
+        pk, k = self.pk, self.k
+        degree, lcm = pk.degree, pk.lcm
+        a, b = gens[0], gens[1]
+        da, db = degree(a), degree(b)
+        ab = lcm(a, b)
+        dab = da + degree(ab - a)
+        if len(gens) == 2:
+            return 1 - (1 << k * da) - (1 << k * db) + (1 << k * dab)
+        c = gens[2]
+        ac, bc, abc = lcm(a, c), lcm(b, c), lcm(ab, c)
+        dc, dac, dbc = degree(c), da + degree(ac - a), db + degree(bc - b)
+        dabc = dab + degree(abc - ab)
+        return (1 - (1 << k * da) - (1 << k * db) - (1 << k * dc) + (1 << k * dab)
+                + (1 << k * dac) + (1 << k * dbc) - (1 << k * dabc))
 
     def numerator(self, gens):
         cached = self.memo.get(gens)
@@ -163,6 +208,8 @@ class _Numerators:
             result = 0  # the unit ideal, whose quotient is zero
         elif len(gens) == 1:
             result = 1 - (1 << self.k * pk.degree(gens[0]))
+        elif len(gens) <= 3:
+            result = self._taylor(gens)
         else:
             supports = pk.supports(gens)
             groups = _components(gens, supports)

@@ -11,7 +11,7 @@ from symtensor.hilbert import (HilbertSeries, MonomialIdeal, _digit_width, _Nume
                                count_standard_monomials, minimalize_monomials,
                                series_from_expansion, series_from_generator_degrees,
                                series_from_monomial_ideal)
-from symtensor.poly import Packing, VariableContext
+from symtensor.poly import Packing, VariableContext, mono_divides
 
 
 def test_minimalization():
@@ -549,6 +549,99 @@ def test_numerator_matches_reference_recursion():
         copy = MonomialIdeal.from_generators(nvars, _permuted(gens, perm))
         assert series_from_monomial_ideal(copy).numerator == want, f"{gens} under {perm}"
     assert {127, 2 ** 15 - 1} <= caps
+
+
+def _capped_gens(rng, nvars, count, cap):
+    # each generator has one exponent near cap/2..cap, the rest small, and degree <= cap
+    gens = []
+    for _ in range(count):
+        exps = [0] * nvars
+        exps[rng.randrange(nvars)] = rng.randint(cap // 2, cap - 4)
+        for _ in range(rng.randint(0, 4)):
+            exps[rng.randrange(nvars)] += 1
+        gens.append(tuple(exps))
+    return gens
+
+
+@pytest.mark.parametrize("cap", [127, 2 ** 15 - 1])
+def test_taylor_base_case_past_the_field_cap(cap):
+    # two or three generators that pack into fields of this cap, while the
+    # degree of an lcm passes it and would wrap if read from the packed lcm
+    rng = random.Random(cap)
+    cases = [(5, [(0, 1, 124, 1, 0), (122, 1, 0, 2, 1), (1, 0, 0, 125, 0)])] if cap == 127 else []
+    while len(cases) < 24:
+        nvars = rng.randint(2, 5)
+        cases.append((nvars, _capped_gens(rng, nvars, rng.choice((2, 3)), cap)))
+    past = 0
+    for nvars, gens in cases:
+        ideal = MonomialIdeal.from_generators(nvars, gens)
+        assert Packing(nvars, max(map(sum, ideal.gens))).cap == cap
+        if not 2 <= len(ideal.gens) <= 3:
+            continue
+        past += sum(map(max, zip(*ideal.gens))) > cap
+        want = _reference_series_numerator(nvars, gens)
+        assert series_from_monomial_ideal(ideal).numerator == want, f"{gens} in {nvars} vars"
+    assert past >= 12
+
+
+def _naive_colon(gens, var, exp):
+    """<gens> : x_var^exp as the lowered generators with x_var and the others that none of them divides."""
+    moved = [g[:var] + (g[var] - exp,) + g[var + 1:] for g in gens if g[var]]
+    return moved + [g for g in gens if not g[var] and not any(mono_divides(m, g) for m in moved)]
+
+
+@pytest.mark.parametrize("top", [127, 200])
+def test_colon_by_power_against_the_reference_colon(top):
+    # generators x_var^exp x_j^a (single-variable drops), x_var^exp m with m in
+    # two or more variables (wide drops), x_var^(exp+r) x_j^b and generators
+    # without x_var, one of degree top, packed in fields of 8 or 16 bits
+    rng = random.Random(top)
+    shapes = {"single": 0, "wide": 0, "repeated": 0}
+    for _ in range(150):
+        nvars = rng.randint(2, 6)
+        var, exp = rng.randrange(nvars), rng.randint(1, 3)
+        others = [v for v in range(nvars) if v != var]
+        gens = set()
+        for _ in range(rng.randint(1, 4)):
+            g = [0] * nvars
+            g[var], g[rng.choice(others)] = exp, rng.randint(1, 5)
+            gens.add(tuple(g))
+        for _ in range(rng.randint(0, 3) if len(others) > 1 else 0):
+            g = [0] * nvars
+            g[var] = exp
+            for v in rng.sample(others, 2):
+                g[v] = rng.randint(1, 3)
+            gens.add(tuple(g))
+        for _ in range(rng.randint(0, 3)):
+            g = [0] * nvars
+            g[var], g[rng.choice(others)] = exp + rng.randint(1, 3), rng.randint(1, 3)
+            gens.add(tuple(g))
+        for degree in [top] + [rng.randint(1, 6) for _ in range(rng.randint(0, 6))]:
+            g = [0] * nvars
+            for _ in range(degree):
+                g[rng.choice(others)] += 1
+            gens.add(tuple(g))
+        # a minimal state holds one x_var^exp x_j^a per j at most; the raw
+        # generators may hold several, and then the least a must decide
+        for state in (tuple(sorted(gens)), minimalize_monomials(gens)):
+            if not any(g[var] for g in state):
+                continue  # a generator without x_var divided all those with it
+            low = min(g[var] for g in state if g[var])
+            drops = [g for g in state if g[var] == low]
+            singles = [next(v for v in others if g[v]) for g in drops if sum(map(bool, g)) == 2]
+            shapes["single"] += bool(singles)
+            shapes["wide"] += len(singles) < len(drops)
+            shapes["repeated"] += len(set(singles)) < len(singles)
+            want = _naive_colon(state, var, low)
+            if state == minimalize_monomials(state):
+                assert tuple(sorted(want)) == _reference_colon_by_power(state, var, low)
+            pk = Packing(nvars, top)
+            packed = tuple(sorted(map(pk.pack_exps, state)))
+            column = pk.exponents(packed, var)
+            same = tuple(g for g, e in zip(packed, column) if not e)
+            got = _Numerators(pk, 64)._colon_by_power(packed, column, var, low, same)
+            assert got == tuple(sorted(map(pk.pack_exps, want))), f"{state} : x{var}^{low}"
+    assert min(shapes.values()) >= 20, shapes
 
 
 def test_width_at_the_taylor_bound():

@@ -233,7 +233,8 @@ def test_parser_agrees_with_the_token_parser():
 
 @pytest.mark.parametrize("text,want", [("x" + " " * 100_000 + "!", None),
                                        ("x" + " " * 100_000 + "* y", "x*y"),
-                                       ("-" * 100_000 + "x", "x")])
+                                       ("-" * 100_000 + "x", "x")],
+                         ids=["spaces-refused", "spaces-star", "signs"])
 def test_parse_time_stays_linear(text, want):
     start = time.perf_counter()
     if want is None:
