@@ -131,14 +131,17 @@ def _entry(lt, lc, terms):
     """Monic entry (lt, tail) from exact (monomial, coefficient) pairs; tails are unsorted."""
     if lc == 1:
         return lt, tuple([t for t in terms if t[0] != lt])
+    tail = [t for t in terms if t[0] != lt]
+    if type(lc) is int and all(type(c) is int and not c % lc for _, c in tail):
+        return lt, tuple([(m, c // lc) for m, c in tail])
     inv = 1 / Fraction(lc)
-    return lt, tuple([(m, exact(c * inv)) for m, c in terms if m != lt])
+    return lt, tuple([(m, exact(c * inv)) for m, c in tail])
 
 
 def _entry_from_dict(d):
     """Entry of a reduction result, whose sums can leave integral Fractions."""
     lt = max(d)
-    return _entry(lt, d[lt], [(m, exact(c)) for m, c in d.items()])
+    return _entry(lt, exact(d[lt]), [(m, exact(c)) for m, c in d.items()])
 
 
 def _entry_from_poly(p, pk):

@@ -9,7 +9,7 @@ numerator is taken over (1 - t)^n, and use the pivot recursion
 with p = x^e for the variable x in most generators (first on ties) and e its
 smallest positive exponent there.  A state is the sorted tuple of packed
 minimal generators (:class:`poly.Packing`, as wide as the largest degree).
-Three facts keep every step free of a full re-minimalisation:
+Four facts keep every step free of a full re-minimalisation:
 
 * I + <p> is the generators without x plus p, and p shares no variable with
   them, so N(I + <p>) = (1 - t^deg(p)) N(generators without x).
@@ -18,6 +18,15 @@ Three facts keep every step free of a full re-minimalisation:
   can newly divide one without x, so only those pairs are tested.
 * When the generators fall into groups with pairwise disjoint supports, N is
   the product of the groups' numerators, each memoised on its own.
+* A generator g sharing no variable with another is such a group alone, with
+  N = 1 - t^deg(g).  One pass over the supports finds every such g:
+  ``twice |= once & s; once |= s`` leaves in ``twice`` the variables of two or
+  more generators, and g is isolated exactly when its support misses it.  The
+  product of their factors is folded by shifts, f -= f << k deg(g), each an
+  exact multiplication by 1 - 2^(k deg g), as deg g is read off a generator,
+  which fits its fields.  The rest, never one generator since a shared
+  variable has two holders, goes on in the same call, so the group search,
+  which finds one group per sweep, meets no single generators.
 
 Two or three generators end the recursion with Taylor's sum (below), written
 out in 4 or 8 terms.  An lcm's degree can pass the fields' cap, which every
@@ -145,7 +154,7 @@ class _Numerators:
     """Memoised numerators N(2^k) over (1 - t)^n of quotients by monomial ideals.
 
     A state is the increasing tuple of minimal generators packed by ``pk``, so
-    equal ideals share one memo entry, and the unit monomial, 0, comes first.
+    equal ideals share one memo entry; the unit ideal is the state (0,).
     """
 
     def __init__(self, pk, k):
@@ -201,33 +210,53 @@ class _Numerators:
         cached = self.memo.get(gens)
         if cached is not None:
             return cached
-        pk = self.pk
+        pk, k = self.pk, self.k
         if not gens:
             result = 1
-        elif gens[0] == 0:
-            result = 0  # the unit ideal, whose quotient is zero
         elif len(gens) == 1:
-            result = 1 - (1 << self.k * pk.degree(gens[0]))
+            # the unit ideal is the one generator 0, and 1 - t^0 = 0
+            result = 1 - (1 << k * pk.degree(gens[0]))
         elif len(gens) <= 3:
             result = self._taylor(gens)
         else:
             supports = pk.supports(gens)
-            groups = _components(gens, supports)
-            if len(groups) > 1:
-                result = self.numerator(groups[0])
-                for group in groups[1:]:
-                    result *= self.numerator(group)
+            once = twice = 0
+            for s in supports:
+                twice |= once & s
+                once |= s
+            factor, rest = 1, gens
+            if once != twice:
+                rest = []
+                for g, s in zip(gens, supports):
+                    if s & twice:
+                        rest.append(g)
+                    else:
+                        factor -= factor << k * pk.degree(g)
+                rest = tuple(rest)
+                supports = [s for s in supports if s & twice]
+            if not rest:
+                result = 1
+            elif len(rest) <= 3:
+                result = self._taylor(rest)
             else:
-                counts = pk.counts(supports)
-                var = counts.index(max(counts))
-                column = pk.exponents(gens, var)
-                exp = min(filter(None, column))
-                # I + <x^e> is the generators without x plus x^e, which shares
-                # no variable with them: N(I + <x^e>) = (1 - t^e) N(same)
-                same = tuple(compress(gens, map(not_, column)))
-                base = self.numerator(same)
-                colon = self.numerator(self._colon_by_power(gens, column, var, exp, same))
-                result = base + ((colon - base) << self.k * exp)
+                groups = _components(rest, supports)
+                if len(groups) > 1:
+                    result = self.numerator(groups[0])
+                    for group in groups[1:]:
+                        result *= self.numerator(group)
+                else:
+                    counts = pk.counts(supports)
+                    var = counts.index(max(counts))
+                    column = pk.exponents(rest, var)
+                    exp = min(filter(None, column))
+                    # I + <x^e> is the generators without x plus x^e, which shares
+                    # no variable with them: N(I + <x^e>) = (1 - t^e) N(same)
+                    same = tuple(compress(rest, map(not_, column)))
+                    base = self.numerator(same)
+                    colon = self.numerator(self._colon_by_power(rest, column, var, exp, same))
+                    result = base + ((colon - base) << k * exp)
+            if factor != 1:
+                result *= factor
         self.memo[gens] = result
         return result
 

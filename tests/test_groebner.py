@@ -219,6 +219,18 @@ def test_non_unit_leading_coefficients_stay_exact():
         assert all(type(c) is (int if c.denominator == 1 else Fraction) for _, c in p.terms)
 
 
+@pytest.mark.parametrize("lc,coeffs,tail", [
+    (-1, (4, -6), (-4, 6)),                         # divided in ints
+    (-2, (4, -6), (-2, 3)),
+    (2, (4, 3), (2, Fraction(3, 2))),               # an odd coefficient leaves a Fraction
+    (2, (Fraction(1, 3), 4), (Fraction(1, 6), 2)),
+    (Fraction(2, 3), (4, 1), (6, Fraction(3, 2)))])
+def test_monic_entry_is_exact_and_ints_stay_ints(lc, coeffs, tail):
+    lt, got = groebner._entry(9, lc, [(9, lc), (5, coeffs[0]), (2, coeffs[1])])
+    assert lt == 9 and got == ((5, tail[0]), (2, tail[1]))
+    assert [type(c) for _, c in got] == [type(c) for c in tail]
+
+
 def test_inhomogeneous_generator_rejected():
     with pytest.raises(ValueError):
         _ideal(XY, "x^2 - y")

@@ -1,12 +1,15 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 import listpoly
+from symtensor.catalog import quadric_ideal, quadric_series
 from symtensor.errors import IntegrityError, LimitExceeded
+from symtensor.groebner import buchberger, leading_term_ideal
 from symtensor.hilbert import (HilbertSeries, MonomialIdeal, _digit_width, _Numerators,
                                count_standard_monomials, minimalize_monomials,
                                series_from_expansion, series_from_generator_degrees,
@@ -450,6 +453,37 @@ def _random_gens(rng, nvars, count, max_degree):
     return gens
 
 
+def _split_gens(rng, isolated, rest, cap):
+    """Isolated generators on private variables, the first of degree cap, beside rest sharing a hub."""
+    terms = []
+    nvars = 0
+    for i in range(isolated):
+        degree = cap if i == 0 else rng.randint(1, 6)
+        if degree > 1 and rng.random() < 0.5:
+            a = rng.randint(1, degree - 1)
+            terms.append({nvars: a, nvars + 1: degree - a})
+        else:
+            terms.append({nvars: degree})  # a pure power
+        nvars += len(terms[-1])
+    if rest:
+        # the hub times distinct quadrics in four more variables: one degree, so minimal
+        hub, nvars = nvars, nvars + 5
+        quadrics = list(itertools.combinations_with_replacement(range(hub + 1, nvars), 2))
+        for pair in rng.sample(quadrics, rest):
+            g = {hub: 1}
+            for v in pair:
+                g[v] = g.get(v, 0) + 1
+            terms.append(g)
+    perm = list(range(nvars))
+    rng.shuffle(perm)
+    return nvars, [tuple(g.get(perm[v], 0) for v in range(nvars)) for g in terms]
+
+
+def _isolated(gens):
+    """How many generators share no variable with another."""
+    return sum(all(not any(a and b for a, b in zip(g, h)) for h in gens if h != g) for g in gens)
+
+
 def _differential_cases():
     rng = random.Random(20240611)
     cases = []
@@ -501,6 +535,13 @@ def _differential_cases():
                         exps[rng.randrange(nvars)] += 1
                 gens.append(tuple(exps))
             cases.append((nvars, gens))
+    for cap in (127, 2 ** 15 - 1):
+        # states that split off isolated generators: all of them isolated, or
+        # beside a rest of two, three or more generators; one isolated
+        # generator has degree cap, so the fields are 8 or 16 bits wide
+        for isolated, rest in [(4, 0), (5, 0), (1, 3), (2, 2), (3, 3), (1, 6), (2, 8)]:
+            for _ in range(2):
+                cases.append(_split_gens(rng, isolated, rest, cap))
     for _ in range(20):
         # duplicate generators
         nvars = rng.randint(1, 6)
@@ -524,9 +565,13 @@ def test_numerator_matches_reference_recursion():
     assert len(cases) >= 300
     rng = random.Random(7)
     caps = set()
+    splits = Counter()  # states of 4+ generators that split, by the size of the rest, 4 for 4+
     for nvars, gens in cases:
         want = _reference_series_numerator(nvars, gens)
         ideal = MonomialIdeal.from_generators(nvars, gens)
+        isolated = _isolated(ideal.gens)
+        if len(ideal.gens) >= 4 and isolated:
+            splits[min(len(ideal.gens) - isolated, 4)] += 1
         assert ideal.gens == tuple(sorted(ideal.gens)), f"{gens} in {nvars} vars"
         got = series_from_monomial_ideal(ideal)
         assert got.numerator == want, f"{gens} in {nvars} vars"
@@ -538,7 +583,7 @@ def test_numerator_matches_reference_recursion():
         # the int kernel evaluates the numerator at t = 2^k exactly, whatever k is
         numerators = _Numerators(pk, 64)
         value = numerators.numerator(tuple(sorted(map(pk.pack_exps, ideal.gens))))
-        assert value == sum(c << 64 * j for j, c in enumerate(want)), f"{gens} at 2^64"
+        assert value == sum(c << 64 * j for j, c in enumerate(want) if c), f"{gens} at 2^64"
         for state in numerators.memo:
             assert state == tuple(sorted(set(state))), f"state {state}"
             unpacked = sorted(map(pk.unpack_exps, state))
@@ -549,6 +594,23 @@ def test_numerator_matches_reference_recursion():
         copy = MonomialIdeal.from_generators(nvars, _permuted(gens, perm))
         assert series_from_monomial_ideal(copy).numerator == want, f"{gens} under {perm}"
     assert {127, 2 ** 15 - 1} <= caps
+    # a shared variable has two holders, so a rest is never one generator
+    assert set(splits) == {0, 2, 3, 4} and min(splits.values()) >= 4, splits
+
+
+# numerator states memoised on the lead ideals of driven Q(n): splitting off
+# isolated generators keeps them few, and pivoting without the component search
+# leaves several times more (9,482 for Q(12)), which the numerators cannot show
+MEMO_STATES = [(10, 707), (12, 2340)]
+
+
+@pytest.mark.parametrize("n,states", MEMO_STATES, ids=[f"Q({n})" for n, _ in MEMO_STATES])
+def test_memo_states_on_quadric_lead_ideals(n, states):
+    lead = leading_term_ideal(buchberger(quadric_ideal(n), bound=quadric_series(n)))
+    pk = Packing(lead.nvars, max(map(sum, lead.gens)))
+    numerators = _Numerators(pk, _digit_width(lead))
+    numerators.numerator(tuple(sorted(map(pk.pack_exps, lead.gens))))
+    assert len(numerators.memo) == states
 
 
 def _capped_gens(rng, nvars, count, cap):
