@@ -4,9 +4,9 @@ Each family either has a closed-form Hilbert series (abelian, projective
 space, two-quadric intersections, Hitchin-type moduli) or an explicit
 homogeneous ideal routed through the Groebner engine (Grassmannian nilpotent
 cones, quadrics via decomposable bivectors).  Ruled-surface entries delegate
-to the Molien engine and compare against the classical three-generator table.
-``FAMILIES`` holds one record per family: its grammar, checks, invariants and
-route.
+to the Molien engine and compare against the classical three-generator table;
+products compose their components' routes.  ``FAMILIES`` holds one record per
+family: grammar, checks, invariants and the route that ``evaluate`` calls.
 """
 
 from __future__ import annotations
@@ -106,17 +106,61 @@ def _arg_text(value) -> str:
 # -- catalog families ------------------------------------------------------------
 
 
+def _closed_form_route(spec, limits, force):
+    family = FAMILIES[spec.kind]
+    return family.closed_form(spec), family.provenance(spec), family.flags(spec), None, None
+
+
+def _projective_route(spec, limits, force):
+    """The closed form as an identity: C(n+p, n)^2 - C(n+p-1, n)^2 is a polynomial
+    of degree 2n - 1 in p, so its first 2n values fix a series over (1 - t)^(2n)."""
+    route = _closed_form_route(spec, limits, force)
+    n = spec.n
+    if series_from_expansion(projective_space_dims(n, 2 * n - 1), (1,) * (2 * n)) != route[0]:
+        raise IntegrityError("projective-space series disagrees with closed form")
+    return route
+
+
+def _ideal_route(spec, limits, force):
+    family = FAMILIES[spec.kind]
+    if spec.n > family.cap and not force:
+        raise SpecParseError(f"{spec.kind} with n={spec.n} is above the default cap "
+                             f"{family.cap}; rerun with force enabled")
+    presentation = family.ideal(spec)
+    basis, series = groebner_route(presentation, limits, family.closed_form(spec))
+    provenance = f"{presentation.provenance}; {family.provenance(spec)}"
+    return series, provenance, family.flags(spec), basis, None
+
+
+def _klein_route(spec, limits, force):
+    klein = ruled_klein(spec.group, spec.n)
+    flags = ("row-inconsistent",) if klein.match is None else (
+        "row-consistent", "matches-stated-row" if klein.match else "differs-from-stated-row")
+    if klein.matching_rows:
+        flags += ("matches:" + "+".join(klein.matching_rows),)
+    form = ("hypersurface form equals the exact series" if klein.molien.matched
+            else "no hypersurface form equals the exact series")
+    provenance = f"invariant averages over the {spec.group} group; {form}"
+    return klein.molien.series, provenance, flags, None, klein
+
+
+def _product_route(spec, limits, force):
+    """Kunneth: the product of the two components' routes' series."""
+    left, right = (FAMILIES[c.kind].route(c, limits, force) for c in spec.components)
+    return (left[0] * right[0], f"product of [{left[1]}] and [{right[1]}]",
+            left[2] + right[2], None, None)
+
+
 class Family(NamedTuple):
     """Everything the catalog knows about one family of varieties.
 
-    A family without ``ideal`` is routed through ``closed_form`` (with
-    ``provenance``).  A family with ``ideal`` goes through the Groebner
-    engine, refused above ``cap`` in n unless forced; its ``closed_form`` is
-    then the Hilbert bound that drives Buchberger, never the emitted series,
-    and its ``provenance`` names that bound after the presentation's.
-    ``Prod`` and ``Klein`` have neither and are evaluated by their own
-    branches.  Route callables look module names up when called, so wrappers
-    installed on this module's attributes see every call.
+    ``route(spec, limits, force)`` computes a spec as (series, provenance,
+    flags, basis, Klein report).  The default emits ``closed_form``, and
+    ``Pn``'s also proves it.  ``Gr`` and ``Q`` refuse n above ``cap`` unless
+    forced and run ``ideal`` through Buchberger, driven by ``closed_form``,
+    which is never the emitted series.  ``Klein`` runs the Molien engine and
+    ``Prod`` composes its components' routes.  Routes look module names up
+    when called, so wrappers on this module's attributes see every call.
     """
 
     positional: tuple[str, ...] = ()     # spec fields given by position
@@ -131,6 +175,7 @@ class Family(NamedTuple):
     ideal: Callable[[VarietySpec], IdealPresentation] | None = None
     cap: int | None = None
     flags: Callable[[VarietySpec], tuple[str, ...]] = lambda spec: ()
+    route: Callable[[VarietySpec, GroebnerLimits, bool], tuple] = _closed_form_route
 
     @property
     def fields(self) -> tuple[str, ...]:
@@ -151,7 +196,7 @@ def _total(values):
 FAMILIES: dict[str, Family] = {
     "Pn": Family(
         positional=("n",), rules=(_at_least("n", 1),),
-        dim_x=lambda s: s.n, homogeneous=True,
+        dim_x=lambda s: s.n, homogeneous=True, route=_projective_route,
         closed_form=lambda s: projective_space_series(s.n),
         provenance=lambda s: "closed form: squared-binomial differences (incidence divisor)"),
     "Gr": Family(
@@ -160,7 +205,7 @@ FAMILIES: dict[str, Family] = {
         dim_x=lambda s: s.r * (s.n - s.r), homogeneous=True,
         closed_form=lambda s: grassmannian_series(s.r, s.n),
         provenance=lambda s: _grassmannian_provenance(s.r, s.n),
-        ideal=lambda s: grassmannian_ideal(s.r, s.n), cap=GRASSMANNIAN_CAP,
+        ideal=lambda s: grassmannian_ideal(s.r, s.n), cap=GRASSMANNIAN_CAP, route=_ideal_route,
         flags=lambda s: ("radicality-assumed",) if min(s.r, s.n - s.r) >= 2 else ()),
     "Q": Family(
         positional=("n",), rules=(_at_least("n", 1),),
@@ -168,7 +213,7 @@ FAMILIES: dict[str, Family] = {
         closed_form=lambda s: quadric_series(s.n),
         provenance=lambda s: (f"Hilbert-driven by Hodge's standard-monomial series of "
                               f"Gr(2,{s.n + 2}) cut by the quadric, a nonzerodivisor"),
-        ideal=lambda s: quadric_ideal(s.n), cap=QUADRIC_CAP),
+        ideal=lambda s: quadric_ideal(s.n), cap=QUADRIC_CAP, route=_ideal_route),
     "2Q": Family(
         positional=("n",), rules=(_at_least("n", 1),), dim_x=lambda s: s.n,
         closed_form=lambda s: series_from_generator_degrees([2] * s.n),
@@ -203,11 +248,11 @@ FAMILIES: dict[str, Family] = {
                 "a group BD, 2T, 2O or 2I"),
                (lambda s: s.group != "BD" or (s.n is not None and s.n >= 2), "n >= 2 for BD"),
                (lambda s: s.group == "BD" or s.n is None, "no n for 2T, 2O or 2I")),
-        dim_x=lambda s: 2),
+        dim_x=lambda s: 2, route=_klein_route),
     "Prod": Family(
         positional=("components",),
         rules=((lambda s: len(s.components) == 2, "two components"),),
-        dim_x=lambda s: _total([c.dim_x() for c in s.components])),
+        dim_x=lambda s: _total([c.dim_x() for c in s.components]), route=_product_route),
     "Trivial": Family(
         positional=("reason",), keywords=("d", "n"),
         rules=((lambda s: s.reason in TRIVIAL_REASONS, f"a reason in {sorted(TRIVIAL_REASONS)}"),
@@ -650,38 +695,6 @@ def groebner_route(presentation: IdealPresentation,
 def evaluate(spec: VarietySpec, *, max_degree: int = DEFAULT_MAX_DEGREE,
              limits: GroebnerLimits = DEFAULT_LIMITS, force: bool = False) -> SeriesReport:
     """Run a spec's route and package the result."""
-    family = FAMILIES[spec.kind]
-    flags = family.flags(spec)
-    basis = klein = None
-    if spec.kind == "Prod":
-        left, right = (evaluate(c, max_degree=max_degree, limits=limits, force=force)
-                       for c in spec.components)
-        series = left.series * right.series  # Kunneth
-        provenance = f"product of [{left.provenance}] and [{right.provenance}]"
-        flags = left.flags + right.flags
-    elif spec.kind == "Klein":
-        klein = ruled_klein(spec.group, spec.n)
-        series = klein.molien.series
-        flags = ("row-inconsistent",) if klein.match is None else (
-            "row-consistent", "matches-stated-row" if klein.match else "differs-from-stated-row")
-        if klein.matching_rows:
-            flags += ("matches:" + "+".join(klein.matching_rows),)
-        form = ("hypersurface form equals the exact series" if klein.molien.matched
-                else "no hypersurface form equals the exact series")
-        provenance = f"invariant averages over the {spec.group} group; {form}"
-    elif family.ideal is None:
-        series = family.closed_form(spec)
-        provenance = family.provenance(spec)
-    else:
-        if spec.n > family.cap and not force:
-            raise SpecParseError(
-                f"{spec.kind} with n={spec.n} is above the default cap {family.cap}; "
-                "rerun with force enabled")
-        presentation = family.ideal(spec)
-        basis, series = groebner_route(presentation, limits, family.closed_form(spec))
-        provenance = f"{presentation.provenance}; {family.provenance(spec)}"
-    coefficients = series.expand(max_degree)
-    if spec.kind == "Pn" and coefficients != projective_space_dims(spec.n, max_degree):
-        raise IntegrityError("projective-space series disagrees with closed form")
-    return SeriesReport(spec, coefficients, series, series.krull_dim(), provenance, flags,
-                        basis=basis, klein=klein)
+    series, provenance, flags, basis, klein = FAMILIES[spec.kind].route(spec, limits, force)
+    return SeriesReport(spec, series.expand(max_degree), series, series.krull_dim(), provenance,
+                        flags, basis=basis, klein=klein)

@@ -106,28 +106,6 @@ class MonomialIdeal:
         return cls(nvars, minimalize_monomials(every.gens))
 
 
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def count_standard_monomials(ideal: MonomialIdeal, degree: int) -> int:
-    """Brute-force count of degree-d monomials outside the ideal.
-
-    Enumerates all compositions, so intended for small variable counts only.
-    """
-    return sum(1 for m in _compositions(degree, ideal.nvars)
-               if not any(mono_divides(g, m) for g in ideal.gens))
-
-
 # -- numerator recursion -------------------------------------------------------
 
 

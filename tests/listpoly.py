@@ -4,10 +4,13 @@ An arithmetic kept apart from the package's (which works in place or on
 Kronecker ints), so the tests compare two independent constructions.  The zero
 polynomial is the empty list.  Coefficients are ints or Fractions and every
 routine is exact; division takes divisors with leading coefficient +-1 only, so
-it never leaves the coefficients' ring.
+it never leaves the coefficients' ring.  ``count_standard_monomials`` is the
+brute-force count of monomials outside a monomial ideal, likewise kept apart
+from the package's numerator recursion.
 """
 
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 
 def trim(p):
@@ -73,3 +76,12 @@ def cyclotomic_by_division(m):
     q, r = divmod_exact([-1] + [0] * (m - 1) + [1], den)
     assert not r, f"cyclotomic division left a remainder for m={m}"
     return tuple(q)
+
+
+def count_standard_monomials(ideal, degree):
+    """Degree-d monomials outside a MonomialIdeal, counted one by one (few variables only)."""
+    count = 0
+    for picks in combinations_with_replacement(range(ideal.nvars), degree):
+        m = [picks.count(v) for v in range(ideal.nvars)]
+        count += not any(all(a <= b for a, b in zip(g, m)) for g in ideal.gens)
+    return count

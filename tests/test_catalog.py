@@ -491,6 +491,49 @@ def test_klein_provenance_names_the_form_outcome():
         assert found.klein.molien.matched is not None and found.krull == 2, text
 
 
+@pytest.mark.parametrize("text", ["Pn(1)", "Prod(Pn(1),Ab(1))"])
+def test_projective_identity_holds_at_every_depth_and_inside_products(monkeypatch, text):
+    # (1 + 7t)/(1 - t)^2 expands to 1 at degree 0, so a check through max_degree misses it
+    monkeypatch.setattr(catalog, "projective_space_series",
+                        lambda n: HilbertSeries((1, 7), (1, 1)))
+    with pytest.raises(IntegrityError, match="projective-space series disagrees"):
+        evaluate(parse_spec(text), max_degree=0)
+
+
+def test_product_expands_only_its_own_series(monkeypatch):
+    calls = []
+    original = HilbertSeries.expand
+
+    def counting(series, max_degree):
+        calls.append(series)
+        return original(series, max_degree)
+
+    monkeypatch.setattr(HilbertSeries, "expand", counting)
+    report = evaluate(parse_spec("Prod(Pn(1),Ab(1))"))
+    assert calls == [report.series]
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_EXAMPLES))
+def test_evaluate_calls_the_family_route_once_and_packages_it(monkeypatch, kind):
+    spec = parse_spec(FAMILY_EXAMPLES[kind])
+    series = HilbertSeries((1, 2), (1, 1, 3))
+    basis, klein = object(), object()
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return series, "made up", ("flag",), basis, klein
+
+    monkeypatch.setitem(catalog.FAMILIES, kind, catalog.FAMILIES[kind]._replace(route=recording))
+    limits = catalog.GroebnerLimits(5, 1.0)
+    report = evaluate(spec, max_degree=3, limits=limits, force=True)
+    assert calls == [(spec, limits, True)]
+    assert (report.spec, report.coefficients, report.series, report.krull) == (
+        spec, series.expand(3), series, series.krull_dim())
+    assert (report.provenance, report.flags, report.basis, report.klein) == (
+        "made up", ("flag",), basis, klein)
+
+
 # every module attribute a tracer may replace, with a spec whose route calls it
 ROUTE_ATTRIBUTES = [("grassmannian_ideal", "Gr(1,2)"), ("quadric_ideal", "Q(1)"),
                     ("buchberger", "Q(1)"), ("leading_term_ideal", "Q(1)"),

@@ -281,7 +281,7 @@ def test_verify_fail_exits_1(capsys, monkeypatch):
 def test_verify_depth_zero_keeps_the_oracle_and_integrity_at_degree_eight(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-degree", "0")
     assert code == 0
-    assert "brute-force counts through degree 8" in out
+    assert "equal Taylor's alternating lcm sum as rational functions" in out
     assert "re-expanded through degree 8" in out
 
 

@@ -14,8 +14,8 @@ from symtensor.errors import IntegrityError, LimitExceeded
 from symtensor.groebner import (GroebnerBasis, GroebnerLimits, IdealPresentation,
                                 buchberger, leading_term_ideal, normal_form,
                                 s_polynomial)
-from symtensor.hilbert import (HilbertSeries, MonomialIdeal, count_standard_monomials,
-                               minimalize_monomials, series_from_monomial_ideal)
+from symtensor.hilbert import (HilbertSeries, MonomialIdeal, minimalize_monomials,
+                               series_from_monomial_ideal)
 from symtensor.poly import Packing, Polynomial, VariableContext, degrevlex_key, mono_divides
 
 ABCD = VariableContext(("a", "b", "c", "d"))
@@ -148,7 +148,7 @@ def test_buchberger_square_zero_two_by_two():
     lt = leading_term_ideal(gb)
     series = series_from_monomial_ideal(lt)
     got = series.expand(8)
-    brute = tuple(count_standard_monomials(lt, deg) for deg in range(9))
+    brute = tuple(listpoly.count_standard_monomials(lt, deg) for deg in range(9))
     assert got == brute
     assert got == (1, 4, 6, 7, 9, 11, 13, 15, 17)
     # strictly between the linear-span bound and the radical's function 2d+1

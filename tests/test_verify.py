@@ -140,6 +140,19 @@ def test_limit_detail_shows_progress_only_from_buchberger(monkeypatch):
                       "1001 generators in 2 variables")
 
 
+def test_monomial_oracle_fails_a_series_wrong_past_degree_eight(monkeypatch):
+    # t^12 over (1 - t)^n leaves the expansion through degree 8 unchanged
+    def wrong(ideal):
+        series = series_from_monomial_ideal(ideal)
+        numerator = series.numerator + (0,) * (12 - len(series.numerator)) + (1,)
+        return HilbertSeries(numerator, series.den_weights)
+
+    monkeypatch.setattr(verify, "series_from_monomial_ideal", wrong)
+    result = _check("monomial-ideal-oracle")(VerifyContext())
+    assert result.status == verify.FAIL
+    assert "!= Taylor's sum" in result.detail
+
+
 def test_wrong_identity_fails_under_python_O():
     # -O strips assert statements, so a check that fails through one would pass here
     code = """
