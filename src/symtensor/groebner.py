@@ -29,21 +29,25 @@ Buchberger algorithm", J. Symbolic Comput. 22, 1996).  The series it stopped
 on is returned with the basis, so no caller computes it again.  Without B it
 runs every pair the criteria keep.
 
-Packed monomials.  Inside the engine a monomial is one ``int``, its degrevlex
-key in the layout of :class:`poly.Packing`.
+Packed monomials.  A monomial is one ``int``, its degrevlex key in the layout
+of :class:`poly.Packing`, and a ``Polynomial`` stores its terms as such keys,
+so the engine takes them as they are and repacks them only into a wider
+layout; every result goes back as keys, in the narrowest layout of its degree.
 
 Every packed monomial has total degree at most the field capacity 2^w - 1,
 which bounds every exponent; the width is the narrowest that holds the
 inputs' degrees.  Buchberger's presentations are homogeneous, every variable
 having degree 1, so each term of an S-polynomial and of its reduction has the
 total degree of the pair's lcm, and all fields are repacked wider before a
-pair of degree above the capacity is reduced.  ``normal_form`` packs once, to
-the largest degree of p and of the basis, which no reduction step passes.
+pair of degree above the capacity is reduced.  ``normal_form`` works in the
+layout of the largest degree of p and of the basis, which no reduction step
+passes, and ``s_polynomial`` in that of deg f + deg g, which holds the lcm.
 
 ``normal_form`` keeps the reducer set of the last basis it was given, with its
 divisor index and first-divisor memo, and reuses it while an equal basis
 comes back with fields wide enough; the set never grows, so the memo stays
-true across calls.
+true across calls, and it is emptied once it holds more than ``MEMO_CAP``
+monomials, so many calls against one basis keep bounded memory.
 
 Basis entries, like every ``Polynomial``, hold exact scalars as
 ``exactnum.exact`` makes them: an ``int`` when integral, else a ``Fraction``.
@@ -58,13 +62,12 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Real
-from operator import sub
 
 from . import hilbert
 from .errors import IntegrityError, LimitExceeded
 from .exactnum import exact
 from .hilbert import HilbertSeries, MonomialIdeal
-from .poly import Packing, Polynomial, VariableContext, mono_mul
+from .poly import Packing, Polynomial, VariableContext
 
 
 @dataclass(frozen=True)
@@ -145,13 +148,10 @@ def _entry_from_dict(d):
 
 
 def _entry_from_poly(p, pk):
-    terms = [(pk.pack(m), c) for m, c in p.terms]
-    lt, lc = max(terms)
+    """Entry of a nonzero polynomial in layout pk, which holds its degree."""
+    terms = p.packed_in(pk)
+    lt, lc = terms[0]
     return _entry(lt, lc, terms)
-
-
-def _unpacked(ctx, pk, d):
-    return Polynomial(ctx, {pk.unpack(m): c for m, c in d.items()})
 
 
 class _Reducers:
@@ -269,7 +269,10 @@ class _Reducers:
 
 
 def _spoly_dict(lcm, entry_f, entry_g):
-    """S-polynomial of two monic entries with packed lcm; the shared leading term cancels."""
+    """S-polynomial of two monic entries with packed lcm; the shared leading term cancels.
+
+    Terms that cancel stay, with coefficient 0.
+    """
     ltf, tailf = entry_f
     ltg, tailg = entry_g
     qf = lcm - ltf
@@ -281,7 +284,7 @@ def _spoly_dict(lcm, entry_f, entry_g):
     for m, c in tailg:
         nm = qg + m
         d[nm] = d.get(nm, 0) - c
-    return {m: c for m, c in d.items() if c}
+    return d
 
 
 _NEVER = 2**32 - 1  # removed[g] while no later entry's leading monomial divides g's
@@ -409,6 +412,10 @@ class _PairQueue:
 # immutable, so reusing it keeps normal_form a pure function of its arguments.
 _last_basis = None
 
+# normal_form clears the kept reducers' memo once it holds more entries than
+# this; an emptied memo is incomplete but never wrong
+MEMO_CAP = 32_768
+
 
 def _basis_reducers(basis, ctx, bound):
     """The reducers of a basis tuple, reusing the last basis's.
@@ -443,30 +450,32 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
     basis, packed monic entries with their divisor index and first-divisor
     memo, are kept and reused while an equal basis comes back with fields
     wide enough, so reducing many polynomials against one basis builds them
-    once and looks up each monomial's first divisor once.
+    once and looks up each monomial's first divisor once.  p's keys are
+    reduced as they are, repacked only when the reducers' layout is wider,
+    and a memo past ``MEMO_CAP`` entries is cleared after the call.
     """
     red = _basis_reducers(tuple(basis), p.ctx, p.degree())
-    pk = red.pk
-    return _unpacked(p.ctx, pk, red.reduce({pk.pack(m): c for m, c in p.terms}))
+    out = red.reduce(p.packed_in(red.pk))
+    if len(red.memo) > MEMO_CAP:
+        red.memo.clear()
+    return Polynomial.from_keys(p.ctx, red.pk, out)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S-polynomial of the monic normalizations of f and g."""
+    """S-polynomial of the monic normalizations of f and g.
+
+    Both are packed in the layout that holds deg f + deg g, so it holds their
+    leading monomials' lcm, and no term of the S-polynomial has a larger degree.
+    """
     if f.is_zero or g.is_zero:
         raise ValueError("S-polynomial of a zero polynomial")
     if f.ctx != g.ctx:
         raise ValueError("context mismatch")
-    lcm = tuple(map(max, f.terms[0][0], g.terms[0][0]))
-    d = {}
-    # (lcm / lt) * p / lc for p = f and -g; the shared leading term cancels
-    for p, sign in ((f, 1), (g, -1)):
-        lt, lc = p.terms[0]
-        shift = tuple(map(sub, lcm, lt))
-        scale = sign if lc == 1 else sign / Fraction(lc)
-        for m, c in p.terms[1:]:
-            m = mono_mul(m, shift)
-            d[m] = d.get(m, 0) + c * scale
-    return Polynomial(f.ctx, d)
+    pk = f.ctx.layout(f.degree() + g.degree())
+    entry_f, entry_g = _entry_from_poly(f, pk), _entry_from_poly(g, pk)
+    lcm = pk.lcm(pk.exps(entry_f[0]), pk.exps(entry_g[0]))
+    spoly = _spoly_dict(pk.key(lcm, pk.degree(lcm)), entry_f, entry_g)
+    return Polynomial.from_keys(f.ctx, pk, spoly)
 
 
 def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
@@ -609,7 +618,7 @@ def _reduced(ctx, minimal):
         tail = minimal.reduce(dict(minimal.tails[pos]))
         minimal.tails[pos] = tuple([(m, exact(c)) for m, c in tail.items()])
         tail[lt] = 1
-        out.append(_unpacked(ctx, minimal.pk, tail))
+        out.append(Polynomial.from_keys(ctx, minimal.pk, tail))
     return tuple(out)
 
 

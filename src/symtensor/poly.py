@@ -1,15 +1,18 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Monomials are exponent tuples tied to an ordered :class:`VariableContext`;
-polynomials keep their terms sorted descending under :func:`degrevlex_key` so
-equal values have identical representations, and their leading term is the
-first.  A polynomial comes in through ``ctx.poly({monomial: scalar})`` or
-``ctx.parse(text)``, and its terms are (monomial, coefficient) pairs.
-Arithmetic and ``==`` are between polynomials of one context; a scalar enters
-only through ``scale(c)`` or as the constant term of ``ctx.poly``.
-``render(lex=True)`` lists the terms in lex order for display.  The module
-owns the polynomial text format: :func:`render_terms` writes it, for
-``HilbertSeries`` numerators too, and one grammar reads it in ``ctx.parse``.
+Monomials are exponent tuples tied to an ordered :class:`VariableContext`.  A
+polynomial stores each term as its monomial's degrevlex key in a
+:class:`Packing` and keeps the (key, coefficient) pairs sorted descending, so
+its leading term is the first, and the Groebner engine uses the keys as they
+are.  The layout is the narrowest that holds the polynomial's degree, so equal
+values have identical representations.  A polynomial comes in through
+``ctx.poly({monomial: scalar})`` or ``ctx.parse(text)``, and its terms are
+(monomial, coefficient) pairs unpacked on each access.  Arithmetic and ``==``
+are between polynomials of one context; a scalar enters only through
+``scale(c)`` or as the constant term of ``ctx.poly``.  ``render(lex=True)``
+lists the terms in lex order for display.  The module owns the polynomial text
+format: :func:`render_terms` writes it, for ``HilbertSeries`` numerators too,
+and one grammar reads it in ``ctx.parse``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, le
+from operator import le
 
 from .errors import LimitExceeded, SpecParseError
 from .exactnum import exact
@@ -27,21 +30,20 @@ from .exactnum import exact
 # -- monomial helpers (exponent tuples) -------------------------------------
 
 
-def mono_mul(a, b):
-    return tuple(map(add, a, b))
-
-
 def mono_divides(a, b):
     """True when a divides b."""
     return all(map(le, a, b))
 
 
-def degrevlex_key(m):
-    """Degrevlex sort key: bigger key means bigger monomial."""
-    return (sum(m), tuple([-e for e in reversed(m)]))
-
-
 # -- packed monomials -----------------------------------------------------------
+
+
+def _field_bytes(bound) -> int:
+    """Bytes per field of the narrowest layout whose fields hold total degree ``bound``."""
+    for size in (1, 2, 4, 8):
+        if bound < 1 << (8 * size - 1):
+            return size
+    raise LimitExceeded(f"degree {bound} does not fit a 63-bit exponent field")
 
 
 class Packing:
@@ -61,9 +63,7 @@ class Packing:
     __slots__ = ("fields", "width", "value_bits", "cap", "total", "low", "guards", "ones", "top")
 
     def __init__(self, nvars: int, bound: int):
-        size = next((size for size in (1, 2, 4, 8) if bound < 1 << (8 * size - 1)), None)
-        if size is None:
-            raise LimitExceeded(f"degree {bound} does not fit a 63-bit exponent field")
+        size = _field_bytes(bound)
         code = {1: "B", 2: "H", 4: "I", 8: "Q"}[size]
         self.fields = struct.Struct(f"<{nvars}{code}")
         self.width = 8 * size
@@ -102,6 +102,10 @@ class Packing:
 
     def unpack(self, k) -> tuple:
         return self.unpack_exps(self.exps(k))
+
+    def key_degree(self, k) -> int:
+        """Total degree of the monomial of key k: K = deg * 2^T - E with 0 <= E < 2^T."""
+        return -(-k >> self.total)
 
     def power(self, var, e) -> int:
         """E of x_var^e."""
@@ -154,9 +158,21 @@ class VariableContext:
     def _index(self):
         return {name: i for i, name in enumerate(self.names)}
 
+    @cached_property
+    def _layouts(self):
+        return {}
+
     @property
     def nvars(self) -> int:
         return len(self.names)
+
+    def layout(self, degree) -> Packing:
+        """The narrowest Packing whose fields hold total degree ``degree``, one per width."""
+        size = _field_bytes(degree)
+        pk = self._layouts.get(size)
+        if pk is None:
+            pk = self._layouts[size] = Packing(self.nvars, degree)
+        return pk
 
     def poly(self, mapping) -> "Polynomial":
         """The polynomial of {monomial: scalar}; an exponent not an int >= 0 raises ValueError."""
@@ -173,49 +189,87 @@ class VariableContext:
 class Polynomial:
     """Immutable sparse polynomial; each coefficient is an exact scalar (see ``exact``).
 
-    Exponents go unchecked here, which keeps the engine's conversions cheap;
-    ``ctx.poly`` and ``ctx.parse`` are the checked entry points."""
+    ``packed`` holds the (degrevlex key, coefficient) pairs, keys descending,
+    in the layout ``pk`` = ``ctx.layout(degree)``; every result is repacked
+    into that layout, so equal polynomials have equal ``packed``.  ``terms``
+    unpacks them on each access.  The constructor packs each exponent tuple
+    and refuses one that is not of ints >= 0 or has the wrong length with a
+    ValueError naming the monomial.
+    """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "pk", "packed")
 
     def __init__(self, ctx: VariableContext, mapping):
-        cleaned = {}
+        terms, top = [], 0
         for mono, coeff in dict(mapping).items():
             coeff = exact(coeff)
             if not coeff:
                 continue
-            if len(mono) != ctx.nvars:
-                raise ValueError("monomial length does not match context")
-            cleaned[tuple(mono)] = coeff
-        # ascending (-degree, reversed exponents) is descending degrevlex_key for
-        # distinct monomials, with no list built per term
-        terms = tuple(sorted(cleaned.items(), key=lambda t: (-sum(t[0]), t[0][::-1])))
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", terms)
+            try:
+                degree = sum(mono)
+            except TypeError:
+                degree = None
+            if type(degree) is not int:
+                raise ValueError(f"monomial {mono!r} is not a tuple of ints")
+            terms.append((mono, degree, coeff))
+            if degree > top:
+                top = degree
+        pk = ctx.layout(top)
+        pack, total = pk.pack_exps, pk.total
+        packed = sorted([((degree << total) - pack(mono), coeff) for mono, degree, coeff in terms],
+                        reverse=True)
+        _init(self, ctx, pk, tuple(packed))
+
+    @classmethod
+    def from_keys(cls, ctx: VariableContext, pk: Packing, acc) -> "Polynomial":
+        """The polynomial of {degrevlex key in layout pk: scalar}, in its own layout.
+
+        Zero scalars are dropped and the others made exact.
+        """
+        packed = [(k, exact(c)) for k, c in acc.items() if c]
+        packed.sort(reverse=True)
+        narrow = ctx.layout(pk.key_degree(packed[0][0]) if packed else 0)
+        if narrow.width != pk.width:  # the degree fell below a narrower layout's cap
+            packed = [(narrow.pack(pk.unpack(k)), c) for k, c in packed]
+        return _init(object.__new__(cls), ctx, narrow, tuple(packed))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def packed_in(self, pk: Packing):
+        """The (key, coefficient) pairs in layout pk, whose fields must hold the degree."""
+        if pk.width == self.pk.width:
+            return self.packed
+        old = self.pk
+        return [(pk.pack(old.unpack(k)), c) for k, c in self.packed]
+
     # -- queries -------------------------------------------------------------
 
     @property
+    def terms(self) -> tuple:
+        """The (exponent tuple, coefficient) pairs, leading term first."""
+        unpack = self.pk.unpack
+        return tuple([(unpack(k), c) for k, c in self.packed])
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def degree(self) -> int:
         """Maximal total degree, -1 for the zero polynomial."""
-        # terms are sorted by degrevlex, which compares total degree first
-        return sum(self.terms[0][0]) if self.terms else -1
+        # keys compare total degree first
+        return self.pk.key_degree(self.packed[0][0]) if self.packed else -1
 
     def leading_monomial(self):
         """The maximal monomial under degrevlex, the first of ``terms``."""
-        if not self.terms:
+        if not self.packed:
             raise ValueError("zero polynomial has no leading monomial")
-        return self.terms[0][0]
+        return self.pk.unpack(self.packed[0][0])
 
     def is_homogeneous(self) -> bool:
         """Whether all terms share one total degree; the zero polynomial counts."""
-        return len({sum(m) for m, _ in self.terms}) <= 1
+        packed, deg = self.packed, self.pk.key_degree
+        return not packed or deg(packed[0][0]) == deg(packed[-1][0])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -230,13 +284,15 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for m, c in o.terms:
-            acc[m] = acc.get(m, 0) + c
-        return Polynomial(self.ctx, acc)
+        pk = self.pk if self.pk.width >= o.pk.width else o.pk
+        acc = dict(self.packed_in(pk))
+        for k, c in o.packed_in(pk):
+            acc[k] = acc.get(k, 0) + c
+        return Polynomial.from_keys(self.ctx, pk, acc)
 
     def __neg__(self):
-        return Polynomial(self.ctx, {m: -c for m, c in self.terms})
+        return _init(object.__new__(Polynomial), self.ctx, self.pk,
+                     tuple([(k, -c) for k, c in self.packed]))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -248,26 +304,35 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.packed or not o.packed:
+            return Polynomial(self.ctx, {})
+        # K(ab) = K(a) + K(b) in any layout that holds deg a + deg b
+        pk = self.ctx.layout(self.degree() + o.degree())
         acc = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in o.terms:
-                m = mono_mul(m1, m2)
-                acc[m] = acc.get(m, 0) + c1 * c2
-        return Polynomial(self.ctx, acc)
+        right = o.packed_in(pk)
+        for k1, c1 in self.packed_in(pk):
+            for k2, c2 in right:
+                k = k1 + k2
+                acc[k] = acc.get(k, 0) + c1 * c2
+        return Polynomial.from_keys(self.ctx, pk, acc)
 
     def scale(self, c) -> "Polynomial":
         c = exact(c)
-        return Polynomial(self.ctx, {m: cc * c for m, cc in self.terms})
+        if not c:
+            return Polynomial(self.ctx, {})
+        # a nonzero factor keeps every term, and so the keys and layout
+        return _init(object.__new__(Polynomial), self.ctx, self.pk,
+                     tuple([(k, exact(cc * c)) for k, cc in self.packed]))
 
     # -- comparison / display --------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return self.ctx == other.ctx and self.packed == other.packed
 
     def __hash__(self):
-        return hash((self.ctx, self.terms))
+        return hash((self.ctx, self.packed))
 
     def render(self, lex: bool = False) -> str:
         """Text form: terms joined by +/-, '^' powers, '*' between factors.
@@ -283,6 +348,13 @@ class Polynomial:
 
     def __repr__(self):
         return f"<poly {self.render()}>"
+
+
+def _init(p, ctx, pk, packed):
+    object.__setattr__(p, "ctx", ctx)
+    object.__setattr__(p, "pk", pk)
+    object.__setattr__(p, "packed", packed)
+    return p
 
 
 # -- text format ----------------------------------------------------------------

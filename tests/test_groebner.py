@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import listpoly
+from listpoly import degrevlex_key
 from symtensor import groebner
 from symtensor.catalog import (grassmannian_ideal, grassmannian_series, ideal_presentation_for,
                                parse_spec, quadric_ideal, quadric_series)
@@ -16,7 +17,7 @@ from symtensor.groebner import (GroebnerBasis, GroebnerLimits, IdealPresentation
                                 s_polynomial)
 from symtensor.hilbert import (HilbertSeries, MonomialIdeal, minimalize_monomials,
                                series_from_monomial_ideal)
-from symtensor.poly import Packing, Polynomial, VariableContext, degrevlex_key, mono_divides
+from symtensor.poly import Packing, Polynomial, VariableContext, mono_divides
 
 ABCD = VariableContext(("a", "b", "c", "d"))
 XY = VariableContext(("x", "y"))
@@ -77,15 +78,14 @@ def test_normal_form_rejects_non_polynomial_entries():
 
 
 def test_exponents_outside_the_fields_raise_value_error():
-    # the constructor leaves exponents unchecked, so the packed layer is the last guard
-    bad = Polynomial(XY, {(-1, 2): 1})
+    # the constructor packs every exponent tuple, so no polynomial the engine is
+    # given holds one its fields cannot
+    assert normal_form(XY.parse("x^2 + y"), [XY.parse("x")]) == XY.parse("y")
     with pytest.raises(ValueError, match=r"monomial \(-1, 2\)"):
-        normal_form(bad, [XY.parse("x")])
+        Polynomial(XY, {(-1, 2): 1})
     with pytest.raises(ValueError, match=r"monomial \(1\.5, 0\)"):
-        normal_form(XY.parse("x"), [Polynomial(XY, {(1.5, 0): 1})])
-    with pytest.raises(ValueError, match=r"monomial \(-1, 2\)"):
-        buchberger(IdealPresentation(XY, (XY.parse("x^2"), bad)))
-    # the failed calls left the kept basis usable
+        Polynomial(XY, {(1.5, 0): 1})
+    # the failed constructions left the kept basis usable
     assert normal_form(XY.parse("x^2 + y"), [XY.parse("x")]) == XY.parse("y")
 
 
@@ -505,21 +505,25 @@ def test_normal_form_matches_fresh_reducers(text):
         assert normal_form(g, elements) == _fresh_normal_form(g, elements)
 
 
+def _failing_once(build):
+    """A stand-in for Polynomial.from_keys whose first call raises RuntimeError."""
+    calls = []
+
+    def failing(ctx, pk, acc):
+        calls.append(acc)
+        if len(calls) == 1:
+            raise RuntimeError("injected")
+        return build(ctx, pk, acc)
+
+    return staticmethod(failing)
+
+
 def test_normal_form_recovers_from_a_failed_call(monkeypatch):
     basis = [XY.parse("x - y^2"), XY.parse("x*y")]
     p = XY.parse("x^3 + x*y^2 + y^5")
     want = _fresh_normal_form(p, basis)
     assert normal_form(p, basis) == want
-    calls = []
-    real_pack = groebner.Packing.pack
-
-    def failing_once(packing, m):
-        calls.append(m)
-        if len(calls) == 1:
-            raise RuntimeError("injected")
-        return real_pack(packing, m)
-
-    monkeypatch.setattr(groebner.Packing, "pack", failing_once)
+    monkeypatch.setattr(Polynomial, "from_keys", _failing_once(Polynomial.from_keys))
     with pytest.raises(RuntimeError):
         normal_form(p, basis)
     assert normal_form(p, basis) == want
@@ -527,6 +531,28 @@ def test_normal_form_recovers_from_a_failed_call(monkeypatch):
     with pytest.raises(TypeError):
         normal_form(p, [basis[0], "junk"])
     assert normal_form(p, basis) == want
+
+
+def _monomial(variables, nvars):
+    return tuple(variables.count(v) for v in range(nvars))
+
+
+def test_the_kept_memo_is_cleared_past_its_cap(monkeypatch):
+    # a memo past the cap is emptied after the call: incomplete, never wrong
+    monkeypatch.setattr(groebner, "MEMO_CAP", 64)
+    presentation = ideal_presentation_for(parse_spec("Gr(2,5)"))
+    ctx, rng = presentation.ctx, random.Random(38)
+    elements = buchberger(presentation).elements
+    cleared, last = 0, 0
+    for _ in range(200):
+        p = ctx.poly({_monomial(rng.choices(range(ctx.nvars), k=3), ctx.nvars):
+                      rng.randint(-3, 3) for _ in range(4)})
+        assert normal_form(p, elements) == _fresh_normal_form(p, elements)
+        memo = groebner._last_basis[2].memo
+        assert len(memo) <= 64
+        cleared += len(memo) < last
+        last = len(memo)
+    assert cleared
 
 
 # -- the first-divisor index ----------------------------------------------------------
@@ -642,15 +668,8 @@ def test_a_failed_call_leaves_the_kept_reducers_true(monkeypatch):
     kept = groebner._last_basis
     red = kept[2]
     filled = len(red.memo)
-    calls, real_unpack = [], Packing.unpack
-
-    def failing_once(packing, m):
-        calls.append(m)
-        if len(calls) == 1:
-            raise RuntimeError("injected")
-        return real_unpack(packing, m)
-
-    monkeypatch.setattr(Packing, "unpack", failing_once)
+    # normal_form builds its result once the reduction has filled the memo
+    monkeypatch.setattr(Polynomial, "from_keys", _failing_once(Polynomial.from_keys))
     with pytest.raises(RuntimeError):
         normal_form(probes[1], elements)
     monkeypatch.undo()

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+import listpoly
 import tokenparse
+from listpoly import degrevlex_key, mono_mul
 from symtensor.catalog import klein_row
 from symtensor.errors import LimitExceeded, SpecParseError
-from symtensor.poly import (Packing, Polynomial, VariableContext, degrevlex_key, mono_divides,
-                            mono_mul, render_terms)
+from symtensor.poly import Packing, Polynomial, VariableContext, mono_divides, render_terms
 
 XY = VariableContext(("x", "y"))
 ABCD = VariableContext(("a", "b", "c", "d"))
@@ -217,6 +218,15 @@ def test_poly_refuses_exponents_that_are_not_natural_ints(mono):
     assert XY.poly({(1, 2): 3}) == XY.parse("3*x*y^2")
 
 
+@pytest.mark.parametrize("mono", [(-1, 2), (1.5, 0), (Fraction(1, 2), 1), ("1", 0), (None, 1),
+                                  (1,), (1, 0, 0), (2 ** 70, -2 ** 70 + 1)])
+def test_constructor_refuses_malformed_exponents(mono):
+    with pytest.raises(ValueError, match=re.escape(f"monomial {mono!r}")):
+        Polynomial(XY, {mono: 1})
+    # a zero coefficient drops the term before its monomial is read
+    assert Polynomial(XY, {mono: 0}).is_zero
+
+
 def test_parse_refuses_a_negative_exponent():
     with pytest.raises(SpecParseError):
         XY.parse("x^-1")
@@ -337,3 +347,29 @@ def test_packing_counts_past_one_partial_sum():
     monos += [(1, 0, 0, 0)] * 300
     supports = pk.supports([pk.pack_exps(m) for m in monos])
     assert pk.counts(supports) == [sum(1 for m in monos if m[v]) for v in range(4)]
+
+
+# -- packed polynomials -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_arithmetic_agrees_with_the_tuple_oracle(seed):
+    # 500 cases a seed; CI runs 100,000
+    differ = listpoly.compare_packed(seed, 500)
+    assert not differ, differ[:3]
+
+
+def test_a_result_takes_the_narrowest_layout_of_its_degree():
+    big, y = XY.parse("x^200"), XY.parse("y")
+    assert (big + y).pk.width == 16 and XY.parse("x^40000").pk.width == 32
+    p = (big + y) - big
+    assert p == y and hash(p) == hash(y) and p.pk.width == 8 and p.packed == y.packed
+    assert (XY.parse("x^40000*y - x") - XY.parse("x^40000*y")).pk.width == 8
+    assert XY.poly({}).pk is XY.layout(0) and (big - big) == XY.poly({})
+
+
+def test_terms_unpack_the_keys():
+    p = XY.parse("3*x^2*y - y^300 + 1/2")
+    assert p.terms == (((0, 300), -1), ((2, 1), 3), ((0, 0), Fraction(1, 2)))
+    assert [k for k, _ in p.packed] == [p.pk.pack(m) for m, _ in p.terms]
+    assert p.degree() == 300 and not p.is_homogeneous()
