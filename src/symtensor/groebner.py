@@ -67,7 +67,7 @@ from . import hilbert
 from .errors import IntegrityError, LimitExceeded
 from .exactnum import exact
 from .hilbert import HilbertSeries, MonomialIdeal
-from .poly import Packing, Polynomial, VariableContext
+from .poly import Packing, Polynomial, VariableContext, layout
 
 
 @dataclass(frozen=True)
@@ -471,7 +471,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ValueError("S-polynomial of a zero polynomial")
     if f.ctx != g.ctx:
         raise ValueError("context mismatch")
-    pk = f.ctx.layout(f.degree() + g.degree())
+    pk = layout(f.ctx.nvars, f.degree() + g.degree())
     entry_f, entry_g = _entry_from_poly(f, pk), _entry_from_poly(g, pk)
     lcm = pk.lcm(pk.exps(entry_f[0]), pk.exps(entry_g[0]))
     spoly = _spoly_dict(pk.key(lcm, pk.degree(lcm)), entry_f, entry_g)

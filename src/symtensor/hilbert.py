@@ -57,53 +57,62 @@ every j <= deg N <= D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import reduce
 from itertools import compress
 from math import comb
 from operator import not_
 
 from .errors import IntegrityError, LimitExceeded
-from .poly import Packing, mono_divides, render_terms
+from .poly import Packing, layout, pack_monomials, render_terms
 
 # -- monomial ideals ----------------------------------------------------------
 
 
-def minimalize_monomials(gens):
-    """Minimal generating set, sorted: drop duplicates and multiples of other generators.
-
-    A divisor of m is at most m in every exponent, so it sorts before m.
-    """
-    kept = []
-    for m in sorted(set(gens)):
-        if not any(mono_divides(k, m) for k in kept):
-            kept.append(m)
-    return tuple(kept)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MonomialIdeal:
-    """Monomial ideal given by its sorted minimal generators (exponent tuples).
+    """Monomial ideal given by its minimal generators, packed once by :func:`poly.pack_monomials`.
 
-    Sorted, each ideal has one ``gens``.  Construction checks the order, the
-    lengths and the signs; minimality is trusted, and :meth:`from_generators`
-    establishes it.
-    """
+    ``packed`` holds their exponent vectors, increasing, in ``pk``, the narrowest Packing of
+    their largest degree, and ``gens`` unpacks them as sorted tuples.  The constructor takes
+    strictly increasing tuples and trusts their minimality, which :meth:`from_generators`
+    establishes."""
 
     nvars: int
-    gens: tuple[tuple[int, ...], ...]
+    pk: Packing = field(compare=False, repr=False)
+    packed: tuple
 
-    def __post_init__(self):
-        gens = self.gens
-        if any(len(g) != self.nvars or min(g, default=0) < 0 for g in gens) or any(
-                a >= b for a, b in zip(gens, gens[1:])):
-            raise ValueError("monomial generators must be strictly increasing "
-                             f"tuples of {self.nvars} nonnegative exponents")
+    def __init__(self, nvars, gens):
+        pk, _, exps = pack_monomials(nvars, gens)
+        if any(a >= b for a, b in zip(gens, gens[1:])):
+            raise ValueError("monomial generators must be strictly increasing")
+        self.__dict__.update(nvars=nvars, pk=pk, packed=tuple(sorted(exps)))
 
     @classmethod
     def from_generators(cls, nvars, gens):
-        # all are checked: one of the wrong length can look like a multiple of another
-        every = cls(nvars, tuple(sorted(set(map(tuple, gens)))))
-        return cls(nvars, minimalize_monomials(every.gens))
+        """The ideal of any generators, all checked.
+
+        A divisor is at most its multiple in every field, so it is the smaller int:
+        m is kept when m - k sets a guard bit for each kept k."""
+        pk, _, exps = pack_monomials(nvars, list(gens))
+        guards, kept = pk.guards, []
+        for m in sorted(set(exps)):
+            if all((m - k) & guards for k in kept):
+                kept.append(m)
+        narrow = layout(nvars, max(map(pk.degree, kept), default=0))
+        if narrow is not pk:  # a dropped multiple had the largest degree
+            kept = [narrow.pack_exps(pk.unpack_exps(k)) for k in kept]
+        ideal = object.__new__(cls)
+        ideal.__dict__.update(nvars=nvars, pk=narrow, packed=tuple(kept))
+        return ideal
+
+    @property
+    def gens(self) -> tuple:
+        return tuple(sorted(map(self.pk.unpack_exps, self.packed)))
+
+    def __reduce__(self):
+        return MonomialIdeal, (self.nvars, self.gens)
 
 
 # -- numerator recursion -------------------------------------------------------
@@ -378,16 +387,10 @@ class HilbertSeries:
         if not self.den_weights:
             return num
         groups = []
-        seen = []
-        for w in self.den_weights:
-            if w in seen:
-                continue
-            seen.append(w)
-            k = self.den_weights.count(w)
+        for w, k in Counter(self.den_weights).items():
             base = f"(1 - t^{w})" if w > 1 else "(1 - t)"
             groups.append(base if k == 1 else f"{base}^{k}")
-        den = " ".join(groups)
-        return f"({num}) / ({den})"
+        return f"({num}) / ({' '.join(groups)})"
 
     def to_json_dict(self):
         return {"numerator": list(self.numerator),
@@ -402,9 +405,10 @@ class HilbertSeries:
 
 def _digit_width(ideal: MonomialIdeal) -> int:
     """The k at which N(2^k) decodes to N, by the bounds in the module docstring."""
-    top = sum(map(max, zip(*ideal.gens)))
+    pk = ideal.pk  # the lcm of all generators fits the fields, its degree may not
+    top = sum(pk.unpack_exps(reduce(pk.lcm, ideal.packed, 0)))
     monomials = comb(ideal.nvars + top - 1, ideal.nvars - 1) if ideal.nvars else 1
-    return 2 + min(len(ideal.gens), ideal.nvars + monomials.bit_length())
+    return 2 + min(len(ideal.packed), ideal.nvars + monomials.bit_length())
 
 
 def series_from_monomial_ideal(ideal: MonomialIdeal) -> HilbertSeries:
@@ -413,14 +417,13 @@ def series_from_monomial_ideal(ideal: MonomialIdeal) -> HilbertSeries:
     The recursion takes one stack frame per pivot level, so a pivot chain
     deeper than Python's recursion limit raises LimitExceeded.
     """
-    pk = Packing(ideal.nvars, max(map(sum, ideal.gens), default=0))
     k = _digit_width(ideal)
     try:
-        value = _Numerators(pk, k).numerator(tuple(sorted(map(pk.pack_exps, ideal.gens))))
+        value = _Numerators(ideal.pk, k).numerator(ideal.packed)
     except RecursionError:
         raise LimitExceeded(
             f"numerator recursion deeper than the recursion limit for "
-            f"{len(ideal.gens)} generators in {ideal.nvars} variables") from None
+            f"{len(ideal.packed)} generators in {ideal.nvars} variables") from None
     return HilbertSeries(_decode(value, k), (1,) * ideal.nvars)
 
 

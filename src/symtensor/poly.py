@@ -1,6 +1,7 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Monomials are exponent tuples tied to an ordered :class:`VariableContext`.  A
+Monomials are exponent tuples tied to an ordered :class:`VariableContext`, and
+:func:`pack_monomials` checks every one that enters the package.  A
 polynomial stores each term as its monomial's degrevlex key in a
 :class:`Packing` and keeps the (key, coefficient) pairs sorted descending, so
 its leading term is the first, and the Groebner engine uses the keys as they
@@ -22,18 +23,11 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import le
+from itertools import chain
+from operator import countOf
 
 from .errors import LimitExceeded, SpecParseError
 from .exactnum import exact
-
-# -- monomial helpers (exponent tuples) -------------------------------------
-
-
-def mono_divides(a, b):
-    """True when a divides b."""
-    return all(map(le, a, b))
-
 
 # -- packed monomials -----------------------------------------------------------
 
@@ -76,11 +70,7 @@ class Packing:
         self.top = self.width * max(nvars - 1, 0)
 
     def pack_exps(self, m) -> int:
-        """E of an exponent tuple whose entries are at most ``cap``.
-
-        A tuple the fields cannot hold, with an entry that is negative or not
-        an int or with the wrong length, raises ValueError.
-        """
+        """E of exponents at most ``cap``, unchecked; ValueError if a byte field cannot hold one."""
         try:
             return int.from_bytes(self.fields.pack(*m), "little")
         except struct.error:
@@ -138,6 +128,35 @@ class Packing:
         return b ^ ((a ^ b) & ge)
 
 
+_LAYOUTS = {}
+
+
+def layout(nvars, degree) -> Packing:
+    """The narrowest Packing of nvars variables that holds total degree ``degree``, cached."""
+    key = (nvars, _field_bytes(degree))
+    return _LAYOUTS.get(key) or _LAYOUTS.setdefault(key, Packing(nvars, degree))
+
+
+def pack_monomials(nvars, monos):
+    """The one check of the exponent tuples entering the package, which packs them.
+
+    Returns the narrowest Packing that holds their largest total degree, their
+    degrees and their exponent vectors.  A tuple that is not nvars ints >= 0,
+    a bool not being one, raises ValueError naming it.
+    """
+    try:
+        if countOf(map(type, chain.from_iterable(monos)), int) == nvars * len(monos):
+            degrees = list(map(sum, monos))
+            pk = layout(nvars, max(degrees, default=0))
+            return pk, degrees, list(map(pk.pack_exps, monos))  # a negative or wrong length fails
+    except (TypeError, ValueError):
+        pass
+    for m in monos:
+        if not (isinstance(m, (tuple, list)) and len(m) == nvars
+                and all(type(e) is int and e >= 0 for e in m)):
+            raise ValueError(f"monomial {m!r} is not a tuple of {nvars} ints >= 0")
+
+
 # -- contexts and polynomials ------------------------------------------------
 
 
@@ -159,27 +178,11 @@ class VariableContext:
         return {name: i for i, name in enumerate(self.names)}
 
     @cached_property
-    def _layouts(self):
-        return {}
-
-    @property
     def nvars(self) -> int:
         return len(self.names)
 
-    def layout(self, degree) -> Packing:
-        """The narrowest Packing whose fields hold total degree ``degree``, one per width."""
-        size = _field_bytes(degree)
-        pk = self._layouts.get(size)
-        if pk is None:
-            pk = self._layouts[size] = Packing(self.nvars, degree)
-        return pk
-
     def poly(self, mapping) -> "Polynomial":
-        """The polynomial of {monomial: scalar}; an exponent not an int >= 0 raises ValueError."""
-        mapping = dict(mapping)
-        for mono in mapping:
-            if not all(type(e) is int and e >= 0 for e in mono):
-                raise ValueError(f"monomial {tuple(mono)!r} has an exponent that is not an int >= 0")
+        """The polynomial of {monomial: scalar}; a malformed monomial raises ValueError."""
         return Polynomial(self, mapping)
 
     def parse(self, text: str) -> "Polynomial":
@@ -190,33 +193,23 @@ class Polynomial:
     """Immutable sparse polynomial; each coefficient is an exact scalar (see ``exact``).
 
     ``packed`` holds the (degrevlex key, coefficient) pairs, keys descending,
-    in the layout ``pk`` = ``ctx.layout(degree)``; every result is repacked
+    in the layout ``pk`` = ``layout(nvars, degree)``; every result is repacked
     into that layout, so equal polynomials have equal ``packed``.  ``terms``
-    unpacks them on each access.  The constructor packs each exponent tuple
-    and refuses one that is not of ints >= 0 or has the wrong length with a
-    ValueError naming the monomial.
+    unpacks them on each access.  The constructor checks and packs the
+    exponent tuples of the nonzero terms with :func:`pack_monomials`.
     """
 
     __slots__ = ("ctx", "pk", "packed")
 
     def __init__(self, ctx: VariableContext, mapping):
-        terms, top = [], 0
+        monos, coeffs = [], []
         for mono, coeff in dict(mapping).items():
-            coeff = exact(coeff)
-            if not coeff:
-                continue
-            try:
-                degree = sum(mono)
-            except TypeError:
-                degree = None
-            if type(degree) is not int:
-                raise ValueError(f"monomial {mono!r} is not a tuple of ints")
-            terms.append((mono, degree, coeff))
-            if degree > top:
-                top = degree
-        pk = ctx.layout(top)
-        pack, total = pk.pack_exps, pk.total
-        packed = sorted([((degree << total) - pack(mono), coeff) for mono, degree, coeff in terms],
+            if coeff := exact(coeff):
+                monos.append(mono)
+                coeffs.append(coeff)
+        pk, degrees, exps = pack_monomials(ctx.nvars, monos)
+        total = pk.total
+        packed = sorted([((d << total) - e, c) for d, e, c in zip(degrees, exps, coeffs)],
                         reverse=True)
         _init(self, ctx, pk, tuple(packed))
 
@@ -228,13 +221,16 @@ class Polynomial:
         """
         packed = [(k, exact(c)) for k, c in acc.items() if c]
         packed.sort(reverse=True)
-        narrow = ctx.layout(pk.key_degree(packed[0][0]) if packed else 0)
+        narrow = layout(ctx.nvars, pk.key_degree(packed[0][0]) if packed else 0)
         if narrow.width != pk.width:  # the degree fell below a narrower layout's cap
             packed = [(narrow.pack(pk.unpack(k)), c) for k, c in packed]
         return _init(object.__new__(cls), ctx, narrow, tuple(packed))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        return Polynomial, (self.ctx, dict(self.terms))
 
     def packed_in(self, pk: Packing):
         """The (key, coefficient) pairs in layout pk, whose fields must hold the degree."""
@@ -307,7 +303,7 @@ class Polynomial:
         if not self.packed or not o.packed:
             return Polynomial(self.ctx, {})
         # K(ab) = K(a) + K(b) in any layout that holds deg a + deg b
-        pk = self.ctx.layout(self.degree() + o.degree())
+        pk = layout(self.ctx.nvars, self.degree() + o.degree())
         acc = {}
         right = o.packed_in(pk)
         for k1, c1 in self.packed_in(pk):

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from listpoly import minimalize_monomials
 from symtensor.catalog import ideal_presentation_for, parse_spec
 from symtensor.groebner import buchberger, leading_term_ideal
-from symtensor.hilbert import minimalize_monomials
 
 DIGESTS = json.loads((Path(__file__).parent / "data" / "basis_digests.json").read_text())
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 import sys
@@ -8,10 +10,11 @@ import pytest
 
 import listpoly
 import tokenparse
-from listpoly import degrevlex_key, mono_mul
+from listpoly import degrevlex_key, mono_divides, mono_mul
 from symtensor.catalog import klein_row
 from symtensor.errors import LimitExceeded, SpecParseError
-from symtensor.poly import Packing, Polynomial, VariableContext, mono_divides, render_terms
+from symtensor.hilbert import MonomialIdeal
+from symtensor.poly import Packing, Polynomial, VariableContext, layout, render_terms
 
 XY = VariableContext(("x", "y"))
 ABCD = VariableContext(("a", "b", "c", "d"))
@@ -227,6 +230,38 @@ def test_constructor_refuses_malformed_exponents(mono):
     assert Polynomial(XY, {mono: 0}).is_zero
 
 
+# every way a monomial enters the package, each through the one check of poly.pack_monomials
+ENTRY_POINTS = {
+    "ctx.poly": lambda mono: XY.poly({mono: 1}),
+    "Polynomial": lambda mono: Polynomial(XY, {mono: 1}),
+    "MonomialIdeal": lambda mono: MonomialIdeal(2, (mono,)),
+    "MonomialIdeal.from_generators": lambda mono: MonomialIdeal.from_generators(2, [(0, 1), mono]),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("mono", [(True, 0), (1.5, 0), (-1, 0), (1,), (1, 0, 0)])
+def test_every_entry_point_refuses_a_malformed_monomial_alike(entry, mono):
+    # a bool is not an exponent, though True == 1 and (True, 0) == (1, 0)
+    message = f"monomial {mono!r} is not a tuple of 2 ints >= 0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ENTRY_POINTS[entry](mono)
+    ENTRY_POINTS[entry]((1, 0))
+
+
+@pytest.mark.parametrize("make,width", [
+    (lambda: XY.parse("3*x*y^2 - 1/2*y + 5"), 8),
+    (lambda: XY.parse("x^200 - 2/3*x*y^127 + y"), 16),
+    (lambda: MonomialIdeal.from_generators(3, [(0, 1, 5), (130, 0, 0), (2, 0, 1), (3, 1, 5)]), 16),
+], ids=["8-bit polynomial", "16-bit polynomial", "ideal"])
+def test_pickle_and_deepcopy_round_trips_are_equal(make, width):
+    value = make()
+    assert value.pk.width == width
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert copied == value and hash(copied) == hash(value)
+        assert copied.pk is value.pk and copied.packed == value.packed
+
+
 def test_parse_refuses_a_negative_exponent():
     with pytest.raises(SpecParseError):
         XY.parse("x^-1")
@@ -365,7 +400,7 @@ def test_a_result_takes_the_narrowest_layout_of_its_degree():
     p = (big + y) - big
     assert p == y and hash(p) == hash(y) and p.pk.width == 8 and p.packed == y.packed
     assert (XY.parse("x^40000*y - x") - XY.parse("x^40000*y")).pk.width == 8
-    assert XY.poly({}).pk is XY.layout(0) and (big - big) == XY.poly({})
+    assert XY.poly({}).pk is layout(2, 0) and (big - big) == XY.poly({})
 
 
 def test_terms_unpack_the_keys():
