@@ -29,10 +29,11 @@ Buchberger algorithm", J. Symbolic Comput. 22, 1996).  The series it stopped
 on is returned with the basis, so no caller computes it again.  Without B it
 runs every pair the criteria keep.
 
-Packed monomials.  A monomial is one ``int``, its degrevlex key in the layout
-of :class:`poly.Packing`, and a ``Polynomial`` stores its terms as such keys,
-so the engine takes them as they are and repacks them only into a wider
-layout; every result goes back as keys, in the narrowest layout of its degree.
+Packed monomials.  A monomial is one ``int``, its degrevlex key in the
+:class:`poly.Packing` that ``poly.layout`` keeps per variable count and field
+width; a ``Polynomial`` stores its terms as such keys, so the engine takes them
+as they are and repacks them only into a wider layout.  A basis goes back as
+keys, a lead ideal as its generators' exponent vectors, both in these layouts.
 
 Every packed monomial has total degree at most the field capacity 2^w - 1,
 which bounds every exponent; the width is the narrowest that holds the
@@ -67,7 +68,7 @@ from . import hilbert
 from .errors import IntegrityError, LimitExceeded
 from .exactnum import exact
 from .hilbert import HilbertSeries, MonomialIdeal
-from .poly import Packing, Polynomial, VariableContext, layout
+from .poly import Polynomial, VariableContext, layout
 
 
 @dataclass(frozen=True)
@@ -435,7 +436,7 @@ def _basis_reducers(basis, ctx, bound):
         if not b.is_zero:
             polys.append(b)
             bound = max(bound, b.degree())
-    red = _Reducers(Packing(ctx.nvars, bound))
+    red = _Reducers(layout(ctx.nvars, bound))
     for b in polys:
         red.add(*_entry_from_poly(b, red.pk))
     _last_basis = (basis, ctx, red)
@@ -508,7 +509,7 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
     limits = limits or GroebnerLimits()
     start = time.monotonic()
     top = max([g.degree() for g in ideal.generators], default=0)
-    red = _Reducers(Packing(ideal.ctx.nvars, top))
+    red = _Reducers(layout(ideal.ctx.nvars, top))
     queue = _PairQueue(red)
     pairs_processed = 0
     max_degree_seen = 0
@@ -528,7 +529,7 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
         """The minimal reducers of the entries and their lead ideal's series."""
         _check_timeout()
         minimal = _minimal(red, entries)
-        lead = MonomialIdeal(ideal.ctx.nvars, tuple(sorted(map(red.pk.unpack, minimal.lts))))
+        lead = MonomialIdeal(ideal.ctx.nvars, red.pk, minimal.exps)
         return minimal, hilbert.series_from_monomial_ideal(lead)
 
     def _insert(entry):
@@ -583,7 +584,7 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
             max_degree_seen = deg
         # every term of the S-polynomial and its reduction has the lcm's degree
         if deg > red.pk.cap:
-            red.repack(Packing(ideal.ctx.nvars, deg))
+            red.repack(layout(ideal.ctx.nvars, deg))
         lcm = red.pk.key(red.pk.lcm(red.exps[i], red.exps[j]), deg)
         spoly = _spoly_dict(lcm, (red.lts[i], red.tails[i]), (red.lts[j], red.tails[j]))
         h = red.reduce(spoly)
@@ -626,6 +627,7 @@ def leading_term_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     """The initial ideal of a reduced basis.
 
     A reduced basis's leading monomials are distinct and none divides
-    another, so sorted they are already the ideal's minimal generators.
+    another, so their exponent vectors are the ideal's minimal generators.
     """
-    return MonomialIdeal(gb.ctx.nvars, tuple(sorted(g.leading_monomial() for g in gb.elements)))
+    pk = layout(gb.ctx.nvars, max([g.degree() for g in gb.elements], default=0))
+    return MonomialIdeal(gb.ctx.nvars, pk, [pk.exps(g.packed_in(pk)[0][0]) for g in gb.elements])

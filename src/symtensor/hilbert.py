@@ -72,26 +72,27 @@ from .poly import Packing, layout, pack_monomials, render_terms
 
 @dataclass(frozen=True, init=False)
 class MonomialIdeal:
-    """Monomial ideal given by its minimal generators, packed once by :func:`poly.pack_monomials`.
+    """Monomial ideal given by its minimal generators' exponent vectors.
 
-    ``packed`` holds their exponent vectors, increasing, in ``pk``, the narrowest Packing of
-    their largest degree, and ``gens`` unpacks them as sorted tuples.  The constructor takes
-    strictly increasing tuples and trusts their minimality, which :meth:`from_generators`
-    establishes."""
+    ``packed`` holds them increasing in ``pk``, the narrowest Packing of their
+    largest degree, and ``gens`` unpacks them as sorted tuples.  The
+    constructor takes them in any layout ``pk`` of nvars variables and trusts
+    their minimality, which :meth:`from_generators` establishes for tuples."""
 
     nvars: int
     pk: Packing = field(compare=False, repr=False)
     packed: tuple
 
-    def __init__(self, nvars, gens):
-        pk, _, exps = pack_monomials(nvars, gens)
-        if any(a >= b for a, b in zip(gens, gens[1:])):
-            raise ValueError("monomial generators must be strictly increasing")
-        self.__dict__.update(nvars=nvars, pk=pk, packed=tuple(sorted(exps)))
+    def __init__(self, nvars, pk, exps):
+        exps = sorted(exps)  # E's order, last field first, is the same in every layout
+        narrow = layout(nvars, max(map(pk.degree, exps), default=0))
+        if narrow is not pk:
+            exps = [narrow.pack_exps(pk.unpack_exps(e)) for e in exps]
+        self.__dict__.update(nvars=nvars, pk=narrow, packed=tuple(exps))
 
     @classmethod
     def from_generators(cls, nvars, gens):
-        """The ideal of any generators, all checked.
+        """The ideal of any generators, all checked by :func:`poly.pack_monomials`.
 
         A divisor is at most its multiple in every field, so it is the smaller int:
         m is kept when m - k sets a guard bit for each kept k."""
@@ -100,19 +101,15 @@ class MonomialIdeal:
         for m in sorted(set(exps)):
             if all((m - k) & guards for k in kept):
                 kept.append(m)
-        narrow = layout(nvars, max(map(pk.degree, kept), default=0))
-        if narrow is not pk:  # a dropped multiple had the largest degree
-            kept = [narrow.pack_exps(pk.unpack_exps(k)) for k in kept]
-        ideal = object.__new__(cls)
-        ideal.__dict__.update(nvars=nvars, pk=narrow, packed=tuple(kept))
-        return ideal
+        return cls(nvars, pk, kept)
 
     @property
     def gens(self) -> tuple:
         return tuple(sorted(map(self.pk.unpack_exps, self.packed)))
 
     def __reduce__(self):
-        return MonomialIdeal, (self.nvars, self.gens)
+        # the layout's Struct does not pickle, so the copy is rebuilt from the tuples
+        return MonomialIdeal.from_generators, (self.nvars, self.gens)
 
 
 # -- numerator recursion -------------------------------------------------------
@@ -275,18 +272,21 @@ def _decode(value, k):
 
 @dataclass(frozen=True, eq=False)
 class HilbertSeries:
-    """N(t) / prod_w (1 - t^w) with integer numerator, exact everywhere."""
+    """N(t) / prod_w (1 - t^w) with int coefficients and positive int weights, exact everywhere."""
 
     numerator: tuple[int, ...]
     den_weights: tuple[int, ...]
 
     def __post_init__(self):
-        if not all(isinstance(c, int) for c in self.numerator):
+        weights = tuple(self.den_weights)
+        if not all(type(c) is int for c in self.numerator):
             raise TypeError("numerator coefficients must be ints")
-        object.__setattr__(self, "numerator", _trim(self.numerator))
-        object.__setattr__(self, "den_weights", tuple(sorted(self.den_weights)))
-        if any(w < 1 for w in self.den_weights):
+        if not all(type(w) is int for w in weights):
+            raise TypeError("denominator weights must be ints")
+        if any(w < 1 for w in weights):
             raise ValueError("denominator weights must be positive")
+        object.__setattr__(self, "numerator", _trim(self.numerator))
+        object.__setattr__(self, "den_weights", tuple(sorted(weights)))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -441,15 +441,9 @@ def series_from_expansion(coeffs, den_weights) -> HilbertSeries:
 
 
 def series_from_generator_degrees(degrees, relation_degree=None) -> HilbertSeries:
-    """Free generators of the given degrees, with one optional relation."""
-    degrees = tuple(sorted(int(d) for d in degrees))
-    if any(d < 1 for d in degrees):
-        raise ValueError("generator degrees must be positive")
+    """Free generators of the given degrees, with one optional relation, all ints."""
     if relation_degree is None:
-        num = (1,)
-    else:
-        e = int(relation_degree)
-        if e < 1:
-            raise ValueError("relation degree must be positive")
-        num = (1,) + (0,) * (e - 1) + (-1,)
-    return HilbertSeries(num, degrees)
+        return HilbertSeries((1,), degrees)
+    if type(relation_degree) is not int or relation_degree < 1:
+        raise ValueError(f"relation degree must be an int >= 1, got {relation_degree!r}")
+    return HilbertSeries((1,) + (0,) * (relation_degree - 1) + (-1,), degrees)

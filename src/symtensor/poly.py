@@ -167,6 +167,7 @@ class VariableContext:
     names: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "names", tuple(self.names))  # so equal and hashable as given
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
         for name in self.names:

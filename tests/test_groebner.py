@@ -161,12 +161,24 @@ def test_buchberger_square_zero_with_trace():
     assert series.expand(6) == (1, 3, 5, 7, 9, 11, 13)
 
 
-@pytest.mark.parametrize("text", ["Gr(1,3)", "Gr(2,4)", "Q(2)", "Q(3)"])
+@pytest.mark.parametrize("text", ["Gr(1,3)", "Gr(2,4)", "Q(2)", "Q(3)", "Gr(2,5)", "Q(6)",
+                                  "x^100 - y^100, x^60*y^60"])
 def test_reduced_leading_monomials_are_the_sorted_minimal_generators(text):
-    # leading_term_ideal skips minimalisation, which a reduced basis makes a no-op
-    gb = buchberger(ideal_presentation_for(parse_spec(text)))
-    lts = [g.leading_monomial() for g in gb.elements]
-    assert leading_term_ideal(gb).gens == minimalize_monomials(lts)
+    # leading_term_ideal skips minimalisation, which a reduced basis makes a no-op, and
+    # reads the leading keys as they are; the last ideal's basis crosses the 8-bit layout
+    presentation = (ideal_presentation_for(parse_spec(text)) if "(" in text
+                    else _ideal(XY, *text.split(", ")))
+    undriven = buchberger(presentation)
+    # the undriven initial ideal's series is the Hilbert series, so it drives a run too
+    driven = buchberger(presentation, bound=series_from_monomial_ideal(leading_term_ideal(undriven)))
+    for gb in (undriven, driven):
+        lts = [g.leading_monomial() for g in gb.elements]
+        lead = leading_term_ideal(gb)
+        oracle = MonomialIdeal.from_generators(presentation.ctx.nvars, lts)
+        assert lead == oracle and lead.pk is oracle.pk
+        assert lead.gens == minimalize_monomials(lts)
+    assert leading_term_ideal(driven) == leading_term_ideal(undriven)
+    assert driven.series == series_from_monomial_ideal(leading_term_ideal(driven))
 
 
 def test_empty_basis_gives_zero_ideal():
@@ -631,16 +643,16 @@ def test_buchberger_widens_only_past_the_field_capacity(monkeypatch):
     # 8-bit fields hold degree 127: the pair of lcm x^100*y^27 (degree 127)
     # is reduced in them, and the first wider layout comes with x^27*y^127
     bounds = []
-    real_packing = groebner.Packing
+    real_layout = groebner.layout
 
     def recording(nvars, bound):
         bounds.append(bound)
-        return real_packing(nvars, bound)
+        return real_layout(nvars, bound)
 
-    monkeypatch.setattr(groebner, "Packing", recording)
+    monkeypatch.setattr(groebner, "layout", recording)
     gb = buchberger(_ideal(XY, "x^100 - y^100", "x^27*y^27"))
     assert bounds == [100, 154]
-    assert real_packing(2, 100).cap == 127
+    assert real_layout(2, 100).cap == 127
     assert XY.parse("y^127") in gb.elements
 
 

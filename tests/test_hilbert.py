@@ -15,7 +15,7 @@ from symtensor.groebner import buchberger, leading_term_ideal
 from symtensor.hilbert import (HilbertSeries, MonomialIdeal, _digit_width, _Numerators,
                                series_from_expansion, series_from_generator_degrees,
                                series_from_monomial_ideal)
-from symtensor.poly import Packing, VariableContext
+from symtensor.poly import Packing, VariableContext, layout
 
 
 def test_minimalization():
@@ -48,20 +48,32 @@ def _refusal(mono):
 
 
 def test_direct_construction_checks_order_and_lengths():
-    # sorted generators are the ideal's one representation
-    with pytest.raises(ValueError, match="strictly increasing"):
-        MonomialIdeal(2, ((1, 0), (0, 0)))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        MonomialIdeal(2, ((0, 1), (0, 1)))
+    # the constructor trusts minimality, stores the vectors increasing, and moves
+    # them to the narrowest layout of their largest degree; tuples enter through
+    # from_generators, which checks their lengths
+    gens = [(3, 0, 124), (0, 127, 0), (2, 2, 0), (0, 5, 6)]
+    wide, narrow = layout(3, 200), layout(3, 127)
+    assert wide.width == 16 and narrow.width == 8
+    given = [wide.pack_exps(g) for g in gens]
+    assert given != sorted(given)
+    ideal = MonomialIdeal(3, wide, given)
+    assert ideal.pk is narrow
+    assert ideal.packed == tuple(sorted(map(narrow.pack_exps, gens)))
+    assert ideal == MonomialIdeal.from_generators(3, gens)
+    assert ideal.packed == MonomialIdeal.from_generators(3, gens).packed
+    assert ideal.gens == tuple(sorted(gens))
+    # vectors already in the ideal's layout stay as they are, sorted
+    same = MonomialIdeal(3, narrow, [narrow.pack_exps(g) for g in gens])
+    assert same.pk is narrow and same.packed == ideal.packed
     with pytest.raises(ValueError, match=_refusal((1, 0, 0))):
-        MonomialIdeal(2, ((0, 1), (1, 0, 0)))
-    unit = MonomialIdeal(2, ((0, 0), (1, 0)))
+        MonomialIdeal.from_generators(2, ((0, 1), (1, 0, 0)))
+    unit = MonomialIdeal.from_generators(2, ((0, 0), (1, 0)))
     assert series_from_monomial_ideal(unit).expand(2) == (0, 0, 0)
 
 
 def test_negative_exponents_are_refused():
     with pytest.raises(ValueError, match=_refusal((-1, 0))):
-        series_from_monomial_ideal(MonomialIdeal(2, ((-1, 0), (0, 2))))
+        series_from_monomial_ideal(MonomialIdeal.from_generators(2, ((-1, 0), (0, 2))))
     with pytest.raises(ValueError, match=_refusal((-1, 0))):
         MonomialIdeal.from_generators(2, [(0, 2), (-1, 0)])
     # a generator too short or too long is refused even where it looks like a multiple
@@ -202,6 +214,35 @@ def test_fraction_numerator_is_refused():
         HilbertSeries((1, Fraction(1, 2)), (1,))
     with pytest.raises(TypeError):
         HilbertSeries((Fraction(1),), ())
+
+
+@pytest.mark.parametrize("numerator,weights,message", [
+    ((True,), (1,), "numerator coefficients must be ints"),
+    ((1, 2.0), (1,), "numerator coefficients must be ints"),
+    ((1,), (1.5,), "denominator weights must be ints"),
+    ((1,), (2.0,), "denominator weights must be ints"),
+    ((1,), ("2", True), "denominator weights must be ints"),
+    ((1,), (1, True), "denominator weights must be ints"),
+])
+def test_series_inputs_are_exact_ints(numerator, weights, message):
+    # a float or a bool once passed here and failed later, or was read as an int
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        HilbertSeries(numerator, weights)
+
+
+def test_generator_degrees_are_not_coerced():
+    # int() once read 2.7 as 2, 3.9 as 3, "2" as 2 and True as 1
+    with pytest.raises(TypeError, match="denominator weights must be ints"):
+        series_from_generator_degrees([2.7], 3)
+    with pytest.raises(TypeError, match="denominator weights must be ints"):
+        series_from_generator_degrees(["2", True])
+    with pytest.raises(ValueError, match="denominator weights must be positive"):
+        series_from_generator_degrees([2, 0])
+    for relation in (3.9, True, 0, -1, "3"):
+        with pytest.raises(ValueError, match=f"relation degree must be an int >= 1, got {relation!r}"):
+            series_from_generator_degrees([2], relation)
+    assert series_from_generator_degrees((2, 3), 6) == HilbertSeries((1, 0, 0, 0, 0, 0, -1), (3, 2))
+    assert series_from_generator_degrees([1, 1]) == HilbertSeries((1,), (1, 1))
 
 
 def _krull_by_division(series):
@@ -783,4 +824,4 @@ def test_too_deep_staircase_raises_limit_exceeded():
 
 def test_degree_past_every_field_raises_limit_exceeded():
     with pytest.raises(LimitExceeded, match="63-bit"):
-        series_from_monomial_ideal(MonomialIdeal(1, ((2 ** 64,),)))
+        series_from_monomial_ideal(MonomialIdeal.from_generators(1, [(2 ** 64,)]))

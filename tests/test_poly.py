@@ -118,6 +118,15 @@ def test_context_mismatch_rejected():
         XY.parse("x") + ABCD.parse("a")
 
 
+def test_a_context_of_listed_names_is_the_context_of_their_tuple():
+    # a list was once kept as given: unhashable, and unequal to the tuple's context
+    listed = VariableContext(["x", "y"])
+    assert listed.names == ("x", "y")
+    assert listed == XY and hash(listed) == hash(XY)
+    assert {listed.parse("x"), XY.parse("x")} == {XY.parse("x")}
+    assert listed.parse("x") + XY.parse("y") == XY.parse("x + y")
+
+
 def test_parse_syntax_forms():
     assert XY.parse("2x") == XY.parse("2*x")
     assert XY.parse("1/2*x + 1/2*x") == XY.parse("x")
@@ -234,7 +243,8 @@ def test_constructor_refuses_malformed_exponents(mono):
 ENTRY_POINTS = {
     "ctx.poly": lambda mono: XY.poly({mono: 1}),
     "Polynomial": lambda mono: Polynomial(XY, {mono: 1}),
-    "MonomialIdeal": lambda mono: MonomialIdeal(2, (mono,)),
+    # the ideal's own constructor takes packed vectors, so tuples enter through from_generators
+    "MonomialIdeal": lambda mono: MonomialIdeal.from_generators(2, (mono,)),
     "MonomialIdeal.from_generators": lambda mono: MonomialIdeal.from_generators(2, [(0, 1), mono]),
 }
 
