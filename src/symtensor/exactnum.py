@@ -190,14 +190,9 @@ class CyclotomicNumber:
         return _make(self.order, tuple([-a for a in self.nums]), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        da, db = self.den, o.den
-        if da == db:
-            return _make(self.order, tuple([a - b for a, b in zip(self.nums, o.nums)]), da)
-        return _make(self.order,
-                     tuple([a * db - b * da for a, b in zip(self.nums, o.nums)]), da * db)
+        return self + (-other)
 
     def __mul__(self, other):
         if type(other) is not CyclotomicNumber:  # isinstance on Fraction goes through abc

@@ -52,6 +52,8 @@ monomials, so many calls against one basis keep bounded memory.
 
 Basis entries, like every ``Polynomial``, hold exact scalars as
 ``exactnum.exact`` makes them: an ``int`` when integral, else a ``Fraction``.
+``_Reducers.reduce`` makes each term exact as it emits it, the one place where
+a reduction's scalars are normalised.
 """
 
 from __future__ import annotations
@@ -131,28 +133,15 @@ class GroebnerBasis:
 # and a basis entry is (leading monomial, tail) with the element kept monic.
 
 
-def _entry(lt, lc, terms):
-    """Monic entry (lt, tail) from exact (monomial, coefficient) pairs; tails are unsorted."""
+def _entry(terms):
+    """Monic entry (lt, tail) from exact (monomial, coefficient) pairs, the leading term first."""
+    (lt, lc), *tail = terms
     if lc == 1:
-        return lt, tuple([t for t in terms if t[0] != lt])
-    tail = [t for t in terms if t[0] != lt]
+        return lt, tuple(tail)
     if type(lc) is int and all(type(c) is int and not c % lc for _, c in tail):
         return lt, tuple([(m, c // lc) for m, c in tail])
     inv = 1 / Fraction(lc)
     return lt, tuple([(m, exact(c * inv)) for m, c in tail])
-
-
-def _entry_from_dict(d):
-    """Entry of a reduction result, whose sums can leave integral Fractions."""
-    lt = max(d)
-    return _entry(lt, exact(d[lt]), [(m, exact(c)) for m, c in d.items()])
-
-
-def _entry_from_poly(p, pk):
-    """Entry of a nonzero polynomial in layout pk, which holds its degree."""
-    terms = p.packed_in(pk)
-    lt, lc = terms[0]
-    return _entry(lt, lc, terms)
 
 
 class _Reducers:
@@ -238,7 +227,11 @@ class _Reducers:
         return None
 
     def reduce(self, target):
-        """Full normal form of a dict-polynomial."""
+        """Full normal form of a dict-polynomial, as a dict of exact nonzero scalars.
+
+        Its keys descend in insertion order: the heap pops keys in decreasing
+        order, and every term a step adds is below the one it cancels.
+        """
         if not target:
             return {}
         first_divisor = self.first_divisor
@@ -254,7 +247,7 @@ class _Reducers:
                 continue
             k = first_divisor(m)
             if k is None:
-                out[m] = c
+                out[m] = exact(c)
                 continue
             q = m - lts[k]
             neg_c = -c
@@ -438,7 +431,7 @@ def _basis_reducers(basis, ctx, bound):
             bound = max(bound, b.degree())
     red = _Reducers(layout(ctx.nvars, bound))
     for b in polys:
-        red.add(*_entry_from_poly(b, red.pk))
+        red.add(*_entry(b.packed_in(red.pk)))
     _last_basis = (basis, ctx, red)
     return red
 
@@ -473,7 +466,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.ctx != g.ctx:
         raise ValueError("context mismatch")
     pk = layout(f.ctx.nvars, f.degree() + g.degree())
-    entry_f, entry_g = _entry_from_poly(f, pk), _entry_from_poly(g, pk)
+    entry_f, entry_g = _entry(f.packed_in(pk)), _entry(g.packed_in(pk))
     lcm = pk.lcm(pk.exps(entry_f[0]), pk.exps(entry_g[0]))
     spoly = _spoly_dict(pk.key(lcm, pk.degree(lcm)), entry_f, entry_g)
     return Polynomial.from_keys(f.ctx, pk, spoly)
@@ -532,13 +525,9 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
         lead = MonomialIdeal(ideal.ctx.nvars, red.pk, minimal.exps)
         return minimal, hilbert.series_from_monomial_ideal(lead)
 
-    def _insert(entry):
-        _check_timeout()
-        queue.update(red.add(*entry))
-
     for g in ideal.generators:
         _check_timeout()
-        red.add(*_entry_from_poly(g, red.pk))
+        red.add(*_entry(g.packed_in(red.pk)))
     inputs = range(len(red.lts))
     if bound is not None:
         # tested before the inputs' updates, whose removal scans are quadratic in
@@ -590,7 +579,8 @@ def buchberger(ideal: IdealPresentation, limits: GroebnerLimits | None = None,
         h = red.reduce(spoly)
         if h:
             deficit -= 1  # one more degree-deg monomial in the lead ideal
-            _insert(_entry_from_dict(h))
+            _check_timeout()
+            queue.update(red.add(*_entry(h.items())))
 
     return GroebnerBasis(ideal.ctx, _reduced(ideal.ctx, _minimal(red, queue.active())))
 
@@ -617,7 +607,7 @@ def _reduced(ctx, minimal):
     out = []
     for pos, lt in enumerate(minimal.lts):
         tail = minimal.reduce(dict(minimal.tails[pos]))
-        minimal.tails[pos] = tuple([(m, exact(c)) for m, c in tail.items()])
+        minimal.tails[pos] = tuple(tail.items())
         tail[lt] = 1
         out.append(Polynomial.from_keys(ctx, minimal.pk, tail))
     return tuple(out)

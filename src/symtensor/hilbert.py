@@ -19,20 +19,22 @@ Four facts keep every step free of a full re-minimalisation:
 * When the generators fall into groups with pairwise disjoint supports, N is
   the product of the groups' numerators, each memoised on its own.
 * A generator g sharing no variable with another is such a group alone, with
-  N = 1 - t^deg(g).  One pass over the supports finds every such g:
-  ``twice |= once & s; once |= s`` leaves in ``twice`` the variables of two or
-  more generators, and g is isolated exactly when its support misses it.  The
-  product of their factors is folded by shifts, f -= f << k deg(g), each an
-  exact multiplication by 1 - 2^(k deg g), as deg g is read off a generator,
-  which fits its fields.  The rest, never one generator since a shared
-  variable has two holders, goes on in the same call, so the group search,
-  which finds one group per sweep, meets no single generators.
+  N = 1 - t^deg(g).  In a state of four or more generators one pass over the
+  supports finds every such g: ``twice |= once & s; once |= s`` leaves in
+  ``twice`` the variables of two or more generators, and g is isolated exactly
+  when its support misses it.  The product of their factors is folded by
+  shifts, f -= f << k deg(g), each an exact multiplication by 1 - 2^(k deg g),
+  as deg g is read off a generator, which fits its fields.  The rest, never
+  one generator since a shared variable has two holders, goes on in the same
+  call, so the group search, which finds one group per sweep, meets no single
+  generators.
 
-Two or three generators end the recursion with Taylor's sum (below), written
-out in 4 or 8 terms.  An lcm's degree can pass the fields' cap, which every
-generator's fits, and read off its fields it would wrap, so deg lcm(a, b) is
-taken as deg a + deg(lcm(a, b) - a): lcm(a, b) - a divides b and fits.  So a
-pivot state is connected and has at least four generators.  In I : p the
+States of at most three generators end the recursion with Taylor's sum
+(below): 1 for none, 1 - t^deg for one, 4 or 8 terms for two or three.  An
+lcm's degree can pass the fields' cap, which every generator's fits, and read
+off its fields it would wrap, so deg lcm(a, b) is taken as deg a +
+deg(lcm(a, b) - a): lcm(a, b) - a divides b and fits.  So a pivot state is
+connected and has at least four generators.  In I : p the
 generators with x to exactly e drop x, and such a drop d divides a generator s
 without x exactly when s - d sets no guard bit.  No drop is the unit monomial:
 p would then be a generator, by minimality the only one with x, and share no
@@ -174,8 +176,11 @@ class _Numerators:
         return tuple(sorted([*kept, *moved]))
 
     def _taylor(self, gens):
-        """N(2^k) of two or three generators: (-1)^|S| t^deg lcm(S) summed over subsets S."""
+        """N(2^k) of at most three generators, (-1)^|S| t^deg lcm(S) summed over subsets S:
+        1 for none, and 1 - t^deg for one, which is 0 for the unit ideal (0,)."""
         pk, k = self.pk, self.k
+        if len(gens) < 2:
+            return 1 - (1 << k * pk.degree(gens[0])) if gens else 1
         degree, lcm = pk.degree, pk.lcm
         a, b = gens[0], gens[1]
         da, db = degree(a), degree(b)
@@ -195,20 +200,13 @@ class _Numerators:
         if cached is not None:
             return cached
         pk, k = self.pk, self.k
-        if not gens:
-            result = 1
-        elif len(gens) == 1:
-            # the unit ideal is the one generator 0, and 1 - t^0 = 0
-            result = 1 - (1 << k * pk.degree(gens[0]))
-        elif len(gens) <= 3:
-            result = self._taylor(gens)
-        else:
+        factor, rest = 1, gens
+        if len(gens) > 3:
             supports = pk.supports(gens)
             once = twice = 0
             for s in supports:
                 twice |= once & s
                 once |= s
-            factor, rest = 1, gens
             if once != twice:
                 rest = []
                 for g, s in zip(gens, supports):
@@ -218,29 +216,27 @@ class _Numerators:
                         factor -= factor << k * pk.degree(g)
                 rest = tuple(rest)
                 supports = [s for s in supports if s & twice]
-            if not rest:
-                result = 1
-            elif len(rest) <= 3:
-                result = self._taylor(rest)
+        if len(rest) <= 3:
+            result = self._taylor(rest)
+        else:
+            groups = _components(rest, supports)
+            if len(groups) > 1:
+                result = self.numerator(groups[0])
+                for group in groups[1:]:
+                    result *= self.numerator(group)
             else:
-                groups = _components(rest, supports)
-                if len(groups) > 1:
-                    result = self.numerator(groups[0])
-                    for group in groups[1:]:
-                        result *= self.numerator(group)
-                else:
-                    counts = pk.counts(supports)
-                    var = counts.index(max(counts))
-                    column = pk.exponents(rest, var)
-                    exp = min(filter(None, column))
-                    # I + <x^e> is the generators without x plus x^e, which shares
-                    # no variable with them: N(I + <x^e>) = (1 - t^e) N(same)
-                    same = tuple(compress(rest, map(not_, column)))
-                    base = self.numerator(same)
-                    colon = self.numerator(self._colon_by_power(rest, column, var, exp, same))
-                    result = base + ((colon - base) << k * exp)
-            if factor != 1:
-                result *= factor
+                counts = pk.counts(supports)
+                var = counts.index(max(counts))
+                column = pk.exponents(rest, var)
+                exp = min(filter(None, column))
+                # I + <x^e> is the generators without x plus x^e, which shares
+                # no variable with them: N(I + <x^e>) = (1 - t^e) N(same)
+                same = tuple(compress(rest, map(not_, column)))
+                base = self.numerator(same)
+                colon = self.numerator(self._colon_by_power(rest, column, var, exp, same))
+                result = base + ((colon - base) << k * exp)
+        if factor != 1:
+            result *= factor
         self.memo[gens] = result
         return result
 
@@ -278,14 +274,14 @@ class HilbertSeries:
     den_weights: tuple[int, ...]
 
     def __post_init__(self):
-        weights = tuple(self.den_weights)
-        if not all(type(c) is int for c in self.numerator):
+        num, weights = tuple(self.numerator), tuple(self.den_weights)
+        if not all(type(c) is int for c in num):
             raise TypeError("numerator coefficients must be ints")
         if not all(type(w) is int for w in weights):
             raise TypeError("denominator weights must be ints")
         if any(w < 1 for w in weights):
             raise ValueError("denominator weights must be positive")
-        object.__setattr__(self, "numerator", _trim(self.numerator))
+        object.__setattr__(self, "numerator", _trim(num))
         object.__setattr__(self, "den_weights", tuple(sorted(weights)))
 
     # -- evaluation ---------------------------------------------------------

@@ -167,6 +167,8 @@ class VariableContext:
     names: tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.names, str):
+            raise ValueError(f"names must be a sequence of names, not the string {self.names!r}")
         object.__setattr__(self, "names", tuple(self.names))  # so equal and hashable as given
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")

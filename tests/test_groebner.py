@@ -235,7 +235,7 @@ def test_non_unit_leading_coefficients_stay_exact():
     (2, (Fraction(1, 3), 4), (Fraction(1, 6), 2)),
     (Fraction(2, 3), (4, 1), (6, Fraction(3, 2)))])
 def test_monic_entry_is_exact_and_ints_stay_ints(lc, coeffs, tail):
-    lt, got = groebner._entry(9, lc, [(9, lc), (5, coeffs[0]), (2, coeffs[1])])
+    lt, got = groebner._entry([(9, lc), (5, coeffs[0]), (2, coeffs[1])])
     assert lt == 9 and got == ((5, tail[0]), (2, tail[1]))
     assert [type(c) for _, c in got] == [type(c) for c in tail]
 
@@ -438,6 +438,25 @@ def _check_against_plain(ideal, key):
 ])
 def test_criteria_match_plain_buchberger(seed, key):
     _check_against_plain(_random_ideal(seed), key)
+
+
+def test_reductions_come_out_exact_with_descending_keys(monkeypatch):
+    # a reduction once kept its sums as they came, integral Fractions among them,
+    # and left them to a second pass
+    results, real_reduce = [], groebner._Reducers.reduce
+
+    def recording(red, target):
+        out = real_reduce(red, target)
+        results.append(list(out.items()))  # before a caller adds to the dict
+        return out
+
+    monkeypatch.setattr(groebner._Reducers, "reduce", recording)
+    for seed in range(80):
+        buchberger(_random_ideal(seed))
+    assert len(results) > 800
+    for terms in results:
+        assert all(a[0] > b[0] for a, b in zip(terms, terms[1:]))
+        assert all(c and type(c) is (int if c.denominator == 1 else Fraction) for _, c in terms)
 
 
 @pytest.mark.parametrize("key", [degrevlex_key, tuple], ids=["degrevlex", "lex"])

@@ -230,6 +230,13 @@ def test_series_inputs_are_exact_ints(numerator, weights, message):
         HilbertSeries(numerator, weights)
 
 
+def test_numerator_may_be_any_iterable():
+    # the int scan once consumed an iterator, and the trim then took its length
+    series = HilbertSeries(iter([1, 2, 0]), iter([1]))
+    assert series.numerator == (1, 2) and series.den_weights == (1,)
+    assert series == HilbertSeries((1, 2), (1,))
+
+
 def test_generator_degrees_are_not_coerced():
     # int() once read 2.7 as 2, 3.9 as 3, "2" as 2 and True as 1
     with pytest.raises(TypeError, match="denominator weights must be ints"):

@@ -127,6 +127,14 @@ def test_a_context_of_listed_names_is_the_context_of_their_tuple():
     assert listed.parse("x") + XY.parse("y") == XY.parse("x + y")
 
 
+def test_a_context_refuses_a_string_of_names():
+    # a string was once read as its characters, so "xy" made the variables x and y
+    with pytest.raises(ValueError, match="not the string 'xy'"):
+        VariableContext("xy")
+    with pytest.raises(ValueError, match="not the string 'x'"):
+        VariableContext("x")
+
+
 def test_parse_syntax_forms():
     assert XY.parse("2x") == XY.parse("2*x")
     assert XY.parse("1/2*x + 1/2*x") == XY.parse("x")
