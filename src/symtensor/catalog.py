@@ -28,9 +28,7 @@ from .invariants import MolienResult, build_group, molien_series
 from .poly import Polynomial, VariableContext
 
 DEFAULT_MAX_DEGREE = 8        # expansion depth D
-DEFAULT_TIMEOUT = 300.0       # seconds per Groebner run
-DEFAULT_GB_MAX_DEGREE = 12    # Groebner pair-degree cap
-DEFAULT_LIMITS = GroebnerLimits(DEFAULT_GB_MAX_DEGREE, DEFAULT_TIMEOUT)
+DEFAULT_LIMITS = GroebnerLimits(max_degree=12, timeout=300.0)  # pair-degree cap, seconds per run
 
 GRASSMANNIAN_CAP = 4  # largest n accepted without force
 QUADRIC_CAP = 3

@@ -61,10 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-degree", type=_non_negative_int,
                        default=catalog.DEFAULT_MAX_DEGREE,
                        help="expansion depth D (default %(default)s)")
-        p.add_argument("--timeout", type=_positive_seconds, default=catalog.DEFAULT_TIMEOUT,
+        p.add_argument("--timeout", type=_positive_seconds,
+                       default=catalog.DEFAULT_LIMITS.timeout,
                        help="groebner timeout in seconds (default %(default)s)")
         p.add_argument("--gb-max-degree", type=_non_negative_int,
-                       default=catalog.DEFAULT_GB_MAX_DEGREE,
+                       default=catalog.DEFAULT_LIMITS.max_degree,
                        help="groebner pair-degree cap (default %(default)s)")
     for p in (p_series, p_table):
         p.add_argument("--format", dest="fmt", default="text",

@@ -9,11 +9,11 @@ class LimitExceeded(RuntimeError):
     """A bounded computation ran past its degree or time budget.
 
     Carries partial diagnostics so callers can report progress instead of
-    hanging.
+    hanging; a counter that nothing measured, as outside Buchberger, is None.
     """
 
-    def __init__(self, message, *, pairs_processed=0, max_degree_reached=0,
-                 basis_size=0, elapsed=0.0):
+    def __init__(self, message, *, pairs_processed=None, max_degree_reached=None,
+                 basis_size=None, elapsed=None):
         super().__init__(message)
         self.pairs_processed = pairs_processed
         self.max_degree_reached = max_degree_reached

@@ -196,9 +196,7 @@ class CyclotomicNumber:
 
     def __mul__(self, other):
         if type(other) is not CyclotomicNumber:  # isinstance on Fraction goes through abc
-            if isinstance(other, int):
-                return _make(self.order, tuple([a * other for a in self.nums]), self.den)
-            if isinstance(other, Fraction):
+            if isinstance(other, (int, Fraction)):  # an int is p/q with q = 1
                 p = other.numerator
                 return _make(self.order, tuple([a * p for a in self.nums]),
                              self.den * other.denominator)
@@ -217,14 +215,13 @@ class CyclotomicNumber:
                 for j, y in enumerate(b):
                     if y:
                         conv[i + j] += x * y
-        if phi > 1:
-            rows = _power_rows(self.order)
-            for k in range(phi, 2 * phi - 1):
-                c = conv[k]
-                if c:
-                    for idx, rc in enumerate(rows[k]):
-                        if rc:
-                            conv[idx] += c * rc
+        rows = _power_rows(self.order)
+        for k in range(phi, 2 * phi - 1):  # empty for phi = 1
+            c = conv[k]
+            if c:
+                for idx, rc in enumerate(rows[k]):
+                    if rc:
+                        conv[idx] += c * rc
         return _make(self.order, tuple(conv[:phi]), self.den * o.den)
 
     __rmul__ = __mul__
@@ -241,18 +238,11 @@ class CyclotomicNumber:
         return hash((self.order, self.nums, self.den))
 
     def __repr__(self):
+        """The value in the polynomial text format, in the variable z<order>."""
+        from .poly import render_terms  # poly imports this module
         var = f"z{self.order}"
-        parts = []
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append(f"{c}*{var}" if c != 1 else var)
-            else:
-                parts.append(f"{c}*{var}^{e}" if c != 1 else f"{var}^{e}")
-        return " + ".join(parts) if parts else "0"
+        return render_terms((c, [var if e == 1 else f"{var}^{e}"] if e else [])
+                            for e, c in enumerate(self.coeffs) if c)
 
 
 _set_order = CyclotomicNumber.order.__set__

@@ -232,8 +232,6 @@ class _Reducers:
         Its keys descend in insertion order: the heap pops keys in decreasing
         order, and every term a step adds is below the one it cancels.
         """
-        if not target:
-            return {}
         first_divisor = self.first_divisor
         lts, tails = self.lts, self.tails
         coeffs = dict(target)

@@ -65,17 +65,19 @@ class Packing:
         self.cap = (1 << self.value_bits) - 1
         self.total = self.width * nvars
         self.low = (1 << self.total) - 1
-        self.ones = self.pack_exps((1,) * nvars)
+        self.ones = int.from_bytes(self.fields.pack(*(1,) * nvars), "little")
         self.guards = self.ones << self.value_bits
         self.top = self.width * max(nvars - 1, 0)
 
     def pack_exps(self, m) -> int:
-        """E of exponents at most ``cap``, unchecked; ValueError if a byte field cannot hold one."""
+        """E of exponents in 0..cap; ValueError for any other, such as one that sets a guard bit."""
         try:
-            return int.from_bytes(self.fields.pack(*m), "little")
+            e = int.from_bytes(self.fields.pack(*m), "little")
+            if not e & self.guards:
+                return e
         except struct.error:
-            raise ValueError(f"monomial {tuple(m)!r} is not a tuple of ints "
-                             f"in 0..{self.cap}") from None
+            pass
+        raise ValueError(f"monomial {tuple(m)!r} is not a tuple of ints in 0..{self.cap}")
 
     def unpack_exps(self, e) -> tuple:
         return self.fields.unpack(e.to_bytes(self.fields.size, "little"))
@@ -290,8 +292,7 @@ class Polynomial:
         return Polynomial.from_keys(self.ctx, pk, acc)
 
     def __neg__(self):
-        return _init(object.__new__(Polynomial), self.ctx, self.pk,
-                     tuple([(k, -c) for k, c in self.packed]))
+        return self.scale(-1)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -303,10 +304,9 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.packed or not o.packed:
-            return Polynomial(self.ctx, {})
-        # K(ab) = K(a) + K(b) in any layout that holds deg a + deg b
-        pk = layout(self.ctx.nvars, self.degree() + o.degree())
+        # K(ab) = K(a) + K(b) in any layout that holds deg a + deg b; a zero
+        # factor, of degree -1, counts as 0 so that the layout holds the other
+        pk = layout(self.ctx.nvars, max(self.degree(), 0) + max(o.degree(), 0))
         acc = {}
         right = o.packed_in(pk)
         for k1, c1 in self.packed_in(pk):

@@ -7,7 +7,8 @@ empty list.  Coefficients are ints or Fractions and every routine is exact;
 division takes divisors with leading coefficient +-1 only, so it never leaves
 the coefficients' ring.  ``count_standard_monomials`` is the brute-force count
 of monomials outside a monomial ideal, likewise kept apart from the package's
-numerator recursion.
+numerator recursion, and ``quadric_numerator`` is Q(n)'s closed form, kept apart
+from ``catalog.quadric_series``.
 
 Sparse multivariate polynomials are dicts {exponent tuple: nonzero scalar},
 the representation the package's packed keys replaced, with ``degrevlex_key``
@@ -20,6 +21,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb
 
 
 def trim(p):
@@ -85,6 +87,17 @@ def cyclotomic_by_division(m):
     q, r = divmod_exact([-1] + [0] * (m - 1) + [1], den)
     assert not r, f"cyclotomic division left a remainder for m={m}"
     return tuple(q)
+
+
+def quadric_numerator(n):
+    """Numerator of Q(n)'s series over (1 - t)^(2n), from c_d = w_d - w_{d-2} with
+    w_d = C(N+d-1, d) C(N+d-2, d) / (d + 1) and N = n + 2: the first 2n + 1
+    coefficients of (1 - t)^(2n) * sum_d c_d t^d, trailing zeros dropped."""
+    big = n + 2
+    w = [comb(big + d - 1, d) * comb(big + d - 2, d) // (d + 1) for d in range(2 * n + 1)]
+    c = [w[d] - (w[d - 2] if d >= 2 else 0) for d in range(2 * n + 1)]
+    return trim([sum((-1) ** k * comb(2 * n, k) * c[d - k] for k in range(d + 1))
+                 for d in range(2 * n + 1)])
 
 
 def count_standard_monomials(ideal, degree):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import listpoly
 from symtensor import catalog
 from symtensor.catalog import (check_dimension_bounds, evaluate, grassmannian_ideal,
                                groebner_route, ideal_presentation_for, klein_row,
@@ -624,3 +625,4 @@ def test_quadric_series_is_hodges_formula():
     for n in range(1, 8):
         num = catalog.quadric_series(n).numerator
         assert len(num) == n + 1 and num == num[::-1]
+        assert list(num) == listpoly.quadric_numerator(n)

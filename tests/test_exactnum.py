@@ -45,6 +45,23 @@ def test_multiplication_examples():
     assert z8 * zeta(8, 7) == CyclotomicNumber.one(8)
     z3 = zeta(3)
     assert CyclotomicNumber.one(3) + z3 + z3 * z3 == CyclotomicNumber.zero(3)
+    # phi = 1: the product of two constants has no power to reduce
+    assert zeta(2) * zeta(2) == CyclotomicNumber.one(2)
+    assert zeta(1) * zeta(1) == CyclotomicNumber.one(1)
+
+
+def test_an_int_scales_as_the_rational_of_denominator_one():
+    x = CyclotomicNumber(12, (Fraction(1, 2), 0, Fraction(-5, 6), 3))
+    want = CyclotomicNumber(12, (Fraction(3, 2), 0, Fraction(-5, 2), 9))
+    assert x * 3 == x * Fraction(3) == 3 * x == want
+    assert x * True == x
+
+
+def test_repr_is_the_polynomial_text_format():
+    assert repr(CyclotomicNumber.one(8) - zeta(8)) == "1 - z8"
+    assert repr(zeta(8) * Fraction(-1, 2)) == "-1/2*z8"
+    assert repr(CyclotomicNumber.zero(5)) == "0"
+    assert repr(zeta(5, 3) * 2 - CyclotomicNumber.one(5)) == "-1 + 2*z5^3"
 
 
 def test_to_rational():

@@ -34,6 +34,9 @@ def test_normal_form_examples():
     nf = normal_form(ABCD.parse("a^2 + b*c"),
                      [ABCD.parse("a + d"), ABCD.parse("d^2 + b*c")])
     assert nf.is_zero
+    zero = XY.poly({})
+    assert normal_form(zero, [XY.parse("x")]) == zero
+    assert normal_form(zero, [XY.parse("x^300 - y")]).pk is zero.pk
 
 
 def test_normal_form_is_idempotent_and_irreducible():

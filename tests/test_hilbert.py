@@ -832,3 +832,14 @@ def test_too_deep_staircase_raises_limit_exceeded():
 def test_degree_past_every_field_raises_limit_exceeded():
     with pytest.raises(LimitExceeded, match="63-bit"):
         series_from_monomial_ideal(MonomialIdeal.from_generators(1, [(2 ** 64,)]))
+
+
+def test_limits_raised_outside_buchberger_carry_no_counters():
+    deep = MonomialIdeal.from_generators(2, [(k, 1000 - k) for k in range(1001)])
+    for raise_limit in (lambda: series_from_monomial_ideal(deep),
+                        lambda: VariableContext(("x",)).poly({(2 ** 63,): 1})):
+        with pytest.raises(LimitExceeded) as info:
+            raise_limit()
+        exc = info.value
+        assert (exc.pairs_processed, exc.max_degree_reached, exc.basis_size,
+                exc.elapsed) == (None, None, None, None)

@@ -15,6 +15,7 @@ from symtensor.invariants import (Mat2, MatrixGroup, _bd_generators,
                                   _binary_tetrahedral_generators, _closed_unimodular,
                                   _hypersurface_form, build_group,
                                   invariant_dimension, molien_series)
+from symtensor.poly import VariableContext
 
 GROUPS = [("BD", 2, 8), ("BD", 3, 12), ("2T", None, 24), ("2O", None, 48),
           ("2I", None, 120)]
@@ -395,6 +396,16 @@ def test_trace_outside_the_lookup_table_raises():
         with pytest.raises(IntegrityError, match="trace 5/2 in custom "):
             bogus.cyclic_subgroups
         assert "cyclic_subgroups" not in vars(bogus)
+
+
+@pytest.mark.parametrize("label", ["2O", "2I"])
+def test_traces_print_in_the_polynomial_text_format(label):
+    group = build_group(label)
+    ctx = VariableContext((f"z{group.field_order}",))
+    traces = {g.trace() for g in group.elements}
+    assert len(traces) > 2
+    for t in traces:
+        assert ctx.parse(repr(t)) == ctx.poly({(e,): c for e, c in enumerate(t.coeffs)})
 
 
 def test_average_not_divisible_by_the_order_raises():

@@ -27,6 +27,16 @@ def test_arithmetic_examples():
     assert XY.parse("x - y") * p == XY.parse("x^2 - y^2")
 
 
+@pytest.mark.parametrize("degree", [1, 127, 128, 300])
+def test_a_zero_factor_gives_the_zero_polynomial_in_its_own_layout(degree):
+    # a zero factor has degree -1, and a degree-128 factor outgrows the layout of
+    # the degree sum 127, so the product's layout must hold each factor alone
+    zero, p = XY.poly({}), XY.poly({(degree, 0): 2, (0, degree): -1})
+    for product in (zero * p, p * zero, zero * zero):
+        assert product == zero and product.is_zero
+        assert product.pk is zero.pk
+
+
 def test_compare_examples():
     assert degrevlex_key((2, 1)) > degrevlex_key((1, 2))   # x^2 y > x y^2
     assert degrevlex_key((0, 2, 1)) > degrevlex_key((1, 0, 2))  # y^2 z > x z^2
@@ -224,7 +234,8 @@ def test_packing_width_boundaries(bound, cap):
 
 def test_packing_refuses_exponents_outside_its_fields():
     pk = Packing(2, 3)
-    for bad in ((-1, 2), (Fraction(3, 2), 0), (1.5, 0), (2, 1, 0)):
+    # 128 and 200 fit the byte of a field but set its guard bit past cap = 127
+    for bad in ((-1, 2), (Fraction(3, 2), 0), (1.5, 0), (2, 1, 0), (128, 0), (200, 0)):
         with pytest.raises(ValueError, match=r"monomial \("):
             pk.pack_exps(bad)
         with pytest.raises(ValueError, match=r"monomial \("):

@@ -29,7 +29,7 @@ def test_exit_code_semantics():
 
 def test_tiny_timeout_marks_heavy_checks_limited():
     results, _ = verify.run_verification(
-        limits=GroebnerLimits(catalog.DEFAULT_GB_MAX_DEGREE, timeout=1e-9))
+        limits=GroebnerLimits(catalog.DEFAULT_LIMITS.max_degree, timeout=1e-9))
     by_name = {r.name: r for r in results}
     assert by_name["projective-space-two-route"].status == verify.LIMIT
     assert by_name["quadric-coincidences"].status == verify.LIMIT
@@ -125,7 +125,7 @@ def test_integrity_fails_a_molien_series_wrong_past_degree_g(monkeypatch):
 
 
 def test_limit_detail_shows_progress_only_from_buchberger(monkeypatch):
-    tiny = GroebnerLimits(catalog.DEFAULT_GB_MAX_DEGREE, timeout=1e-9)
+    tiny = GroebnerLimits(catalog.DEFAULT_LIMITS.max_degree, timeout=1e-9)
     result = _check("projective-space-two-route")(VerifyContext(limits=tiny))
     assert result.status == verify.LIMIT
     assert re.fullmatch(r"limit: groebner timeout after 1e-09s \(pairs processed: \d+, "
